@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -390,13 +391,7 @@ def criterion_10_charformula():
 
 
 def _charformula_sweep(t, checked):
-    p = _least_prime_factor(t.q)
-    e = 0
-    n = t.q
-    while n > 1:
-        n //= p
-        e += 1
-    field = FiniteField(p, e * t.splitting_degree)
+    field = t.extension_field(t.splitting_degree)
     chi = classify_chi_data(t)
     wset = t.weyl_centralizer()
     for th in all_characters(t):
@@ -414,8 +409,7 @@ def _charformula_sweep(t, checked):
                 checked["delta"] += 1
             base = theta_sum(th, gamma, chi, a, wset, field)
             for m in wset:
-                gw = QV(t.rd.cochar_coord_matrix(m).inverse().to_int()
-                        .apply(gamma.coords))
+                gw = QV(t.inverse_action(m).apply(gamma.coords))
                 assert theta_sum(th, gw, chi, a, wset, field) == base
             checked["reindex"] += 1
 
@@ -497,11 +491,14 @@ def run_all(threads=None, verbose=False):
         kwargs = {}
         if crit in (criterion_2_d2n, criterion_3_oracle):
             kwargs["threads"] = threads
+        t0 = time.monotonic()
         try:
             res = crit(**kwargs)
-        except AssertionError as err:
-            res = {"name": crit.__name__, "ok": False, "seconds": 0.0,
-                   "bound": None, "detail": {"error": str(err)}}
+        except Exception as err:
+            res = {"name": crit.__name__, "ok": False,
+                   "seconds": time.monotonic() - t0, "bound": None,
+                   "detail": {"error": f"{type(err).__name__}: {err}",
+                              "traceback": traceback.format_exc()}}
         res["ok"] = res.get("ok", False)
         bound = res.get("bound")
         if bound is not None and res["seconds"] > bound:

@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import InvalidWeylSet, NotRealizable, OutOfScope, SingularRoot
+from .errors import NotRealizable, OutOfScope, SingularRoot
 from .exactcore import QV
-from .ffield import FiniteField
-from .torus import FrobeniusTorus, TorusCharacter, _prime_power
+from .ffield import FiniteField, MultCharacter, additive_character
+from .torus import FrobeniusTorus, TorusCharacter
 
 ASYMMETRIC = "asymmetric"
 SYMMETRIC_UNRAMIFIED = "symmetric-unramified"
@@ -157,12 +157,10 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
 
 def _validate_gauss_identity(t, base, d, sign, s2):
     """g(psi)^2 = psi(-1) q exactly, so sgn(a) g(psi)^2 = (+-) q as claimed."""
-    p, e = _prime_power(t.q)
-    field = FiniteField(p, e * d)
+    field = t.extension_field(d)
     order = base.denominator
     if (field.q - 1) % order:
         raise ArithmeticError("composite character order does not divide q^d - 1")
-    from .ffield import MultCharacter, additive_character
     psi = MultCharacter(field, order, int(base * order) % order)
     lam = additive_character(field)
     g = sum((psi(x) * lam(x) for x in field.units()), Cyc.rational(0))
@@ -207,10 +205,8 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     """
     t = theta.torus
     rd = t.rd
-    m = t.splitting_degree
-    p, e = _prime_power(t.q)
     if field is None:
-        field = FiniteField(p, e * m)
+        field = t.extension_field(t.splitting_degree)
     value = Cyc.rational(1)
     skipped = []
     factors = {}
@@ -252,9 +248,8 @@ def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
     """
     t = theta.torus
     rd = t.rd
-    p, e = _prime_power(t.q)
     if field is None:
-        field = FiniteField(p, e * t.splitting_degree)
+        field = t.extension_field(t.splitting_degree)
     if tuple(rep) not in {tuple(r) for r in orbit.roots}:
         raise ValueError("representative not in the orbit")
     # rep is either a w-translate of orbit.rep (a transports by Frobenius,
@@ -283,15 +278,11 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     epsilon factor) default to 1 and scale the result symbolically.
     """
     t = theta.torus
-    p, e = _prime_power(t.q)
     if field is None:
-        field = FiniteField(p, e * t.splitting_degree)
+        field = t.extension_field(t.splitting_degree)
     acc = Cyc.rational(0)
     for m in weyl_set:
-        mc = t.rd.cochar_coord_matrix(m)
-        if mc * t.w_cochar != t.w_cochar * mc:
-            raise InvalidWeylSet("weyl element does not commute with the twist")
-        gw = QV(mc.inverse().to_int().apply(gamma.coords))
+        gw = QV(t.inverse_action(m).apply(gamma.coords))
         d = delta_II(theta, gw, chi, a, field)
         acc = acc + d.value * Cyc.from_qz(theta.on_vector(gw))
     return acc * leading

@@ -109,10 +109,15 @@ class Cyc:
         if n == 1:
             return Cyc.rational(sum(coeffs))
         acc = _zero_vec(n)
+        phi = len(acc)
         for s, c in enumerate(coeffs):
-            if c:
-                mono = _monomial(n, s % n)
-                acc = [a + c * b for a, b in zip(acc, mono)]
+            if not c:
+                continue
+            k = s % n
+            if k < phi:          # a basis monomial: one coefficient moves
+                acc[k] += c
+            else:
+                acc = [a + c * b for a, b in zip(acc, _monomial(n, k))]
         return Cyc(n, acc)
 
     def promote(self, m: int) -> "Cyc":

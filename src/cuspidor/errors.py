@@ -79,3 +79,18 @@ class InvalidWeylSet(CuspidorError):
 
 class OutOfScope(CuspidorError):
     pass
+
+
+# Invalid inputs that the library used to reject with a bare ValueError.
+# They stay ValueErrors too, so callers that catch ValueError still do.
+
+class InvalidPrimePower(CuspidorError, ValueError):
+    pass
+
+
+class InvalidCharacter(CuspidorError, ValueError):
+    pass
+
+
+class InvalidWeylElement(CuspidorError, ValueError):
+    pass

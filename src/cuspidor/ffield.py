@@ -13,7 +13,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .cyclotomic import Cyc, cyc_sum
+from .cyclotomic import Cyc
 from .errors import InvalidOrder, TrivialCharacter
 
 
@@ -293,6 +293,12 @@ class FiniteField:
         return t[0]
 
 
+@functools.lru_cache(maxsize=None)
+def finite_field(p: int, m: int = 1) -> FiniteField:
+    """The one shared GF(p^m): fields compare by (p, m) and are never mutated."""
+    return FiniteField(p, m)
+
+
 def additive_character(field: FiniteField, scale: int = 1):
     """Lambda0(x) = zeta_p^(scale * tr(x)); nontrivial iff p does not divide scale."""
     if scale % field.p == 0:
@@ -341,22 +347,24 @@ class GaussSumResult:
         self.alternate_agrees = alternate_agrees
 
 
-def gauss_sum(ell: FiniteField, additive=None) -> GaussSumResult:
+def gauss_sum(ell: FiniteField) -> GaussSumResult:
     """Unnormalized quadratic Gauss sum g = sum sgn(x) Lambda0(tr x).
 
-    Returns g together with the verified payload: g * conj(g) = q exactly
-    (so q^{-1/2} g has absolute value 1), and the alternate expression
+    Lambda0 = zeta_p^tr depends on x only through tr(x), so g and the
+    alternate expression are summed as one count per trace value.  Returns g
+    together with the verified payload: g * conj(g) = q exactly (so q^{-1/2} g
+    has absolute value 1), and the alternate expression
     sum_x Lambda0(tr(x^2)) agrees with g.
     """
-    chi = additive if additive is not None else additive_character(ell)
-    terms = []
-    alt = [chi(ell.zero)]
+    p = ell.p
+    signed = [0] * p             # sum of sgn(x) over the units of trace t
+    squares = [0] * p            # number of x with tr(x^2) = t
+    squares[0] = 1               # x = 0
     for x in ell.units():
-        v = chi(x)
-        terms.append(v if ell.sgn(x) == 1 else -v)
-        alt.append(chi(ell.mul(x, x)))
-    g = cyc_sum(terms)
-    g2 = cyc_sum(alt)
+        signed[ell.absolute_trace(x)] += ell.sgn(x)
+        squares[ell.absolute_trace(ell.mul(x, x))] += 1
+    g = Cyc.from_root_multiplicities(p, signed)
+    g2 = Cyc.from_root_multiplicities(p, squares)
     gg = g.norm_square()
     if not (gg.is_rational() and gg.rational_value() == ell.q):
         raise ArithmeticError("Gauss sum modulus check failed")
@@ -379,7 +387,7 @@ def normalized_gauss_value(ell: FiniteField) -> Cyc:
     p, m = ell.p, ell.m
     root = Cyc.rational(p ** (m // 2))
     if m % 2:
-        gp = gauss_sum(FiniteField(p, 1)).sum
+        gp = gauss_sum(finite_field(p)).sum
         # Gauss: gp = sqrt(p) if p=1 mod 4, i*sqrt(p) if p=3 mod 4
         sqrtp = gp if p % 4 == 1 else gp * Cyc.zeta(4, 3)
         root = root * sqrtp

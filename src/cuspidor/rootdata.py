@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidLattice, NotCommuting, Reducible
+from .errors import InvalidLattice, InvalidWeylElement, NotCommuting, Reducible
 from .exactcore import Mat, QV
 
 CARTAN = {
@@ -271,7 +271,7 @@ class WeylElement:
         self._order = None
         self._signed_perm = False  # sentinel: not yet derived
         if not rd.root_permutation_ok(matrix):
-            raise ValueError("matrix does not permute the roots")
+            raise InvalidWeylElement("matrix does not permute the roots")
 
     @property
     def order(self) -> int:

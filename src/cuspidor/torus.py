@@ -6,6 +6,16 @@ extension are ker(F^d - 1), presented as the finite abelian group
 X^vee/(F^d - 1)X^vee with an explicit section.  All computations stay in
 lattice-basis coordinates.
 
+A ``FrobeniusTorus`` computes each of its invariants once and keeps it in a
+per-instance dict: F^d, the norm matrix N_d and S(k_d) per degree d, the
+S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w), the
+action of each m in C_W(w) on the generators of S(k), and m^-1 on X^vee.
+Characters, non-singularity and Weyl stabilizers then read these tables
+instead of rebuilding matrix powers per character.  The caches are safe
+because a torus never changes after construction and the cached ``Mat`` and
+``FinAb`` values are immutable; the tables are bounded by the degrees asked
+for, |roots| x degrees, and |C_W(w)|.
+
 Coordinate conventions: a lattice is a matrix S whose rows are basis vectors
 of a subspace of the cocharacter space V*; the coordinates of an ambient
 vector y are (S^T)^{-1} y, and a V*-endomorphism M acts on coordinates by
@@ -14,11 +24,15 @@ vector y are (S^T)^{-1} y, and a V*-endomorphism M acts on coordinates by
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .errors import (
     IncompatibleCharacters,
+    InvalidCharacter,
+    InvalidPrimePower,
+    InvalidWeylSet,
     NotRealizable,
     NotStabilizing,
     SingularCharacter,
@@ -30,11 +44,13 @@ from .exactcore import (
     quotient_by,
     twisted_fixed_points,
 )
-from .ffield import FiniteField
+from .ffield import FiniteField, finite_field
 from .rootdata import RootDatum, WeylElement
 
 
 def _prime_power(q: int):
+    if q < 2:
+        raise InvalidPrimePower("q must be a prime power")
     p = 2
     n = q
     while p * p <= n:
@@ -46,7 +62,7 @@ def _prime_power(q: int):
     m = 0
     while n > 1:
         if n % p:
-            raise ValueError("q must be a prime power")
+            raise InvalidPrimePower("q must be a prime power")
         n //= p
         m += 1
     return p, m
@@ -97,15 +113,24 @@ class FrobeniusTorus:
     """(cocharacter lattice of rd, twist w, q) with Frobenius q·w."""
 
     def __init__(self, rd: RootDatum, w: WeylElement, q: int):
-        p, _ = _prime_power(q)
+        p, e = _prime_power(q)
         if p == 2:
-            raise ValueError("q must be odd")
+            raise InvalidPrimePower("q must be odd")
         self.rd = rd
         self.w = w
         self.q = q
         self.p = p
+        self._e = e
         self.w_cochar = rd.cochar_coord_matrix(w.matrix)
         self.splitting_degree = self._twist_order()
+        self._cache = {}
+
+    def _memo(self, key, build):
+        """The invariant stored under key, built on first use."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
 
     def _twist_order(self) -> int:
         k, m = 1, self.w_cochar
@@ -116,20 +141,32 @@ class FrobeniusTorus:
         return k
 
     def frobenius(self, d: int = 1) -> Mat:
-        return (self.q ** d) * (self.w_cochar ** d)
+        return self._memo(("frobenius", d),
+                          lambda: (self.q ** d) * (self.w_cochar ** d))
 
     def rational_points(self, d: int = 1):
         """S(k_d) = ker(F^d - 1) with section into (Q/Z)^rank."""
-        return twisted_fixed_points(self.frobenius(d))
+        return self._memo(("points", d),
+                          lambda: twisted_fixed_points(self.frobenius(d)))
 
     def norm_matrix(self, d: int) -> Mat:
         """Sum of F^i for i < d, inducing the norm S(k_d) -> S(k)."""
-        acc = Mat.identity(self.rd.rank)
-        out = Mat.identity(self.rd.rank)
-        for _ in range(d - 1):
-            acc = acc * self.frobenius()
-            out = out + acc
-        return out
+        def build():
+            acc = Mat.identity(self.rd.rank)
+            out = Mat.identity(self.rd.rank)
+            for _ in range(d - 1):
+                acc = acc * self.frobenius()
+                out = out + acc
+            return out
+        return self._memo(("norm", d), build)
+
+    def root_point(self, coroot, d: int) -> tuple:
+        """S(k)-coordinates of N_d(alpha_vee(zeta)), zeta a generator of k_d^x."""
+        def build():
+            pt = self.coroot_point(coroot, Fraction(1, self.q ** d - 1))
+            img = QV(self.norm_matrix(d).apply(pt.coords))
+            return self.rational_points(1).project(img)
+        return self._memo(("root_point", tuple(coroot), d), build)
 
     def norm_map(self, d: int):
         """The norm as a map on coordinate tuples of S(k_d) into S(k)."""
@@ -155,20 +192,45 @@ class FrobeniusTorus:
 
     def weyl_centralizer(self):
         """Elements of W commuting with the twist (the rational Weyl group)."""
-        out = []
-        for m in self.rd.weyl_group():
+        def build():
+            out = []
+            for m in self.rd.weyl_group():
+                mc = self.rd.cochar_coord_matrix(m)
+                if mc * self.w_cochar == self.w_cochar * mc:
+                    out.append(m)
+            return tuple(out)
+        return list(self._memo("centralizer", build))
+
+    def centralizer_actions(self):
+        """(m, cols) for each m in C_W(w); cols[i] is m(gens[i]) on S(k)."""
+        def build():
+            group = self.rational_points(1)
+            return tuple(
+                (m, tuple(group.project(g.act(self.rd.cochar_coord_matrix(m)))
+                          for g in group.gens))
+                for m in self.weyl_centralizer())
+        return self._memo("actions", build)
+
+    def inverse_action(self, m: Mat) -> Mat:
+        """m^-1 on X^vee coordinates, for m commuting with the twist."""
+        def build():
             mc = self.rd.cochar_coord_matrix(m)
-            if mc * self.w_cochar == self.w_cochar * mc:
-                out.append(m)
-        return out
+            if mc * self.w_cochar != self.w_cochar * mc:
+                raise InvalidWeylSet(
+                    "weyl element does not commute with the twist")
+            return mc.inverse().to_int()
+        return self._memo(("inverse", m), build)
+
+    def extension_field(self, d: int) -> FiniteField:
+        """GF(q^d), the one shared copy."""
+        return finite_field(self.p, self._e * d)
 
     def realize_in_field(self, vec: QV, field: FiniteField = None):
         """Coordinates of a torus point as elements of GF(q^m)^rank."""
         m = self.splitting_degree
         card = self.q ** m - 1
         if field is None:
-            p, e = _prime_power(self.q)
-            field = FiniteField(p, e * m)
+            field = self.extension_field(m)
         if field.q != self.q ** m:
             raise NotRealizable("field size does not match the splitting degree")
         out = []
@@ -200,10 +262,11 @@ class TorusCharacter:
         self.group = torus.rational_points(1)
         self.values = tuple(Fraction(v) % 1 for v in values)
         if len(self.values) != len(self.group.factors):
-            raise ValueError("one value per invariant factor required")
+            raise InvalidCharacter("one value per invariant factor required")
         for v, d in zip(self.values, self.group.factors):
             if (v * d) % 1 != 0:
-                raise ValueError("character value order incompatible with factor")
+                raise InvalidCharacter(
+                    "character value order incompatible with factor")
 
     def __call__(self, coords) -> Fraction:
         return sum((Fraction(a) * v for a, v in zip(coords, self.values)),
@@ -213,11 +276,7 @@ class TorusCharacter:
         return self(self.group.project(vec))
 
     def order(self) -> int:
-        out = 1
-        for v in self.values:
-            o = (v % 1).denominator
-            out = out * o // _gcd(out, o)
-        return out
+        return math.lcm(*(v.denominator for v in self.values))
 
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -230,11 +289,7 @@ class TorusCharacter:
         """
         t = self.torus
         d = degree if degree is not None else t.splitting_degree
-        card = t.q ** d - 1
-        pt = t.coroot_point(coroot, Fraction(1, card))
-        nm = t.norm_matrix(d)
-        img = QV(nm.apply(pt.coords))
-        return self.on_vector(img)
+        return self(t.root_point(coroot, d))
 
     def twist_by(self, weyl_mat: Mat) -> "TorusCharacter":
         """theta ∘ w for w commuting with the twist."""
@@ -244,12 +299,6 @@ class TorusCharacter:
 
     def to_json(self):
         return {"values": [str(v) for v in self.values]}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def all_characters(torus: FrobeniusTorus):
@@ -294,14 +343,9 @@ class StabilizerReport:
 def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
     """Omega(S,G)(k)_theta: w-commuting Weyl elements fixing theta on S(k)."""
     t = theta.torus
-    group = theta.group
     n = t.rd.rank
-    stab = []
-    for m in t.weyl_centralizer():
-        mc = t.rd.cochar_coord_matrix(m)
-        if all(theta.on_vector(g.act(mc)) == theta(_unit(i, group))
-               for i, g in enumerate(group.gens)):
-            stab.append(m)
+    stab = [m for m, cols in t.centralizer_actions()
+            if all(theta(col) == v for col, v in zip(cols, theta.values))]
     order = len(stab)
     abelian = all(a * b == b * a for a in stab for b in stab)
     cyclic = any(_mat_order(m, n) == order for m in stab)

@@ -73,3 +73,31 @@ def test_criterion_10_character_formula():
 
 def test_criterion_11_cocycle():
     _run(11, acceptance.criterion_11_cocycle)
+
+
+def test_run_all_times_failures_and_keeps_sweeping(monkeypatch):
+    import time
+    ran = []
+
+    def slow_failing_assertion():
+        time.sleep(0.2)
+        assert False, "slow failure"
+
+    def value_error():
+        time.sleep(0.01)
+        raise ValueError("not an assertion")
+
+    def last():
+        ran.append(True)
+        return {"name": "last", "ok": True, "seconds": 0.0, "bound": None,
+                "detail": {}}
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [slow_failing_assertion, value_error, last])
+    results = acceptance.run_all()
+    assert [r["ok"] for r in results] == [False, False, True]
+    assert results[0]["seconds"] >= 0.2
+    assert results[1]["seconds"] > 0
+    assert "slow failure" in results[0]["detail"]["error"]
+    assert "ValueError" in results[1]["detail"]["error"]
+    assert ran == [True]

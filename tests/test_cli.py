@@ -116,3 +116,27 @@ def test_cocycle_split_file(tmp_path):
     proc = run_cli("cocycle-split", "--family", str(path))
     data = payload(proc)
     assert data["payload"]["split"] is True
+
+
+def _domain_error(proc, name):
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout)
+    assert data["status"] == "error"
+    assert name in data["error"]
+
+
+def test_torus_even_q_is_domain_error():
+    proc = run_cli("torus", "--type", "A", "--rank", "1", "--q", "4")
+    _domain_error(proc, "InvalidPrimePower")
+
+
+def test_stabilizer_bad_character_is_domain_error():
+    proc = run_cli("stabilizer", "--type", "A", "--rank", "1", "--q", "3",
+                   "--theta", "1/3")
+    _domain_error(proc, "InvalidCharacter")
+
+
+def test_torus_bad_weyl_matrix_is_domain_error():
+    proc = run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
+                   "--weyl", "[[2]]")
+    _domain_error(proc, "InvalidWeylElement")

@@ -5,6 +5,7 @@ from cuspidor.errors import InvalidOrder
 from cuspidor.ffield import (
     FiniteField,
     additive_character,
+    finite_field,
     gauss_sum,
     mult_character,
     normalized_gauss_value,
@@ -145,3 +146,10 @@ def test_trivial_additive_character_rejected():
     f = FiniteField(5)
     with pytest.raises(TrivialCharacter):
         additive_character(f, 5)
+
+
+def test_finite_field_is_shared_per_size():
+    f = finite_field(3, 2)
+    assert f is finite_field(3, 2)
+    assert f == FiniteField(3, 2) and f.q == 9
+    assert finite_field(3) is not f

@@ -336,3 +336,77 @@ def _quot_cls(pairing, full, sub, incl, coords):
     images = [sk.project(QV(incl.apply(g.coords))) for g in s0.gens]
     quot = quotient_by(sk, images)
     return quot.project(coords)
+
+
+# -- the cached invariants against their definitions ---------------------------
+
+def _coxeter_torus(kind, rank, q):
+    rd = build_classical(kind, rank, "sc")
+    elliptic = [WeylElement(rd, m) for m in rd.weyl_group()
+                if WeylElement(rd, m).is_elliptic()]
+    return FrobeniusTorus(rd, max(elliptic, key=lambda w: w.order), q)
+
+
+def _cached_path_tori():
+    rd = build_classical("B", 2, "sc")
+    return [_coxeter_torus("A", 2, 5),
+            FrobeniusTorus(rd, WeylElement(rd, -Mat.identity(2)), 7)]
+
+
+def _reference_nonsingular(theta):
+    """theta(N(alpha_vee(zeta))) != 0 for every root, N = sum of q^i w^i."""
+    t = theta.torus
+    rd = t.rd
+    d = t.splitting_degree
+    norm = Mat.zero(rd.rank, rd.rank)
+    for i in range(d):
+        norm = norm + (t.q ** i) * (t.w_cochar ** i)
+    for a in rd.roots:
+        coords = rd.coroot_coords(rd.coroot(a))
+        pt = [Fraction(c, t.q ** d - 1) for c in coords]
+        if theta.on_vector(QV(norm.apply(pt))) == 0:
+            return False
+    return True
+
+
+def test_cached_nonsingularity_matches_definition():
+    for t in _cached_path_tori():
+        verdicts = [(is_nonsingular(th), _reference_nonsingular(th))
+                    for th in all_characters(t)]
+        assert all(got == want for got, want in verdicts)
+        assert any(got for got, _ in verdicts)
+        assert not all(got for got, _ in verdicts)
+
+
+def test_cached_stabilizer_matches_brute_force():
+    for t in _cached_path_tori():
+        w = t.w.matrix
+        centralizer = [m for m in t.rd.weyl_group() if m * w == w * m]
+        for th in all_characters(t):
+            want = {m for m in centralizer
+                    if th.twist_by(m).values == th.values}
+            assert set(weyl_stabilizer(th).matrices) == want
+
+
+def test_cached_frobenius_matches_definition():
+    for t in _cached_path_tori():
+        for _ in range(2):
+            for d in range(1, 5):
+                assert t.frobenius(d) == (t.q ** d) * (t.w_cochar ** d)
+
+
+def test_theta_sum_rejects_noncommuting_after_warm_cache():
+    from cuspidor.charformula import classify_chi_data, mod_a_data, theta_sum
+    from cuspidor.errors import InvalidWeylSet
+    t = _coxeter_torus("A", 2, 5)
+    th = next(th for th in all_characters(t) if is_nonsingular(th))
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    wset = t.weyl_centralizer()
+    gamma = th.group.gens[0]
+    theta_sum(th, gamma, chi, a, wset)      # caches every commuting inverse
+    refl = t.rd.reflection(t.rd.simple_roots[0])
+    with pytest.raises(InvalidWeylSet):
+        theta_sum(th, gamma, chi, a, [refl])
+    with pytest.raises(InvalidWeylSet):
+        theta_sum(th, gamma, chi, a, wset + [refl])
