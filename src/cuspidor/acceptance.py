@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .centralizer import admissible_cycle_types, centralizer, d2n_verify
@@ -81,7 +80,7 @@ def criterion_1_table():
             "bound": 1.0, "detail": detail}
 
 
-def criterion_2_d2n(threads=None):
+def criterion_2_d2n():
     """D_{2n} commutator calculus over n in {2,3,4}, q in {1,...,11}, all types."""
     def body():
         cases = [(n, q, lens)
@@ -89,8 +88,7 @@ def criterion_2_d2n(threads=None):
                  for q in (1, 3, 5, 7, 9, 11)
                  for lens in admissible_cycle_types(n)]
 
-        def one(case):
-            n, q, lens = case
+        for n, q, lens in cases:
             rep = d2n_verify(n, q, lens)
             assert rep.ok, (n, q, lens)
             assert rep.b % 2 == 0
@@ -98,14 +96,6 @@ def criterion_2_d2n(threads=None):
             assert rep.half_lambda_w1_w2_integral
             assert rep.lam[0] == rep.b and rep.lam[-1] == rep.b
             assert rep.b == 2 * n - 2 * len(lens)
-            return rep
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one, cases))
-        else:
-            for case in cases:
-                one(case)
         return {"cases": len(cases)}
 
     secs, detail = _timed(body)
@@ -113,22 +103,15 @@ def criterion_2_d2n(threads=None):
             "bound": 10.0, "detail": detail}
 
 
-def criterion_3_oracle(threads=None, count=200):
+def criterion_3_oracle(count=200):
     """Clifford criterion vs the character-table oracle on a seeded corpus."""
     def body():
         rng = random.Random(CORPUS_SEED)
         descriptors = [random_descriptor(rng, max_order=256)
                        for _ in range(count)]
-
-        def one(ext):
-            return has_multiplicity_one(ext)[0] == oracle_multiplicity_one(ext)
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, descriptors))
-        else:
-            results = [one(ext) for ext in descriptors]
-        disagreements = results.count(False)
+        disagreements = sum(
+            has_multiplicity_one(ext)[0] != oracle_multiplicity_one(ext)
+            for ext in descriptors)
         assert disagreements == 0
         return {"descriptors": len(descriptors), "disagreements": disagreements}
 
@@ -485,15 +468,12 @@ CRITERIA = [
 ]
 
 
-def run_all(threads=None, verbose=False):
+def run_all(verbose=False):
     results = []
     for i, crit in enumerate(CRITERIA, start=1):
-        kwargs = {}
-        if crit in (criterion_2_d2n, criterion_3_oracle):
-            kwargs["threads"] = threads
         t0 = time.monotonic()
         try:
-            res = crit(**kwargs)
+            res = crit()
         except Exception as err:
             res = {"name": crit.__name__, "ok": False,
                    "seconds": time.monotonic() - t0, "bound": None,

@@ -1,14 +1,13 @@
 """Batch command-line surface: JSON in, JSON out, exact numbers only.
 
 Exit codes: 0 ok, 1 domain error, 2 usage error.  ``sweep`` runs the full
-acceptance suite; CUSPIDOR_THREADS bounds its parallelism.
+acceptance suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .cocycle import (
 )
 from .cyclotomic import Cyc
 from .dixon import restriction_multiplicities
-from .errors import CuspidorError
+from .errors import CuspidorError, InvalidFixture
 from .exactcore import Mat, QV, RankReport
 from .ffield import FiniteField, gauss_sum, normalized_gauss_value
 from .fixture_gen import datum_from_json
@@ -170,8 +169,12 @@ def _fixture_descriptor(name):
                 "dihedral8-cyclic": dihedral8_cyclic_descriptor}
     if name in fixtures:
         return fixtures[name]()
-    with open(name) as fh:
-        return ExtensionDescriptor.from_json(json.load(fh))
+    try:
+        with open(name) as fh:
+            data = json.load(fh)
+        return ExtensionDescriptor.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise InvalidFixture(f"{name}: {err}") from err
 
 
 def cmd_cliff(args):
@@ -268,8 +271,7 @@ def cmd_theta_sum(args):
 
 
 def cmd_sweep(args):
-    threads = int(os.environ.get("CUSPIDOR_THREADS", "0")) or None
-    results = acceptance.run_all(threads=threads, verbose=True)
+    results = acceptance.run_all(verbose=True)
     ok = all(r["ok"] for r in results)
     return 0 if ok else 1
 

@@ -6,12 +6,28 @@ multiplicity one through the commutator function in coinvariants
 and computes the full irreducible census through stabilizers and
 projective-representation dimensions; the independent character-table
 oracle lives in dixon.py.
+
+ConcreteGroup also numbers its elements: element number i is
+``elements[i]``, which is (a, c) with i = |A|·(index of c) + (index of a),
+each index taken in ``FinAb.elements()`` order, so the identity is number 0.
+On first use it builds the Cayley table on these numbers (|B|² entries, so
+only the oracle asks for it, at |B| <= 512) from four small tables: the
+additions of A and of C, the action c·a and the cocycle, each on indices.
+The inverses, the conjugacy classes and the exponent are read from the
+table.  The pair API (``mul``, ``inv``, ``section``) never builds it.
+
+The descriptor memoizes the matrix of each C-element, its action on each
+A-element, and the coinvariant quotient of each ordered pair of action
+matrices.  These caches, and the group's table, are safe because neither a
+descriptor nor a group is ever mutated after construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from functools import cached_property
 
 from .errors import NotEquivariant, TooLarge
 from .exactcore import FinAb, Mat, coinvariants
@@ -31,6 +47,7 @@ class ExtensionDescriptor:
         self.action = tuple(action)
         self._action_cache = {}
         self._act_values = {}
+        self._quotients = {}
         if len(self.action) != len(self.C.factors):
             raise ValueError("one action matrix per C generator")
         raw = dict(cocycle) if not callable(cocycle) else {
@@ -42,22 +59,36 @@ class ExtensionDescriptor:
 
     # -- plumbing ------------------------------------------------------------
 
+    def action_matrix(self, c) -> Mat:
+        """The matrix by which the C-element c acts on A (memoized)."""
+        c = tuple(c)
+        m = self._action_cache.get(c)
+        if m is None:
+            m = _action_matrix(self.action, len(self.A.factors), c)
+            self._action_cache[c] = m
+        return m
+
     def act(self, c, a):
         """The action of the C-element c on the A-element a (memoized)."""
         key = (tuple(c), tuple(a))
         out = self._act_values.get(key)
-        if out is not None:
-            return out
-        m = self._action_cache.get(key[0])
-        if m is None:
-            m = Mat.identity(len(self.A.factors))
-            for g, e in zip(self.action, c):
-                for _ in range(e):
-                    m = g * m
-            self._action_cache[key[0]] = m
-        out = self.A.apply_matrix(m, a)
-        self._act_values[key] = out
+        if out is None:
+            out = self.A.apply_matrix(self.action_matrix(key[0]), key[1])
+            self._act_values[key] = out
         return out
+
+    def coinvariant_quotient(self, c1, c2):
+        """A modulo (σ - 1)A for σ the actions of c1 and c2 (memoized).
+
+        The key is the ordered pair of action matrices, so pairs that act
+        alike share one quotient, and it equals a fresh ``coinvariants``.
+        """
+        key = (self.action_matrix(c1), self.action_matrix(c2))
+        quot = self._quotients.get(key)
+        if quot is None:
+            quot = coinvariants(self.A, list(key))
+            self._quotients[key] = quot
+        return quot
 
     def z(self, c1, c2):
         return self.cocycle[(tuple(c1), tuple(c2))]
@@ -95,9 +126,7 @@ class ExtensionDescriptor:
                     if x != y:
                         raise ValueError("action matrices must commute on A")
         for j, g in enumerate(self.action):
-            m = Mat.identity(len(self.A.factors))
-            for _ in range(self.C.factors[j]):
-                m = g * m
+            m = g ** self.C.factors[j]
             for a in _gens(self.A):
                 if self.A.apply_matrix(m, a) != a:
                     raise ValueError("action order incompatible with C")
@@ -141,7 +170,11 @@ def _gens(group: FinAb):
 
 
 class ConcreteGroup:
-    """B realized on pairs (a, c) with the twisted multiplication."""
+    """B realized on pairs (a, c) with the twisted multiplication.
+
+    ``table`` and ``inverses`` work on element numbers (the module
+    docstring); the other methods take and return pairs.
+    """
 
     def __init__(self, ext: ExtensionDescriptor):
         if ext.order() > 4096:
@@ -166,6 +199,45 @@ class ConcreteGroup:
         ap = self.ext.act(ci, self.ext.A.add(a, self.ext.z(c, ci)))
         return (self.ext.A.neg(ap), ci)
 
+    @cached_property
+    def number(self):
+        """The number of each element: its position in ``elements``."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def table(self):
+        """The Cayley table: ``table[i][j]`` numbers elements[i]·elements[j].
+
+        (a1, c1)(a2, c2) = (a1 + c1·a2 + z(c1, c2), c1 + c2), read off the
+        index tables of A and C.
+        """
+        ext = self.ext
+        a_els, c_els = list(ext.A.elements()), list(ext.C.elements())
+        n_a = len(a_els)
+        a_num = {a: i for i, a in enumerate(a_els)}
+        add_a = _addition_table(ext.A.factors)
+        add_c = _addition_table(ext.C.factors)
+        rows = []
+        for i, c1 in enumerate(c_els):
+            act = [a_num[ext.act(c1, a)] for a in a_els]
+            # per c2: the number of (0, c1 + c2), and a2 -> c1·a2 + z(c1, c2)
+            blocks = []
+            for j, c2 in enumerate(c_els):
+                shift = add_a[a_num[ext.z(c1, c2)]]
+                blocks.append((add_c[i][j] * n_a, [shift[v] for v in act]))
+            for a1 in range(n_a):
+                plus_a1 = add_a[a1]
+                row = []
+                for base, block in blocks:
+                    row += [base + plus_a1[v] for v in block]
+                rows.append(row)
+        return rows
+
+    @cached_property
+    def inverses(self):
+        """``inverses[i]`` is the number of the inverse of element i."""
+        return [row.index(0) for row in self.table]
+
     def order_of(self, x) -> int:
         k, y = 1, x
         while y != self.identity:
@@ -174,27 +246,38 @@ class ConcreteGroup:
         return k
 
     def exponent(self) -> int:
+        table = self.table
         out = 1
-        for x in self.elements:
-            o = self.order_of(x)
-            out = out * o // _gcd(out, o)
+        for x in range(len(table)):
+            k, y = 1, x
+            while y:
+                y = table[y][x]
+                k += 1
+            out = math.lcm(out, k)
         return out
 
     def is_abelian(self) -> bool:
-        els = self.elements
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in els for b in els)
+        """Do the generators (e_i, 0) and (0, f_j) of B commute pairwise?"""
+        zero_a, zero_c = self.ext.A.zero, self.ext.C.zero
+        gens = ([(a, zero_c) for a in _gens(self.ext.A)]
+                + [(zero_a, c) for c in _gens(self.ext.C)])
+        return all(self.mul(x, y) == self.mul(y, x)
+                   for x, y in itertools.combinations(gens, 2))
 
     def conjugacy_classes(self):
+        """The classes as sorted tuples of pairs, in sorted order."""
         if self._classes is None:
-            left = set(self.elements)
+            table, inverses, els = self.table, self.inverses, self.elements
+            seen = [False] * len(els)
             classes = []
-            while left:
-                x = min(left)
-                orbit = {self.mul(self.mul(g, x), self.inv(g))
-                         for g in self.elements}
-                classes.append(tuple(sorted(orbit)))
-                left -= orbit
+            for x in range(len(els)):
+                if seen[x]:
+                    continue
+                orbit = {table[row[x]][g_inv]
+                         for row, g_inv in zip(table, inverses)}
+                for y in orbit:
+                    seen[y] = True
+                classes.append(tuple(sorted(els[y] for y in orbit)))
             self._classes = sorted(classes)
         return self._classes
 
@@ -202,10 +285,14 @@ class ConcreteGroup:
         return (self.ext.A.zero, c)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _addition_table(factors):
+    """Addition on the indices 0..n-1 of ⊕ Z/d in ``FinAb.elements()`` order."""
+    table = [[0]]
+    for d in reversed(factors):
+        n = len(table)
+        table = [[(x + y) % d * n + v for y in range(d) for v in row]
+                 for x in range(d) for row in table]
+    return table
 
 
 def commutator_function(ext: ExtensionDescriptor, c1, c2):
@@ -214,24 +301,19 @@ def commutator_function(ext: ExtensionDescriptor, c1, c2):
     Returns (coinvariant quotient, class).  Section independence is asserted
     by recomputing with a shifted section.
     """
-    grp = ConcreteGroup(ext)
+    return _commutator_class(ConcreteGroup(ext), c1, c2)
+
+
+def _commutator_class(grp: ConcreteGroup, c1, c2):
+    ext = grp.ext
     word = _section_commutator(grp, c1, c2, shift=None)
-    acts = [_power_action(ext, c1), _power_action(ext, c2)]
-    quot = coinvariants(ext.A, acts)
+    quot = ext.coinvariant_quotient(c1, c2)
     cls = quot.project(word)
     shift = tuple((i + 1) % d for i, d in enumerate(ext.A.factors))
     word2 = _section_commutator(grp, c1, c2, shift=shift)
     if quot.project(word2) != cls:
         raise ArithmeticError("commutator class depends on the section")
     return quot, cls
-
-
-def _power_action(ext: ExtensionDescriptor, c):
-    m = Mat.identity(len(ext.A.factors))
-    for g, e in zip(ext.action, c):
-        for _ in range(e):
-            m = g * m
-    return m
 
 
 def _section_commutator(grp: ConcreteGroup, c1, c2, shift=None):
@@ -248,10 +330,11 @@ def has_multiplicity_one(ext: ExtensionDescriptor):
     On failure the witness is (c1, c2, rho) where rho is a character of A
     that is <c1,c2>-invariant and nontrivial on the commutator.
     """
+    grp = ConcreteGroup(ext)
     cs = list(ext.C.elements())
     for c1 in cs:
         for c2 in cs:
-            quot, cls = commutator_function(ext, c1, c2)
+            quot, cls = _commutator_class(grp, c1, c2)
             if cls != quot.group.zero:
                 rho = _separating_character(ext, quot, cls)
                 return False, (c1, c2, rho)
@@ -296,7 +379,7 @@ def transform(ext: ExtensionDescriptor, op):
         for j, g in enumerate(_gens(cp)):
             if ext.C.smul(cp.factors[j], img(g)) != ext.C.zero:
                 raise ValueError("pullback map is not a homomorphism")
-        action = [_power_action(ext, img(g)) for g in _gens(cp)]
+        action = [ext.action_matrix(img(g)) for g in _gens(cp)]
         cocycle = {(c1, c2): ext.z(img(c1), img(c2))
                    for c1 in cp.elements() for c2 in cp.elements()}
         return ExtensionDescriptor(ext.A.factors, op.c_factors, action, cocycle)
@@ -463,7 +546,7 @@ def irrep_census(ext: ExtensionDescriptor):
                    if all((pairs[(c1, c2)] - pairs[(c2, c1)]) % 1 == 0
                           for c2 in stab)]
         m2 = len(stab) // len(radical)
-        m = _isqrt(m2)
+        m = math.isqrt(m2)
         if m * m != m2:
             raise ArithmeticError("commutator pairing radical of odd index")
         count = len(stab) // (m * m)
@@ -476,7 +559,7 @@ def irrep_census(ext: ExtensionDescriptor):
 
 def _char_act(ext: ExtensionDescriptor, c, rho):
     """(c·rho)(a) = rho(c^{-1} a): the action on the character indices."""
-    m = _power_action(ext, ext.C.neg(c))
+    m = ext.action_matrix(ext.C.neg(c))
     # rho' with rho'(a) = rho(m a): index transforms by the transpose
     k = len(ext.A.factors)
     out = [0] * k
@@ -485,11 +568,6 @@ def _char_act(ext: ExtensionDescriptor, c, rho):
         val = ext.A.char_value(rho, ext.A.apply_matrix(m, e))
         out[j] = int(val * ext.A.factors[j]) % ext.A.factors[j]
     return tuple(out)
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)
 
 
 def census_summary(entries):
@@ -573,7 +651,7 @@ def random_descriptor(rng: random.Random, max_order=256) -> ExtensionDescriptor:
         coeffs = {}
         for i in range(kc):
             for j in range(kc):
-                g = _gcd(c.factors[i], c.factors[j])
+                g = math.gcd(c.factors[i], c.factors[j])
                 pool = [x for x in a.elements() if a.smul(g, x) == a.zero]
                 coeffs[(i, j)] = rng.choice(pool)
 
@@ -589,7 +667,7 @@ def random_descriptor(rng: random.Random, max_order=256) -> ExtensionDescriptor:
     eps[c.zero] = a.zero
 
     def cob(c1, c2):
-        m = _power_action_raw(action, a, c1)
+        m = _action_matrix(action, ka, c1)
         return a.add(a.add(a.apply_matrix(m, eps[c2]), eps[c1]),
                      a.neg(eps[c.add(c1, c2)]))
 
@@ -603,8 +681,9 @@ def _commute_on(a_group: FinAb, g: Mat, h: Mat) -> bool:
                for x in _gens(a_group))
 
 
-def _power_action_raw(action, a_group, c):
-    m = Mat.identity(len(a_group.factors))
+def _action_matrix(action, rank, c):
+    """The product of action[j]^c[j] on Z^rank; ``action`` commutes."""
+    m = Mat.identity(rank)
     for g, e in zip(action, c):
         for _ in range(e):
             m = g * m
@@ -646,9 +725,7 @@ def _random_action(rng, a: FinAb, order: int):
     for m in candidates:
         if not a.is_automorphism(m):
             continue
-        p = Mat.identity(ka)
-        for _ in range(order):
-            p = m * p
+        p = m ** order
         if all(a.apply_matrix(p, g) == g for g in _gens(a)):
             return m
     return ident

@@ -10,6 +10,8 @@ fast path.  This module never consults the Clifford machinery it checks.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -146,19 +148,22 @@ def _abelian_characters(group, classes, class_of, e):
 
 
 def _dixon_characters(group, classes, class_of, e):
-    els = group.elements
+    """Characters from the eigenvectors of the class matrices, on numbers."""
+    table = group.table
+    order = len(table)
     n = len(classes)
-    order = len(els)
+    cls = [class_of[x] for x in group.elements]     # class of each number
+    members = [[group.number[x] for x in ci] for ci in classes]
+    reps = [ci[0] for ci in members]
+    sizes = [len(ci) for ci in members]
     # class multiplication coefficients a_{ijk}
-    reps = [cls[0] for cls in classes]
-    sizes = [len(cls) for cls in classes]
     mats = []
-    for i, ci in enumerate(classes):
+    for ci in members:
         m = [[0] * n for _ in range(n)]
         for x in ci:
+            row = table[x]
             for j, rep in enumerate(reps):
-                k = class_of[group.mul(x, rep)]
-                m[k][j] += 1
+                m[cls[row[rep]]][j] += 1
         mats.append(np.array(m, dtype=np.int64))
     ell = _find_prime(e, order)
     z_root = _primitive_root_power(ell, e)
@@ -176,29 +181,42 @@ def _dixon_characters(group, classes, class_of, e):
             break
     if not all(b.shape[1] == 1 for b in spaces):
         raise ArithmeticError("class algebra failed to split")
+    # per table: the power maps (class of rep^t, t < e), 1/|C_k| mod ell and
+    # the inverse transform over the e-th roots of unity z_root^(-s t)
+    powers = []
+    for rep in reps:
+        x, cls_of_powers = 0, []
+        for _ in range(e):
+            cls_of_powers.append(cls[x])
+            x = table[x][rep]
+        powers.append(cls_of_powers)
+    inv_sizes = [pow(size, ell - 2, ell) for size in sizes]
+    inv_class = [cls[group.inverses[rep]] for rep in reps]
+    z_pow = [pow(z_root, k, ell) for k in range(e)]
+    transform = [[z_pow[(-s * t) % e] for t in range(e)] for s in range(e)]
+    e_inv = pow(e, ell - 2, ell)
+    id_idx = cls[0]                 # the identity is number 0
     # eigenvalues omega_i = |C_i| chi(g_i)/chi(1) mod ell, one per vector
     chars = []
     for basis in spaces:
         vec = basis[:, 0]
         # normalize so the identity-class coordinate is 1
-        id_idx = class_of[group.identity]
         if vec[id_idx] % ell == 0:
             raise ArithmeticError("eigenvector vanishes at the identity class")
         vec = (vec * pow(int(vec[id_idx]), ell - 2, ell)) % ell
         omegas = [int(vec[i]) for i in range(n)]
         # degree from the second orthogonality mass formula
-        inv_class = [class_of[group.inv(reps[i])] for i in range(n)]
         s = 0
         for i in range(n):
-            s += omegas[i] * omegas[inv_class[i]] * pow(sizes[i], ell - 2, ell)
+            s += omegas[i] * omegas[inv_class[i]] * inv_sizes[i]
         s %= ell
         d2 = (order * pow(int(s), ell - 2, ell)) % ell
         deg = _lift_square(d2, order, ell)
-        vals = {}
-        for i in range(n):
-            vals[i] = _lift_value(group, reps[i], class_of, vec, deg, sizes,
-                                  ell, z_root, e)
-        chars.append(vals)
+        # chi mod ell on each class
+        chi_bar = [deg * w * inv for w, inv in zip(omegas, inv_sizes)]
+        chars.append({i: _lift_value([chi_bar[k] for k in powers[i]], deg,
+                                     transform, e_inv, ell)
+                      for i in range(n)})
     return chars
 
 
@@ -335,7 +353,6 @@ def _charpoly(m, ell):
 
 
 def _find_prime(e, order):
-    import math
     bound = max(2 * int(math.isqrt(order)) + 1, e + 2, 3)
     ell = ((bound // e) + 1) * e + 1
     while True:
@@ -371,35 +388,27 @@ def _order_mod(a, ell):
 
 
 def _lift_square(d2, order, ell):
-    import math
     for d in range(1, int(math.isqrt(order)) + 1):
         if (d * d) % ell == d2 % ell:
             return d
     raise ArithmeticError("degree lift failed")
 
 
-def _lift_value(group, rep, class_of, vec, deg, sizes, ell, z_root, e):
-    """chi(rep) lifted exactly via multiplicities of e-th roots of unity."""
-    # chi_bar on the powers rep^t
-    chi_bar = {}
-    x = group.identity
-    for t in range(e):
-        k = class_of[x]
-        chi_bar[t] = (deg * int(vec[k]) * pow(sizes[k], ell - 2, ell)) % ell
-        x = group.mul(x, rep)
-    e_inv = pow(e, ell - 2, ell)
+def _lift_value(chi_bar, deg, transform, e_inv, ell):
+    """chi(rep) lifted exactly via multiplicities of e-th roots of unity.
+
+    ``chi_bar[t]`` is chi(rep^t) mod ell for t < e, and ``transform[s][t]``
+    is z^(-s t) for the e-th root of unity z mod ell.
+    """
     coeffs = []
-    for s in range(e):
-        acc = 0
-        for t in range(e):
-            acc = (acc + chi_bar[t] * pow(z_root, (-s * t) % (ell - 1), ell)) % ell
-        m_s = (acc * e_inv) % ell
+    for row in transform:
+        m_s = sum(map(operator.mul, chi_bar, row)) * e_inv % ell
         if m_s > deg:
             raise ArithmeticError("root-of-unity multiplicity out of range")
         coeffs.append(m_s)
     if sum(coeffs) != deg:
         raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-    return Cyc.from_root_multiplicities(e, coeffs)
+    return Cyc.from_root_multiplicities(len(transform), coeffs)
 
 
 def restriction_multiplicities(ext: ExtensionDescriptor,

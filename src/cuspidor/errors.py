@@ -94,3 +94,7 @@ class InvalidCharacter(CuspidorError, ValueError):
 
 class InvalidWeylElement(CuspidorError, ValueError):
     pass
+
+
+class InvalidFixture(CuspidorError, ValueError):
+    """A fixture path that cannot be read, parsed or validated."""

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import InvalidOrder, TrivialCharacter
+from .errors import InvalidOrder, InvalidPrimePower, TrivialCharacter
 
 
 def _is_prime(n: int) -> bool:
@@ -162,14 +162,14 @@ class FiniteField:
 
     def __init__(self, p: int, m: int = 1):
         if not _is_prime(p) or p == 2:
-            raise ValueError("p must be an odd prime")
+            raise InvalidPrimePower("p must be an odd prime")
         if m < 1:
-            raise ValueError("degree must be >= 1")
+            raise InvalidPrimePower("degree must be >= 1")
         self.p = p
         self.m = m
         self.q = p ** m
         if self.q > self.MAX_ENUM:
-            raise ValueError("field too large for dlog table")
+            raise InvalidPrimePower("field too large for dlog table")
         self.modulus = _conway_modulus(p, m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)

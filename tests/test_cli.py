@@ -140,3 +140,27 @@ def test_torus_bad_weyl_matrix_is_domain_error():
     proc = run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
                    "--weyl", "[[2]]")
     _domain_error(proc, "InvalidWeylElement")
+
+
+def test_gauss_even_p_is_domain_error():
+    _domain_error(run_cli("gauss", "--p", "4"), "InvalidPrimePower")
+
+
+def test_cliff_missing_fixture_is_domain_error(tmp_path):
+    proc = run_cli("cliff", "--fixture", str(tmp_path / "no-such.json"))
+    _domain_error(proc, "InvalidFixture")
+
+
+def test_cliff_oracle_unreadable_fixture_is_domain_error(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    _domain_error(run_cli("cliff-oracle", "--fixture", str(path)),
+                  "InvalidFixture")
+
+
+def test_cliff_rejected_descriptor_is_domain_error(tmp_path):
+    # multiplication by 2 is not an automorphism of Z/4
+    path = tmp_path / "bad-action.json"
+    path.write_text(json.dumps({"A": [4], "C": [2], "action": [[[2]]],
+                                "cocycle": []}))
+    _domain_error(run_cli("cliff", "--fixture", str(path)), "InvalidFixture")

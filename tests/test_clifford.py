@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,13 +18,14 @@ from cuspidor.clifford import (
     random_descriptor,
     transform,
 )
+from cuspidor.cyclotomic import Cyc, cyc_sum
 from cuspidor.dixon import (
     brute_force_census,
     oracle_multiplicity_one,
     restriction_multiplicities,
 )
 from cuspidor.errors import NotEquivariant
-from cuspidor.exactcore import Mat
+from cuspidor.exactcore import Mat, coinvariants
 
 
 def direct_product(a_factors, c_factors):
@@ -185,3 +187,88 @@ def test_extension_json_roundtrip():
     back = ExtensionDescriptor.from_json(data)
     assert back.cocycle == ext.cocycle
     assert back.A.factors == ext.A.factors
+
+
+def table_groups():
+    """The three nonabelian fixtures and 20 random extensions, 13 of them
+    with a nontrivial action and 10 nonabelian."""
+    rng = random.Random(1)
+    return ([q8_descriptor(), dihedral8_central_descriptor(),
+             dihedral8_cyclic_descriptor()]
+            + [random_descriptor(rng, max_order=64) for _ in range(20)])
+
+
+def test_group_table_matches_pair_operations():
+    for ext in table_groups():
+        g = ConcreteGroup(ext)
+        els = g.elements
+        assert els[0] == g.identity
+        for i, x in enumerate(els):
+            assert g.number[x] == i
+            assert els[g.inverses[i]] == g.inv(x)
+            assert [els[k] for k in g.table[i]] == [g.mul(x, y) for y in els]
+
+
+def test_group_invariants_match_definitions():
+    nonabelian = 0
+    for ext in table_groups():
+        g = ConcreteGroup(ext)
+        els = g.elements
+        abelian = all(g.mul(x, y) == g.mul(y, x) for x in els for y in els)
+        assert g.is_abelian() == abelian
+        nonabelian += not abelian
+        assert g.exponent() == math.lcm(*(g.order_of(x) for x in els))
+        orbits = {tuple(sorted({g.mul(g.mul(h, x), g.inv(h)) for h in els}))
+                  for x in els}
+        assert g.conjugacy_classes() == sorted(orbits)
+    assert nonabelian == 13
+
+
+def _power(ext, c):
+    m = Mat.identity(len(ext.A.factors))
+    for g, e in zip(ext.action, c):
+        m = (g ** e) * m
+    return m
+
+
+def test_cached_coinvariant_quotient_equals_fresh():
+    for ext in table_groups():
+        has_multiplicity_one(ext)       # fills the descriptor's cache
+        for c1 in ext.C.elements():
+            for c2 in ext.C.elements():
+                quot, cls = commutator_function(ext, c1, c2)
+                fresh = coinvariants(ext.A, [_power(ext, c1), _power(ext, c2)])
+                assert quot.group.factors == fresh.group.factors
+                assert all(quot.project(a) == fresh.project(a)
+                           for a in ext.A.elements())
+
+
+def test_trivial_action_shares_one_quotient():
+    ext = q8_descriptor()
+    quots = {id(commutator_function(ext, c1, c2)[0])
+             for c1 in ext.C.elements() for c2 in ext.C.elements()}
+    assert len(quots) == 1
+
+
+def test_character_tables_are_row_orthogonal():
+    # sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) = |B| [i == j], on every pair
+    # of rows of every Dixon table with at most 32 classes (abelian B has
+    # its own path, and a 40-class table takes seconds in Cyc arithmetic)
+    checked = 0
+    for ext in table_groups():
+        group = ConcreteGroup(ext)
+        if group.is_abelian():
+            continue
+        table = brute_force_census(group)
+        if len(table.classes) > 32:
+            continue
+        sizes = [Cyc.rational(len(c)) for c in table.classes]
+        conj = [[psi[k].conj() for k in range(len(sizes))]
+                for psi in table.chars]
+        for i, chi in enumerate(table.chars):
+            for j, psi_bar in enumerate(conj):
+                acc = cyc_sum(size * chi[k] * psi_bar[k]
+                              for k, size in enumerate(sizes))
+                assert acc == Cyc.rational(ext.order() if i == j else 0)
+        checked += 1
+    assert checked == 12
