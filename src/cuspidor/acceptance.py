@@ -45,7 +45,8 @@ from .cocycle import (
 )
 from .cyclotomic import Cyc
 from .dixon import oracle_multiplicity_one, restriction_multiplicities
-from .exactcore import Mat, QV
+from .errors import InvalidPrimePower
+from .exactcore import Mat, QV, prime_power
 from .ffield import FiniteField, gauss_sum, normalized_gauss_value
 from .fixture_gen import build_biquadratic, build_spin9
 from .rootdata import WeylElement, build_classical, table_check
@@ -206,14 +207,9 @@ def criterion_7_gauss():
     def body():
         checked = 0
         for q in range(3, 122, 2):
-            p = _least_prime_factor(q)
-            if p == 2:
-                continue
-            n, m = q, 0
-            while n > 1 and n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
+            try:
+                p, m = prime_power(q)
+            except InvalidPrimePower:
                 continue
             f = FiniteField(p, m)
             res = gauss_sum(f)
@@ -228,15 +224,6 @@ def criterion_7_gauss():
     secs, detail = _timed(body)
     return {"name": "gauss-sums", "ok": True, "seconds": secs, "bound": 5.0,
             "detail": detail}
-
-
-def _least_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def _elliptic_classes(rd):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import ExtensionDescriptor, has_multiplicity_one
-from .errors import InvalidCycleType, TooLarge
+from .clifford import ExtensionDescriptor, _action_matrix, has_multiplicity_one
+from .errors import InvalidCycleType, InvalidPrimePower, TooLarge
 from .exactcore import (
     FinAb,
     Mat,
@@ -22,6 +22,7 @@ from .exactcore import (
     RankReport,
     abelian_basis,
     coinvariants,
+    prime_power,
     simultaneous_fixed_points,
     solve_affine,
     solve_linear_qz,
@@ -271,19 +272,12 @@ def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
 
     c_group = FinAb.abstract(factors)
 
-    def omega_of(c):
-        m = Mat.identity(rd.rank)
-        for b, e in zip(basis, c):
-            for _ in range(e):
-                m = b * m
-        return m
-
     cocycle = {}
     for c1 in c_group.elements():
-        x1 = lifts[omega_of(c1)]
+        x1 = lifts[_action_matrix(basis, rd.rank, c1)]
         for c2 in c_group.elements():
-            x2 = lifts[omega_of(c2)]
-            x12 = lifts[omega_of(c_group.add(c1, c2))]
+            x2 = lifts[_action_matrix(basis, rd.rank, c2)]
+            x12 = lifts[_action_matrix(basis, rd.rank, c_group.add(c1, c2))]
             word = x1.mul(x2).mul(x12.inverse())
             if word.weyl != Mat.identity(rd.rank):
                 raise ArithmeticError("cocycle word has a Weyl part")
@@ -383,8 +377,13 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     commutator of the two fixed lifts to the coinvariants of the fixed torus.
     q = 1 is the complex (Ad-only) case.
     """
-    if q != 1 and (q % 2 == 0 or not _is_prime_power(q)):
-        raise InvalidCycleType("q must be 1 or an odd prime power")
+    if q != 1:
+        try:
+            p, _ = prime_power(q)
+        except InvalidPrimePower:
+            p = None
+        if p in (None, 2):
+            raise InvalidCycleType("q must be 1 or an odd prime power")
     rd, w0, w1, w2 = d2n_w_elements(n, cycle_lengths)
     rank = 2 * n
     for u, v in ((w0, w1), (w0, w2), (w1, w2)):
@@ -407,10 +406,8 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
         if (2 * (q ** cyc + 1)) % den:
             raise ArithmeticError("mu denominator outside q^l + 1 shape")
     mu_coords = QV(rd.coroot_coords(mu))
-    if q != 1:
-        p = _prime_of(q)
-        if mu_coords.order() % p == 0:
-            raise ArithmeticError("mu class order is divisible by p")
+    if q != 1 and mu_coords.order() % p == 0:
+        raise ArithmeticError("mu class order is divisible by p")
 
     # f-fixedness: the w2 lift corrected by mu satisfies (F-1)mu = lambda/2
     target = QV(rd.coroot_coords(half))
@@ -479,22 +476,6 @@ def _cycle_of(i: int, lens, n: int) -> int:
 
 def _b_value(n: int, lens) -> int:
     return 2 * n - 2 * len(lens)
-
-
-def _is_prime_power(q: int) -> bool:
-    p = _prime_of(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def _prime_of(q: int) -> int:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return p
-        p += 1
-    return q
 
 
 def admissible_cycle_types(n: int):

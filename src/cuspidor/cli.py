@@ -140,7 +140,8 @@ def cmd_bicharacter(args):
     table = {}
     for i, m in enumerate(rep.matrices):
         for cls, coords in sorted(ad_reps.items()):
-            val = bicharacter(th, m, model.points_ad.lift(coords).coords)
+            val = bicharacter(th, m, model.points_ad.lift(coords).coords,
+                              _rep=rep, _model=model)
             table[f"w{i}@{list(cls)}"] = val
     return _emit({"stabilizer_order": rep.order,
                   "cokernel": list(cok.group.factors), "table": table})
@@ -163,18 +164,23 @@ def cmd_gauss(args):
                   "normalized_value": normalized_gauss_value(f)})
 
 
+def _load_json(path, parse):
+    """``parse`` of the JSON file at ``path``; InvalidFixture if either fails."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return parse(data)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise InvalidFixture(f"{path}: {err}") from err
+
+
 def _fixture_descriptor(name):
     fixtures = {"q8": q8_descriptor,
                 "dihedral8": dihedral8_central_descriptor,
                 "dihedral8-cyclic": dihedral8_cyclic_descriptor}
     if name in fixtures:
         return fixtures[name]()
-    try:
-        with open(name) as fh:
-            data = json.load(fh)
-        return ExtensionDescriptor.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise InvalidFixture(f"{name}: {err}") from err
+    return _load_json(name, ExtensionDescriptor.from_json)
 
 
 def cmd_cliff(args):
@@ -203,9 +209,7 @@ def cmd_cliff_oracle(args):
     return _emit(payload)
 
 
-def cmd_cocycle_split(args):
-    with open(args.family) as fh:
-        data = json.load(fh)
+def _family_from_json(data) -> EtaFamily:
     g = group_from_table(
         [tuple(e) for e in data["group"]["elements"]],
         [[tuple(x) for x in row] for row in data["group"]["table"]])
@@ -214,8 +218,12 @@ def cmd_cocycle_split(args):
                for a, u, v in data["set"]["action"]}
     eta_map = {(tuple(u1), tuple(u2), tuple(u3)): Fraction(v)
                for u1, u2, u3, v in data["eta"]}
-    fam = EtaFamily(g, xset, lambda a, u: act_map[(a, u)],
-                    lambda u1, u2, u3: eta_map.get((u1, u2, u3), 0))
+    return EtaFamily(g, xset, lambda a, u: act_map[(a, u)],
+                     lambda u1, u2, u3: eta_map.get((u1, u2, u3), 0))
+
+
+def cmd_cocycle_split(args):
+    fam = _load_json(args.family, _family_from_json)
     res = coherent_splitting(fam)
     if isinstance(res, NoSplitting):
         return _emit({"split": False, "certificate": {
@@ -240,10 +248,9 @@ def cmd_centralizer(args):
     if name in ("spin9", "biquadratic", "d4_sc"):
         data = json.loads(
             (res.files("cuspidor") / "fixtures" / f"{name}.json").read_text())
+        datum = datum_from_json(data)
     else:
-        with open(name) as fh:
-            data = json.load(fh)
-    datum = datum_from_json(data)
+        datum = _load_json(name, datum_from_json)
     rep = centralizer(datum)
     return _emit(rep.to_json())
 

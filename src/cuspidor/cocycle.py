@@ -11,6 +11,7 @@ obstruction class vanishes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import DifferentOrbits, NotNormal, UnequalStabilizers
@@ -67,7 +68,7 @@ class FiniteGroup:
             while x != self.identity:
                 x = self.mul(x, g)
                 o += 1
-            out = out * o // _gcd(out, o)
+            out = math.lcm(out, o)
         return out
 
     def is_abelian(self) -> bool:
@@ -121,12 +122,6 @@ class FiniteGroup:
             if ok and len(table) == len(self.elements):
                 out.append(table)
         return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def group_from_table(elements, table) -> FiniteGroup:
@@ -369,10 +364,7 @@ def coherent_splitting(fam: EtaFamily):
     base = fam.xset[0]
     z = eta_cocycle(fam, base)
     q = z.quotient
-    lcm_den = 1
-    for val in z.table.values():
-        d = Fraction(val).denominator
-        lcm_den = lcm_den * d // _gcd(lcm_den, d)
+    lcm_den = math.lcm(*(Fraction(val).denominator for val in z.table.values()))
     modulus = len(q.elements) * lcm_den
     sol = _solve_coboundary(q, z, modulus, negate=True)
     if sol is None:

@@ -8,17 +8,10 @@ Mixed-conductor arithmetic promotes both operands to the lcm.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
+from .exactcore import gauss_jordan, prime_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,7 +129,7 @@ class Cyc:
 
     def _pair(self, other):
         other = other if isinstance(other, Cyc) else Cyc.rational(other)
-        m = _lcm(self.n, other.n)
+        m = math.lcm(self.n, other.n)
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
@@ -212,7 +205,7 @@ class Cyc:
 
     def galois(self, a: int) -> "Cyc":
         """Apply zeta -> zeta^a; a must be prime to the conductor."""
-        if _gcd(a % self.n if self.n > 1 else 1, self.n) != 1:
+        if math.gcd(a % self.n if self.n > 1 else 1, self.n) != 1:
             raise ValueError("galois exponent not coprime to conductor")
         if self.n == 1:
             return self
@@ -237,7 +230,7 @@ class Cyc:
         changed = True
         while changed and cur.n > 1:
             changed = False
-            for p in _prime_factors(cur.n):
+            for p in prime_factors(cur.n):
                 m = cur.n // p
                 down = cur._try_descend(m)
                 if down is not None:
@@ -258,30 +251,14 @@ class Cyc:
             e = Cyc(m, _basis_row(phi_m, k)) if m > 1 else Cyc.rational(1)
             cols.append(e.promote(self.n).coeffs)
         # Gaussian solve cols * x = self.coeffs
-        rows = len(self.coeffs)
-        a = [[Fraction(cols[j][i]) for j in range(phi_m)] + [Fraction(self.coeffs[i])]
-             for i in range(rows)]
-        piv_cols = []
-        r = 0
-        for c in range(phi_m):
-            piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            piv_cols.append(c)
-            r += 1
+        a, pivots, _ = gauss_jordan(
+            [[cols[j][i] for j in range(phi_m)] + [self.coeffs[i]]
+             for i in range(len(self.coeffs))], phi_m)
+        if any(row[phi_m] != 0 for row in a[len(pivots):]):
+            return None
         sol = [Fraction(0)] * phi_m
-        for idx, c in enumerate(piv_cols):
-            sol[c] = a[idx][phi_m]
-        for i in range(r, rows):
-            if a[i][phi_m] != 0:
-                return None
+        for row, c in zip(a, pivots):
+            sol[c] = row[phi_m]
         cand = Cyc(m, sol)
         if cand.promote(self.n).coeffs == self.coeffs:
             return cand
@@ -305,20 +282,6 @@ def _monomial(n: int, k: int):
     if k < phi:
         return _basis_row(phi, k)
     return rows[k]
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def cyc_sum(terms) -> Cyc:

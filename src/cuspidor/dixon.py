@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclotomic import Cyc, cyc_sum
 from .errors import TooLarge
-from .exactcore import Mat, smith_normal_form
+from .exactcore import Mat, is_prime, mult_order, smith_normal_form
 from .clifford import ConcreteGroup, ExtensionDescriptor
 
 
@@ -356,35 +356,16 @@ def _find_prime(e, order):
     bound = max(2 * int(math.isqrt(order)) + 1, e + 2, 3)
     ell = ((bound // e) + 1) * e + 1
     while True:
-        if _is_prime(ell):
+        if is_prime(ell):
             return ell
         ell += e
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _primitive_root_power(ell, e):
     for g in range(2, ell):
-        if _order_mod(g, ell) == ell - 1:
+        if mult_order(g, ell) == ell - 1:
             return pow(g, (ell - 1) // e, ell)
     raise ArithmeticError("no primitive root found")
-
-
-def _order_mod(a, ell):
-    o, x = 1, a % ell
-    while x != 1:
-        x = (x * a) % ell
-        o += 1
-    return o
 
 
 def _lift_square(d2, order, ell):

@@ -1,21 +1,100 @@
 """Exact integer/rational lattice arithmetic.
 
-Everything here is immutable and pure: integer matrices, Smith normal form,
-subgroups of (Q/Z)^n cut out by integer matrices, coinvariants, and affine
-solving of (M-1)x = c over Q/Z.  This is the substrate for every lattice
-quotient in the package.
+Everything here is immutable and pure: integer number theory (prime
+factors, primality, prime powers, multiplicative orders), integer matrices,
+Gauss–Jordan elimination over Q, Smith normal form, subgroups of (Q/Z)^n
+cut out by integer matrices, coinvariants, and affine solving of
+(M-1)x = c over Q/Z.  This is the substrate for every lattice quotient in
+the package; gcd, lcm and isqrt come from ``math``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import InvalidAction
+from .errors import InvalidAction, InvalidPrimePower
+
+
+def prime_factors(n: int):
+    """The distinct primes dividing n, ascending (empty for n < 2)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
+def prime_power(q: int):
+    """(p, m) with q = p^m, p prime and m >= 1; raises InvalidPrimePower."""
+    primes = prime_factors(q) if q >= 2 else []
+    if len(primes) != 1:
+        raise InvalidPrimePower("q must be a prime power")
+    p, m = primes[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
+
+
+def mult_order(a: int, n: int) -> int:
+    """The least k >= 1 with a^k = 1 mod n; a must be a unit mod n >= 1."""
+    if n < 1 or math.gcd(a, n) != 1:
+        raise ValueError("a must be a unit modulo n >= 1")
+    one = 1 % n
+    k, x = 1, a % n
+    while x != one:
+        x = x * a % n
+        k += 1
+    return k
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def gauss_jordan(rows, ncols: int):
+    """Reduced row echelon form over Q of ``rows`` in its first ``ncols`` columns.
+
+    Each column pivots on its first non-zero entry at or below the current
+    row; columns with none are skipped.  Columns past ``ncols`` (an
+    augmented right-hand side) are carried along.  Returns the reduced rows
+    as Fractions, the pivot columns in order, and the determinant factor:
+    (-1)^swaps times the product of the pivots, which is the determinant of
+    a square matrix of full rank.
+    """
+    a = [[_frac(x) for x in row] for row in rows]
+    pivots = []
+    factor = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            factor = -factor
+        factor *= a[r][c]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots, factor
 
 
 class Mat:
@@ -99,25 +178,13 @@ class Mat:
         return Mat([[int(a) for a in r] for r in self.rows])
 
     def det(self):
-        """Exact determinant via fraction-free elimination."""
+        """Exact determinant (int for an integer matrix)."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("square matrices only")
-        a = [[_frac(x) for x in row] for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                return Fraction(0) if any(isinstance(x, Fraction) for r in self.rows for x in r) else 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for i in range(col + 1, n):
-                f = a[i][col] * inv
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        _, pivots, det = gauss_jordan(self.rows, n)
+        if len(pivots) < n:
+            return Fraction(0) if any(isinstance(x, Fraction) for r in self.rows for x in r) else 0
         if det.denominator == 1 and self.is_integral():
             return int(det)
         return det
@@ -127,42 +194,14 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("square matrices only")
-        a = [[_frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        out = [[a[i][n + j] for j in range(n)] for i in range(n)]
+        a, pivots, _ = gauss_jordan(
+            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)], n)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        out = [row[n:] for row in a]
         if all(x.denominator == 1 for r in out for x in r):
             out = [[int(x) for x in r] for r in out]
         return Mat(out)
-
-    def rank(self) -> int:
-        a = [[_frac(x) for x in row] for row in self.rows]
-        rank, col = 0, 0
-        while rank < self.nrows and col < self.ncols:
-            piv = next((i for i in range(rank, self.nrows) if a[i][col] != 0), None)
-            if piv is None:
-                col += 1
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = 1 / a[rank][col]
-            a[rank] = [x * inv for x in a[rank]]
-            for i in range(self.nrows):
-                if i != rank and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-            col += 1
-        return rank
 
     def stack(self, other: "Mat") -> "Mat":
         if self.ncols != other.ncols:
@@ -302,20 +341,10 @@ class QV:
         return all(c == 0 for c in self.coords)
 
     def order(self) -> int:
-        out = 1
-        for c in self.coords:
-            d = c.denominator
-            out = out * d // _gcd(out, d)
-        return out
+        return math.lcm(*(c.denominator for c in self.coords))
 
     def act(self, m: Mat) -> "QV":
         return QV(m.apply(self.coords))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class FinAb:
@@ -363,10 +392,7 @@ class FinAb:
 
     @property
     def exponent(self) -> int:
-        out = 1
-        for d in self.factors:
-            out = out * d // _gcd(out, d)
-        return out
+        return math.lcm(*self.factors)
 
     @property
     def invariant_factors(self):
@@ -403,11 +429,7 @@ class FinAb:
         return itertools.product(*(range(d) for d in self.factors))
 
     def element_order(self, x) -> int:
-        out = 1
-        for a, d in zip(x, self.factors):
-            o = d // _gcd(a, d)
-            out = out * o // _gcd(out, o)
-        return out
+        return math.lcm(*(d // math.gcd(a, d) for a, d in zip(x, self.factors)))
 
     def lift(self, coords) -> QV:
         v = QV.zero(self.ambient)

@@ -15,17 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .errors import InvalidOrder, InvalidPrimePower, TrivialCharacter
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .exactcore import is_prime, mult_order, prime_factors
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -71,24 +61,11 @@ def _is_irreducible(modulus, p):
     xq = _poly_pow_mod(x, p ** m, modulus, p)
     if xq != _poly_rem(x, modulus, p):
         return False
-    for r in {f for f in _prime_factors(m)}:
+    for r in prime_factors(m):
         xr = _poly_pow_mod(x, p ** (m // r), modulus, p)
         if xr == _poly_rem(x, modulus, p):
             return False
     return True
-
-
-def _prime_factors(n: int):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +74,7 @@ def _conway_modulus(p: int, m: int):
     if m == 1:
         for c in range(p):
             root = (-c) % p
-            if root and _mult_order(root, p) == p - 1:
+            if root and mult_order(root, p) == p - 1:
                 return (c, 1)
         raise ArithmeticError("no primitive root found")
     subgens = {}
@@ -140,16 +117,8 @@ def _poly_eval_in_field(poly, y, modulus, p):
     return all(c == 0 for c in acc)
 
 
-def _mult_order(a: int, p: int) -> int:
-    o, x = 1, a % p
-    while x != 1:
-        x = (x * a) % p
-        o += 1
-    return o
-
-
 def _element_is_primitive(x, modulus, p, q):
-    for r in _prime_factors(q - 1):
+    for r in prime_factors(q - 1):
         if _poly_pow_mod(x, (q - 1) // r, modulus, p) == (1,) + (0,) * (len(modulus) - 2):
             return False
     return True
@@ -161,7 +130,7 @@ class FiniteField:
     MAX_ENUM = 10 ** 6
 
     def __init__(self, p: int, m: int = 1):
-        if not _is_prime(p) or p == 2:
+        if not is_prime(p) or p == 2:
             raise InvalidPrimePower("p must be an odd prime")
         if m < 1:
             raise InvalidPrimePower("degree must be >= 1")

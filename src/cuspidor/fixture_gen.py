@@ -13,6 +13,7 @@ emitted.  Run ``python -m cuspidor.fixture_gen`` to regenerate the JSON.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .centralizer import ParameterDatum
@@ -256,17 +257,8 @@ def biquadratic_lattice():
 
 
 def _clear_denominators(m: Mat):
-    den = 1
-    for row in m.rows:
-        for x in row:
-            den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+    den = math.lcm(*(Fraction(x).denominator for row in m.rows for x in row))
     return Mat([[int(Fraction(x) * den) for x in row] for row in m.rows]), den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _coords(gram, basis, amb):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidLattice, InvalidWeylElement, NotCommuting, Reducible
-from .exactcore import Mat, QV
+from .exactcore import Mat, QV, is_prime, prime_factors
 
 CARTAN = {
     "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
@@ -47,23 +47,8 @@ PAPER_TABLE = {
 }
 
 
-def _primes_upto(n):
-    return {p for p in range(2, n + 1) if all(p % d for d in range(2, p))}
-
-
 def prime_support(n: int):
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+    return set(prime_factors(abs(n)))
 
 
 class RootDatum:
@@ -566,7 +551,7 @@ def table_check(classical_ranks=None):
             row2 = prime_support(order)
             want1 = prime_support(n + 1) if rule1 == "p|n+1" else {2}
             bound = (n + 1) if rule2 == "p<=n+1" else n
-            want2 = _primes_upto(bound)
+            want2 = {p for p in range(2, bound + 1) if is_prime(p)}
             ok = (row1 == want1) and (row2 == want2)
             entries.append({"n": n, "row1": sorted(row1), "row2": sorted(row2),
                             "ok": ok})

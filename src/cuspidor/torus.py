@@ -41,31 +41,12 @@ from .exactcore import (
     Mat,
     QV,
     abelian_basis,
+    prime_power,
     quotient_by,
     twisted_fixed_points,
 )
 from .ffield import FiniteField, finite_field
 from .rootdata import RootDatum, WeylElement
-
-
-def _prime_power(q: int):
-    if q < 2:
-        raise InvalidPrimePower("q must be a prime power")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    m = 0
-    while n > 1:
-        if n % p:
-            raise InvalidPrimePower("q must be a prime power")
-        n //= p
-        m += 1
-    return p, m
 
 
 def _solver(basis_rows: Mat) -> Mat:
@@ -113,7 +94,7 @@ class FrobeniusTorus:
     """(cocharacter lattice of rd, twist w, q) with Frobenius q·w."""
 
     def __init__(self, rd: RootDatum, w: WeylElement, q: int):
-        p, e = _prime_power(q)
+        p, e = prime_power(q)
         if p == 2:
             raise InvalidPrimePower("q must be odd")
         self.rd = rd

@@ -273,6 +273,12 @@ def test_d2n_rejects_bad_cycles():
         d2n_verify(2, 3, (1, 2))
 
 
+@pytest.mark.parametrize("q", [-1, -3, 0, 15])
+def test_d2n_rejects_q_not_an_odd_prime_power(q):
+    with pytest.raises(InvalidCycleType):
+        d2n_verify(2, q, (1, 1))
+
+
 def test_admissible_cycle_types():
     assert admissible_cycle_types(2) == [(1, 1)]
     assert set(admissible_cycle_types(4)) == {(1, 1, 1, 1), (1, 1, 2),

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "cuspidor.cli", *args],
@@ -164,3 +166,18 @@ def test_cliff_rejected_descriptor_is_domain_error(tmp_path):
     path.write_text(json.dumps({"A": [4], "C": [2], "action": [[[2]]],
                                 "cocycle": []}))
     _domain_error(run_cli("cliff", "--fixture", str(path)), "InvalidFixture")
+
+
+def test_d2n_negative_q_is_domain_error():
+    proc = run_cli("d2n", "--n", "2", "--q", "-3", "--cycles", "1,1")
+    _domain_error(proc, "InvalidCycleType")
+
+
+@pytest.mark.parametrize("command,flag", [("centralizer", "--fixture"),
+                                          ("cocycle-split", "--family")])
+@pytest.mark.parametrize("content", [None, "{}"])
+def test_unreadable_fixture_is_domain_error(tmp_path, command, flag, content):
+    path = tmp_path / "fixture.json"
+    if content is not None:
+        path.write_text(content)
+    _domain_error(run_cli(command, flag, str(path)), "InvalidFixture")

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cuspidor.cyclotomic import Cyc, cyclotomic_polynomial, cyc_sum
 
 
@@ -81,3 +84,18 @@ def test_galois_is_ring_hom():
         for s in (5, 7, 11):
             assert (a * b).galois(s) == a.galois(s) * b.galois(s)
             assert (a + b).galois(s) == a.galois(s) + b.galois(s)
+
+
+_DIVISORS_120 = [d for d in range(1, 121) if 120 % d == 0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_DIVISORS_120), st.integers(0, 119),
+                          st.integers(-3, 3)), max_size=6))
+def test_reduce_is_idempotent_and_equal(terms):
+    x = cyc_sum(c * Cyc.zeta(n, k) for n, k, c in terms)
+    r = x.reduce()
+    assert r == x
+    assert x.n % r.n == 0
+    again = r.reduce()
+    assert (again.n, again.coeffs) == (r.n, r.coeffs)

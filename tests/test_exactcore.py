@@ -1,9 +1,15 @@
+import ast
+import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuspidor.errors import InvalidAction
+import cuspidor
+from cuspidor.errors import InvalidAction, InvalidPrimePower
 from cuspidor.exactcore import (
     FinAb,
     Mat,
@@ -11,11 +17,18 @@ from cuspidor.exactcore import (
     RankReport,
     abelian_basis,
     coinvariants,
+    is_prime,
+    mult_order,
+    prime_factors,
+    prime_power,
     qz_kernel,
     smith_normal_form,
     solve_affine,
     twisted_fixed_points,
 )
+
+# Deterministic and small, so the property tests cost Tier-1 little.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def snf_check(m):
@@ -211,3 +224,102 @@ def test_qz_kernel_nonsquare():
         v = g.lift(coords)
         img = m.apply(v.coords)
         assert all(Fraction(x) % 1 == 0 for x in img)
+
+
+# -- number theory against its definitions ---------------------------------------
+
+def _naive_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+@PROPERTY
+@given(st.integers(1, 10 ** 4))
+def test_prime_factors_and_is_prime_match_definitions(n):
+    primes = prime_factors(n)
+    assert primes == sorted(set(primes))
+    assert all(_naive_is_prime(p) and n % p == 0 for p in primes)
+    rest = n
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1
+    assert is_prime(n) == _naive_is_prime(n)
+
+
+@PROPERTY
+@given(st.sampled_from([p for p in range(2, 100) if _naive_is_prime(p)]),
+       st.integers(1, 13))
+def test_prime_power_of_a_prime_power(p, m):
+    if p ** m <= 10 ** 4:
+        assert prime_power(p ** m) == (p, m)
+
+
+def _naive_prime_power(q):
+    least = next((d for d in range(2, q + 1) if q % d == 0), None)
+    if least is None:
+        return None
+    m = 0
+    while q % least == 0:
+        q //= least
+        m += 1
+    return (least, m) if q == 1 else None
+
+
+@PROPERTY
+@given(st.integers(-10 ** 4, 10 ** 4))
+def test_prime_power_rejects_every_other_input(q):
+    expected = _naive_prime_power(q)
+    if expected is not None:
+        assert prime_power(q) == expected
+    else:
+        with pytest.raises(InvalidPrimePower, match="q must be a prime power"):
+            prime_power(q)
+
+
+@PROPERTY
+@given(st.integers(1, 10 ** 4), st.integers(-10 ** 4, 10 ** 4))
+def test_mult_order_matches_definition(n, a):
+    if math.gcd(a, n) != 1:
+        with pytest.raises(ValueError):
+            mult_order(a, n)
+        return
+    k = mult_order(a, n)
+    assert pow(a, k, n) == 1 % n
+    assert all(pow(a, j, n) != 1 % n for j in range(1, k))
+
+
+def test_no_private_copies_of_the_helpers():
+    banned = {"_gcd", "_lcm", "_is_prime", "_prime_factors", "_mult_order",
+              "_order_mod", "_prime_power", "_prime_of", "_is_prime_power",
+              "_least_prime_factor"}
+    found = []
+    for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in banned:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+# -- one elimination: determinant and inverse ------------------------------------
+
+def _square(n):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(Mat)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(_square))
+def test_inverse_exactly_when_det_nonzero(m):
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m * m.inverse() == Mat.identity(m.nrows)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_square(n), _square(n))))
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert (a * b).det() == a.det() * b.det()
