@@ -78,6 +78,37 @@ def _json_default(x):
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
+def _fraction(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+def _cycles(text):
+    """Comma-separated cycle lengths, e.g. 1,2."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _weyl(text):
+    """coxeter | minus-one | a JSON integer matrix (as a Mat)."""
+    if text in ("coxeter", "minus-one"):
+        return text
+    try:
+        m = Mat(json.loads(text))
+        if m.ncols and all(type(x) is int for r in m.rows for x in r):
+            return m
+    except (ValueError, TypeError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected coxeter, minus-one or a JSON integer matrix: {text!r}")
+
+
 def _load_torus(args) -> FrobeniusTorus:
     rd = build_classical(args.type, args.rank, args.lattice)
     if args.weyl == "coxeter":
@@ -89,13 +120,8 @@ def _load_torus(args) -> FrobeniusTorus:
     elif args.weyl == "minus-one":
         w = WeylElement(rd, -Mat.identity(rd.rank))
     else:
-        w = WeylElement(rd, Mat(json.loads(args.weyl)))
+        w = WeylElement(rd, args.weyl)
     return FrobeniusTorus(rd, w, args.q)
-
-
-def _character(torus, values) -> TorusCharacter:
-    vals = [Fraction(v) for v in values]
-    return TorusCharacter(torus, vals)
 
 
 def _group_json(g):
@@ -122,14 +148,14 @@ def cmd_torus(args):
 
 def cmd_stabilizer(args):
     t = _load_torus(args)
-    th = _character(t, args.theta)
+    th = TorusCharacter(t, args.theta)
     rep = weyl_stabilizer(th)
     return _emit(rep.to_json())
 
 
 def cmd_bicharacter(args):
     t = _load_torus(args)
-    th = _character(t, args.theta)
+    th = TorusCharacter(t, args.theta)
     rep = weyl_stabilizer(th)
     model = AdjointModel(t)
     cok = model.cokernel()
@@ -149,7 +175,7 @@ def cmd_bicharacter(args):
 
 def cmd_packet_count(args):
     t = _load_torus(args)
-    th = _character(t, args.theta)
+    th = TorusCharacter(t, args.theta)
     size, exts = packet_counts(th)
     return _emit({"packet_size": size, "extension_count": exts,
                   "nonsingular": is_nonsingular(th)})
@@ -236,8 +262,7 @@ def cmd_cocycle_split(args):
 
 
 def cmd_d2n(args):
-    lens = tuple(int(x) for x in args.cycles.split(","))
-    rep = d2n_verify(args.n, args.q, lens)
+    rep = d2n_verify(args.n, args.q, args.cycles)
     return _emit({"ok": rep.ok, "commutator_trivial": rep.commutator_class_trivial,
                   "report": rep.to_json()})
 
@@ -257,10 +282,10 @@ def cmd_centralizer(args):
 
 def cmd_delta(args):
     t = _load_torus(args)
-    th = _character(t, args.theta)
+    th = TorusCharacter(t, args.theta)
     chi = classify_chi_data(t)
     a = mod_a_data(th, chi)
-    gamma = QV([Fraction(x) for x in args.gamma])
+    gamma = QV(args.gamma)
     res = delta_II(th, gamma, chi, a)
     return _emit(res.to_json(), audit={"orbits": chi.to_json(),
                                        "a_classes": a.to_json()})
@@ -268,10 +293,10 @@ def cmd_delta(args):
 
 def cmd_theta_sum(args):
     t = _load_torus(args)
-    th = _character(t, args.theta)
+    th = TorusCharacter(t, args.theta)
     chi = classify_chi_data(t)
     a = mod_a_data(th, chi)
-    gamma = QV([Fraction(x) for x in args.gamma])
+    gamma = QV(args.gamma)
     wset = [m for m in t.weyl_centralizer()]
     val = theta_sum(th, gamma, chi, a, wset)
     return _emit({"value": val, "weyl_set_size": len(wset)})
@@ -292,8 +317,8 @@ def main(argv=None):
     def torus_flags(p):
         p.add_argument("--type", required=True, choices="ABCD")
         p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--lattice", default="sc")
-        p.add_argument("--weyl", default="minus-one",
+        p.add_argument("--lattice", default="sc", choices=("sc", "ad"))
+        p.add_argument("--weyl", default="minus-one", type=_weyl,
                        help="coxeter | minus-one | JSON matrix")
         p.add_argument("--q", required=True, type=int)
 
@@ -306,7 +331,7 @@ def main(argv=None):
     for name in ("stabilizer", "packet-count", "bicharacter"):
         p = sub.add_parser(name)
         torus_flags(p)
-        p.add_argument("--theta", nargs="+", required=True,
+        p.add_argument("--theta", nargs="+", required=True, type=_fraction,
                        help="values on the invariant-factor generators")
 
     p = sub.add_parser("gauss")
@@ -324,7 +349,8 @@ def main(argv=None):
     p = sub.add_parser("d2n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--cycles", required=True, help="comma-separated, e.g. 1,2")
+    p.add_argument("--cycles", required=True, type=_cycles,
+                   help="comma-separated, e.g. 1,2")
 
     p = sub.add_parser("centralizer")
     p.add_argument("--fixture", required=True,
@@ -333,8 +359,8 @@ def main(argv=None):
     for name in ("delta", "theta-sum"):
         p = sub.add_parser(name)
         torus_flags(p)
-        p.add_argument("--theta", nargs="+", required=True)
-        p.add_argument("--gamma", nargs="+", required=True)
+        p.add_argument("--theta", nargs="+", required=True, type=_fraction)
+        p.add_argument("--gamma", nargs="+", required=True, type=_fraction)
 
     sub.add_parser("sweep")
 

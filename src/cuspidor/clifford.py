@@ -485,13 +485,15 @@ def _combine(combo, s):
     return sorted(out.items())
 
 
-def _block_diag(a: Mat, b: Mat) -> Mat:
-    n, m = a.nrows, b.nrows
+def _block_diag(*mats):
+    """The block-diagonal matrix with the given blocks, in order."""
+    n = sum(m.ncols for m in mats)
     rows = []
-    for i in range(n):
-        rows.append(list(a.rows[i]) + [0] * m)
-    for i in range(m):
-        rows.append([0] * n + list(b.rows[i]))
+    off = 0
+    for m in mats:
+        for r in m.rows:
+            rows.append([0] * off + list(r) + [0] * (n - off - m.ncols))
+        off += m.ncols
     return Mat(rows)
 
 

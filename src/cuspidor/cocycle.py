@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import DifferentOrbits, NotNormal, UnequalStabilizers
-from .exactcore import Mat, smith_normal_form
+from .exactcore import FinAb, Mat, abelian_basis, smith_normal_form
 
 
 class FiniteGroup:
@@ -61,67 +61,20 @@ class FiniteGroup:
     def inv(self, a):
         return self._inv[a]
 
-    def exponent(self) -> int:
-        out = 1
-        for g in self.elements:
-            o, x = 1, g
-            while x != self.identity:
-                x = self.mul(x, g)
-                o += 1
-            out = math.lcm(out, o)
-        return out
-
     def is_abelian(self) -> bool:
         return all(self.mul(a, b) == self.mul(b, a)
                    for a in self.elements for b in self.elements)
 
-    def generating_sequence(self):
-        gens, closure = [], {self.identity}
-        for g in self.elements:
-            if g not in closure:
-                gens.append(g)
-                frontier = list(closure)
-                new = {self.mul(x, g) for x in closure} | set(closure)
-                while True:
-                    grown = set(new)
-                    for x in list(new):
-                        for h in gens:
-                            grown.add(self.mul(x, h))
-                    if grown == new:
-                        break
-                    new = grown
-                closure = new
-        return gens
-
     def homs_to_qz(self):
-        """All homomorphisms into Q/Z, as dicts g -> Fraction."""
-        e = self.exponent()
-        gens = self.generating_sequence()
-        values = [Fraction(k, e) for k in range(e)]
-        out = []
-        for assignment in itertools.product(values, repeat=len(gens)):
-            table = {self.identity: Fraction(0)}
-            frontier = [self.identity]
-            ok = True
-            while frontier and ok:
-                nxt = []
-                for x in frontier:
-                    for g, val in zip(gens, assignment):
-                        y = self.mul(x, g)
-                        v = (table[x] + val) % 1
-                        if y in table:
-                            if table[y] != v:
-                                ok = False
-                                break
-                        else:
-                            table[y] = v
-                            nxt.append(y)
-                    if not ok:
-                        break
-                frontier = nxt
-            if ok and len(table) == len(self.elements):
-                out.append(table)
-        return out
+        """All homomorphisms into Q/Z, as dicts g -> Fraction.
+
+        Each is a character of the abelianization ⊕ Z/d_i composed with the
+        SNF coordinates of ``abelian_basis``.
+        """
+        factors, _, coords = abelian_basis(self.elements, self.mul, self.identity)
+        dual = FinAb.abstract(factors)
+        return [{g: dual.char_value(x, coords[g]) for g in self.elements}
+                for x in dual.characters()]
 
 
 def group_from_table(elements, table) -> FiniteGroup:

@@ -3,13 +3,13 @@
 Eigenvector search runs over GF(l) for a prime l = 1 mod exp(B); character
 values are then lifted exactly into Q(zeta_exp(B)) by root-of-unity
 multiplicity recovery, and all restriction multiplicities are computed in
-exact cyclotomic arithmetic.  Abelian groups take a direct presentation
-fast path.  This module never consults the Clifford machinery it checks.
+exact cyclotomic arithmetic.  Abelian groups take a direct path: the dual of
+their SNF presentation (``exactcore.abelian_basis``).  This module never
+consults the Clifford machinery it checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclotomic import Cyc, cyc_sum
 from .errors import TooLarge
-from .exactcore import Mat, is_prime, mult_order, smith_normal_form
+from .exactcore import FinAb, abelian_basis, is_prime, mult_order
 from .clifford import ConcreteGroup, ExtensionDescriptor
 
 
@@ -62,7 +62,7 @@ def brute_force_census(group: ConcreteGroup) -> CharacterTable:
             class_of[x] = i
     e = group.exponent()
     if group.is_abelian():
-        chars = _abelian_characters(group, classes, class_of, e)
+        chars = _abelian_characters(group, classes)
     else:
         chars = _dixon_characters(group, classes, class_of, e)
     table = CharacterTable(classes, chars, class_of, e, group)
@@ -89,62 +89,15 @@ def _validate_table(table, group):
                 raise ArithmeticError("row orthogonality fails")
 
 
-def _abelian_characters(group, classes, class_of, e):
-    """Characters of an abelian B via an SNF presentation of the group."""
-    els = group.elements
-    # generators: the standard ones of A and the sections of C generators
-    ext = group.ext
-    ka, kc = len(ext.A.factors), len(ext.C.factors)
-    gens = []
-    for j in range(ka):
-        gens.append((tuple(int(i == j) for i in range(ka)), ext.C.zero))
-    for j in range(kc):
-        gens.append((ext.A.zero, tuple(int(i == j) for i in range(kc))))
-    # express every element as a word in the generators (BFS)
-    word = {group.identity: (0,) * len(gens)}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            wx = word[x]
-            for gi, g in enumerate(gens):
-                y = group.mul(x, g)
-                if y not in word:
-                    word[y] = tuple(w + int(i == gi) for i, w in enumerate(wx))
-                    nxt.append(y)
-        frontier = nxt
-    # relation lattice: kernel of Z^k -> B, generated by the Cayley-graph
-    # cycle closures word[x] + e_i - word[x g_i] plus the generator orders
-    rel_rows = []
-    k0 = len(gens)
-    for j, g in enumerate(gens):
-        o = group.order_of(g)
-        rel_rows.append([o * int(i == j) for i in range(k0)])
-    for x, wx in word.items():
-        for gi, g in enumerate(gens):
-            wy = word[group.mul(x, g)]
-            rel_rows.append([wx[i] + int(i == gi) - wy[i] for i in range(k0)])
-    u, d, v = smith_normal_form(Mat(rel_rows))
-    k = len(gens)
-    diag = [int(d.rows[i][i]) if i < min(d.nrows, k) else 0 for i in range(k)]
-    # characters: for each choice of residues on the SNF coordinates
-    vinv = v
-    chars = []
-    ranges = [range(max(dd, 1)) for dd in diag]
-    for choice in itertools.product(*ranges):
-        vals = {}
-        ok = True
-        for i, cls in enumerate(classes):
-            x = cls[0]
-            wx = word[x]
-            y = [sum(wx[a] * vinv.rows[a][b] for a in range(k)) for b in range(k)]
-            t = Fraction(0)
-            for yb, dd, ch in zip(y, diag, choice):
-                if dd > 0:
-                    t += Fraction(yb * ch, dd)
-            vals[i] = Cyc.from_qz(t % 1)
-        chars.append(vals)
-    return chars
+def _abelian_characters(group, classes):
+    """Characters of an abelian B: the dual of its SNF presentation."""
+    table = group.table
+    factors, _, coords = abelian_basis(range(len(table)),
+                                       lambda x, y: table[x][y], 0)
+    dual = FinAb.abstract(factors)
+    reps = [coords[group.number[cls[0]]] for cls in classes]
+    return [{i: Cyc.from_qz(dual.char_value(x, a)) for i, a in enumerate(reps)}
+            for x in dual.characters()]
 
 
 def _dixon_characters(group, classes, class_of, e):

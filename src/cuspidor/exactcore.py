@@ -653,48 +653,54 @@ def solve_affine(m: Mat, c: QV):
 
 
 def abelian_basis(elements, mul, identity):
-    """Invariant-factor style basis of a small abelian group given by ``mul``.
+    """The SNF presentation of the finite group on ``elements`` under ``mul``.
 
-    Returns (factors, basis_elements, coords) where coords maps each element
-    to its exponent tuple.  Deterministic: candidates are scanned in the
-    iteration order of ``elements`` after sorting by decreasing order.
+    Generators are taken greedily from ``elements``: each one not yet
+    reached by words in the earlier ones.  A breadth-first search writes
+    every element x as a word w(x) in Z^k, and the Schreier relations
+    w(x) + e_i - w(x g_i) span the relation lattice of the abelianization
+    (Cohen, GTM 138, §2.4).  Its Smith normal form U R V = D gives the
+    invariant factors d_1 | d_2 | ... (those > 1, ascending) and
+    coords[x] = w(x)·V mod d_j, a homomorphism onto ⊕ Z/d_j that is a
+    bijection exactly when the group is abelian.  Returns
+    (factors, basis, coords) with coords[basis[j]] = e_j.
     """
     elems = list(elements)
-    n = len(elems)
-
-    def order_of(x):
-        k, y = 1, x
-        while y != identity:
-            y = mul(y, x)
-            k += 1
-        return k
-
-    orders = {x: order_of(x) for x in elems}
-    if n == 1:
+    gens, word = [], {identity: ()}
+    for g in elems:
+        if g in word:
+            continue
+        gens.append(g)
+        frontier = list(word)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                wx = word[x]
+                for i, h in enumerate(gens):
+                    y = mul(x, h)
+                    if y not in word:
+                        w = list(wx) + [0] * (len(gens) - len(wx))
+                        w[i] += 1
+                        word[y] = tuple(w)
+                        nxt.append(y)
+            frontier = nxt
+    if not gens:
         return [], [], {identity: ()}
-    ranked = sorted(elems, key=lambda x: (-orders[x], repr(x)))
-
-    def span(basis):
-        table = {(): identity}
-        out = {}
-        for exps in itertools.product(*(range(orders[b]) for b in basis)):
-            cur = identity
-            for e, b in zip(exps, basis):
-                for _ in range(e):
-                    cur = mul(cur, b)
-            out[exps] = cur
-        return out
-
-    for size in range(1, len(ranked) + 1):
-        for combo in itertools.combinations(ranked, size):
-            prod = 1
-            for b in combo:
-                prod *= orders[b]
-            if prod != n:
-                continue
-            table = span(combo)
-            vals = list(table.values())
-            if len(set(vals)) == n:
-                coords = {v: k for k, v in table.items()}
-                return [orders[b] for b in combo], list(combo), coords
-    raise ValueError("group is not abelian")
+    k = len(gens)
+    word = {x: w + (0,) * (k - len(w)) for x, w in word.items()}
+    rels = dict.fromkeys(
+        tuple(a + (j == i) - b
+              for j, (a, b) in enumerate(zip(wx, word[mul(x, g)])))
+        for x, wx in word.items() for i, g in enumerate(gens))
+    rels.pop((0,) * k, None)
+    _, d, v = smith_normal_form(Mat(list(rels)))
+    keep = [j for j in range(k) if d.rows[j][j] > 1]
+    factors = [d.rows[j][j] for j in keep]
+    cols = [[row[j] for row in v.rows] for j in keep]
+    coords = {x: tuple(sum(a * b for a, b in zip(wx, col)) % dj
+                       for col, dj in zip(cols, factors))
+              for x, wx in word.items()}
+    units = [tuple(int(i == j) for i in range(len(keep)))
+             for j in range(len(keep))]
+    basis = [next(x for x in elems if coords[x] == e) for e in units]
+    return factors, basis, coords

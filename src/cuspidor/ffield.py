@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .errors import InvalidOrder, InvalidPrimePower, TrivialCharacter
@@ -52,22 +51,6 @@ def _poly_pow_mod(a, e, modulus, p):
     return result
 
 
-def _is_irreducible(modulus, p):
-    """Rabin test: x^(p^m) = x and gcd-degree checks via x^(p^(m/r)) != x."""
-    m = len(modulus) - 1
-    x = (0, 1) + (0,) * (m - 2) if m >= 2 else (0,)
-    if m == 1:
-        return True
-    xq = _poly_pow_mod(x, p ** m, modulus, p)
-    if xq != _poly_rem(x, modulus, p):
-        return False
-    for r in prime_factors(m):
-        xr = _poly_pow_mod(x, p ** (m // r), modulus, p)
-        if xr == _poly_rem(x, modulus, p):
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _conway_modulus(p: int, m: int):
     """Deterministic primitive modulus with norm-compatible subfield chain."""
@@ -86,8 +69,6 @@ def _conway_modulus(p: int, m: int):
     for coeffs in itertools.product(range(p), repeat=m):
         modulus = coeffs + (1,)
         if modulus[0] == 0:
-            continue
-        if not _is_irreducible(modulus, p):
             continue
         x = (0, 1) + (0,) * (m - 2)
         if not _element_is_primitive(x, modulus, p, q):
@@ -118,10 +99,19 @@ def _poly_eval_in_field(poly, y, modulus, p):
 
 
 def _element_is_primitive(x, modulus, p, q):
-    for r in prime_factors(q - 1):
-        if _poly_pow_mod(x, (q - 1) // r, modulus, p) == (1,) + (0,) * (len(modulus) - 2):
-            return False
-    return True
+    """Does x have order q - 1 in GF(p)[x]/modulus, q = p^deg?
+
+    A unit of order q - 1 exists only when the modulus is irreducible: for
+    a reducible modulus the prime-to-p part of the unit group's exponent is
+    at most the product of p^deg(f) - 1 over its distinct irreducible
+    factors f, which is below q - 1.  So a pass also proves the modulus
+    irreducible.
+    """
+    one = (1,) + (0,) * (len(modulus) - 2)
+    if _poly_pow_mod(x, q - 1, modulus, p) != one:
+        return False
+    return all(_poly_pow_mod(x, (q - 1) // r, modulus, p) != one
+               for r in prime_factors(q - 1))
 
 
 class FiniteField:
@@ -292,11 +282,6 @@ class MultCharacter:
     def __call__(self, a) -> Cyc:
         e = self.field.dlog(a)
         return Cyc.zeta(self.order, self.power * e) if self.order > 1 else Cyc.rational(1)
-
-    def value_qz(self, a) -> Fraction:
-        """The character value as an element of Q/Z."""
-        e = self.field.dlog(a)
-        return Fraction(self.power * e, self.order) % 1 if self.order > 1 else Fraction(0)
 
     def is_trivial(self) -> bool:
         return self.order == 1 or self.power % self.order == 0

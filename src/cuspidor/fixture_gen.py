@@ -17,8 +17,10 @@ import math
 from fractions import Fraction
 
 from .centralizer import ParameterDatum
+from .clifford import _block_diag
 from .exactcore import Mat, QV, smith_normal_form
 from .rootdata import RootDatum, build_classical
+from .torus import _solver, coord_matrix, coords_of
 
 
 class Monomial:
@@ -213,7 +215,7 @@ def check_upstairs_relation():
 
 
 def biquadratic_lattice():
-    """Basis of X_*(T_G) inside Q^11, plus the Gram solver."""
+    """Basis of X_*(T_G) inside Q^11."""
     rows = []
 
     def e(i, *vals):
@@ -251,43 +253,12 @@ def biquadratic_lattice():
             basis_rows.append(row)
     if len(basis_rows) != 9:
         raise ArithmeticError("lattice rank is not 9")
-    basis = Mat(basis_rows)
-    gram = (basis * basis.transpose()).inverse() * basis
-    return basis, gram
+    return Mat(basis_rows)
 
 
 def _clear_denominators(m: Mat):
     den = math.lcm(*(Fraction(x).denominator for row in m.rows for x in row))
     return Mat([[int(Fraction(x) * den) for x in row] for row in m.rows]), den
-
-
-def _coords(gram, basis, amb):
-    c = gram.apply(amb)
-    back = basis.transpose().apply(c)
-    if [Fraction(x) for x in back] != [Fraction(x) for x in amb]:
-        raise ArithmeticError("vector outside the lattice span")
-    return c
-
-
-def _coord_matrix(gram, basis, vmat):
-    out = gram * vmat * basis.transpose()
-    back = basis.transpose() * out
-    if back != vmat * basis.transpose():
-        raise ArithmeticError("map does not preserve the span")
-    if not out.is_integral():
-        raise ArithmeticError("map does not preserve the lattice")
-    return out.to_int()
-
-
-def _block_diag(*mats):
-    n = sum(m.nrows for m in mats)
-    rows = []
-    off = 0
-    for m in mats:
-        for r in m.rows:
-            rows.append([0] * off + list(r) + [0] * (n - off - m.ncols))
-        off += m.ncols
-    return Mat(rows)
 
 
 def _rev(n):
@@ -297,9 +268,10 @@ def _rev(n):
 def build_biquadratic():
     """The rank-9 parameter datum of the ramified biquadratic example."""
     rel_resid = check_upstairs_relation()
-    basis, gram = biquadratic_lattice()
+    basis = biquadratic_lattice()
+    solver = _solver(basis)
     # the relation residue must be trivial in the quotient torus
-    resid_coords = _coords(gram, basis, rel_resid)
+    resid_coords = coords_of(basis, rel_resid, solver)
     if any(Fraction(x) % 1 for x in resid_coords):
         raise ArithmeticError("relation fails in the quotient")
 
@@ -314,7 +286,7 @@ def build_biquadratic():
                     amb[base + i], amb[base + j] = 1, -1
                     pairs.append((base, i, j, amb))
     for base, i, j, amb in pairs:
-        coroot_coords = tuple(_coords(gram, basis, amb))
+        coroot_coords = tuple(coords_of(basis, amb, solver))
         root_row = tuple(sum(Fraction(amb[t]) * basis.rows[r][t]
                              for t in range(11)) for r in range(9))
         roots.append(tuple(int(x) for x in root_row))
@@ -345,7 +317,7 @@ def build_biquadratic():
     outer_f = _block_diag(mj, z1_f, Mat.identity(4), Mat.identity(1))
 
     def to9_cochar(v):
-        return _coord_matrix(gram, basis, v)
+        return coord_matrix(basis, v, solver)
 
     def to9_char(v):
         c = to9_cochar(v)
@@ -370,9 +342,9 @@ def build_biquadratic():
             raise ArithmeticError("theta does not preserve the pinning")
 
     gens = [
-        (tuple(_coords(gram, basis, tau_s_amb)), Mat.identity(9),
+        (tuple(coords_of(basis, tau_s_amb, solver)), Mat.identity(9),
          to9_char(outer_s)),
-        (tuple(_coords(gram, basis, tau_f_amb)), to9_char(weyl_f),
+        (tuple(coords_of(basis, tau_f_amb, solver)), to9_char(weyl_f),
          to9_char(outer_f)),
     ]
     datum = ParameterDatum(rd, gens, [("conj_power", 1, 0, 11)],

@@ -203,12 +203,6 @@ class RootDatum:
             self._cochar_cache[m] = out
         return out
 
-    def char_coord_matrix(self, m: Mat) -> Mat:
-        out = self.basis_inv.transpose() * m * self.basis.transpose()
-        if not out.is_integral():
-            raise InvalidLattice("matrix does not preserve the character lattice")
-        return out.to_int()
-
     def pairing_row(self, root):
         """Integer row pairing the root against X^vee-basis coordinates."""
         key = tuple(root)
@@ -255,6 +249,8 @@ class WeylElement:
         self.matrix = matrix
         self._order = None
         self._signed_perm = False  # sentinel: not yet derived
+        if (matrix.nrows, matrix.ncols) != (rd.rank, rd.rank):
+            raise InvalidWeylElement(f"matrix must be {rd.rank} x {rd.rank}")
         if not rd.root_permutation_ok(matrix):
             raise InvalidWeylElement("matrix does not permute the roots")
 

@@ -56,9 +56,14 @@ def _solver(basis_rows: Mat) -> Mat:
     return (basis_rows * basis_rows.transpose()).inverse() * basis_rows
 
 
-def coords_of(basis_rows: Mat, ambient):
-    """Coordinates of an ambient vector on the given lattice basis."""
-    coords = _solver(basis_rows).apply(ambient)
+def coords_of(basis_rows: Mat, ambient, solver: Mat = None):
+    """Coordinates of an ambient vector on the given lattice basis.
+
+    ``solver`` is ``_solver(basis_rows)`` when the caller keeps it.
+    """
+    if solver is None:
+        solver = _solver(basis_rows)
+    coords = solver.apply(ambient)
     back = basis_rows.transpose().apply(coords)
     if [Fraction(x) for x in back] != [Fraction(x) for x in ambient]:
         raise ValueError("vector outside the span of the lattice")
@@ -69,9 +74,11 @@ def ambient_of(basis_rows: Mat, coords):
     return basis_rows.transpose().apply(coords)
 
 
-def coord_matrix(basis_rows: Mat, vstar_mat: Mat) -> Mat:
+def coord_matrix(basis_rows: Mat, vstar_mat: Mat, solver: Mat = None) -> Mat:
     """A V*-endomorphism in the coordinates of the given lattice basis."""
-    out = _solver(basis_rows) * vstar_mat * basis_rows.transpose()
+    if solver is None:
+        solver = _solver(basis_rows)
+    out = solver * vstar_mat * basis_rows.transpose()
     # the span must be preserved, not just hit compatibly
     back = basis_rows.transpose() * out
     if back != vstar_mat * basis_rows.transpose():
@@ -103,7 +110,7 @@ class FrobeniusTorus:
         self.p = p
         self._e = e
         self.w_cochar = rd.cochar_coord_matrix(w.matrix)
-        self.splitting_degree = self._twist_order()
+        self.splitting_degree = w.order
         self._cache = {}
 
     def _memo(self, key, build):
@@ -112,14 +119,6 @@ class FrobeniusTorus:
         if out is None:
             out = self._cache[key] = build()
         return out
-
-    def _twist_order(self) -> int:
-        k, m = 1, self.w_cochar
-        ident = Mat.identity(self.rd.rank)
-        while m != ident:
-            m = m * self.w_cochar
-            k += 1
-        return k
 
     def frobenius(self, d: int = 1) -> Mat:
         return self._memo(("frobenius", d),
@@ -161,10 +160,6 @@ class FrobeniusTorus:
             return dst.project(img)
 
         return src, dst, fn
-
-    def point_in(self, vec: QV, d: int = 1) -> bool:
-        img = (self.frobenius(d) - Mat.identity(self.rd.rank)).apply(vec.coords)
-        return all(Fraction(x) % 1 == 0 for x in img)
 
     def coroot_point(self, coroot, x: Fraction) -> QV:
         """alpha_vee ⊗ x as a point of the torus over the closure."""
@@ -329,13 +324,13 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
             if all(theta(col) == v for col, v in zip(cols, theta.values))]
     order = len(stab)
     abelian = all(a * b == b * a for a in stab for b in stab)
-    cyclic = any(_mat_order(m, n) == order for m in stab)
     kind = t.rd.label
     split_d2n = kind.startswith("D") and int(kind[1:]) % 2 == 0
     inv = None
     if abelian:
         factors, _, _ = abelian_basis(stab, lambda a, b: a * b, Mat.identity(n))
-        inv = tuple(sorted(factors))
+        inv = tuple(factors)
+    cyclic = abelian and len(inv) <= 1
     return StabilizerReport(stab, order, abelian, cyclic,
                             is_nonsingular(theta), split_d2n, inv)
 
@@ -348,21 +343,13 @@ def _unit(i, group):
     return tuple(int(j == i) for j in range(len(group.factors)))
 
 
-def _mat_order(m: Mat, n: int) -> int:
-    k, x = 1, m
-    ident = Mat.identity(n)
-    while x != ident:
-        x = x * m
-        k += 1
-    return k
-
-
 class AdjointModel:
     """The adjoint and simply connected tori with the same twist.
 
     S_ad lives on the coweight lattice P^vee (fundamental coweights), S_sc on
     the coroot lattice Q^vee; the cokernel of S(k) -> S_ad(k) is computed from
-    the inclusion X^vee <= P^vee.
+    the inclusion X^vee <= P^vee.  The solver of the Q^vee basis and each
+    Weyl element's matrix on Q^vee coordinates are built once per model.
     """
 
     def __init__(self, torus: FrobeniusTorus):
@@ -384,6 +371,8 @@ class AdjointModel:
         if not conv2.is_integral():
             raise ValueError("Q^vee is not contained in X^vee")
         self.sc_to_x = conv2.to_int()
+        self.qv_solver = _solver(self.qv_rows)
+        self._sc_mats = {}
 
     def cokernel(self):
         """cok(S(k) -> S_ad(k)) as a quotient of S_ad(k)."""
@@ -393,7 +382,11 @@ class AdjointModel:
         return quotient_by(self.points_ad, images)
 
     def sc_coord_matrix(self, weyl_mat: Mat) -> Mat:
-        return coord_matrix(self.qv_rows, self.rd.dual_matrix(weyl_mat))
+        out = self._sc_mats.get(weyl_mat)
+        if out is None:
+            out = self._sc_mats[weyl_mat] = coord_matrix(
+                self.qv_rows, self.rd.dual_matrix(weyl_mat), self.qv_solver)
+        return out
 
 
 def bicharacter(theta: TorusCharacter, weyl_mat: Mat, s_ad_coords,
@@ -426,7 +419,7 @@ def _bichar_value(theta, model, weyl_mat, s_ad: QV, shift: bool) -> Fraction:
         # another lift of the same s_ad: shift by an integral coweight,
         # which is a (generally nontrivial) central class modulo Q^vee
         amb = [a + w for a, w in zip(amb, model.pv_rows.rows[0])]
-    sc = QV(coords_of(model.qv_rows, amb))
+    sc = QV(coords_of(model.qv_rows, amb, model.qv_solver))
     wc = model.sc_coord_matrix(weyl_mat)
     delta = QV(wc.apply(sc.coords)) - sc
     x_coords = QV(model.sc_to_x.apply(delta.coords))

@@ -181,3 +181,35 @@ def test_unreadable_fixture_is_domain_error(tmp_path, command, flag, content):
     if content is not None:
         path.write_text(content)
     _domain_error(run_cli(command, flag, str(path)), "InvalidFixture")
+
+
+def _usage_error(proc, flag):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_cycles_is_usage_error():
+    _usage_error(run_cli("d2n", "--n", "2", "--q", "3", "--cycles", "x"),
+                 "--cycles")
+
+
+def test_malformed_theta_is_usage_error():
+    _usage_error(run_cli("stabilizer", "--type", "A", "--rank", "1",
+                         "--q", "3", "--theta", "abc"), "--theta")
+
+
+def test_malformed_gamma_is_usage_error():
+    _usage_error(run_cli("delta", "--type", "A", "--rank", "1", "--q", "3",
+                         "--theta", "1/4", "--gamma", "zz"), "--gamma")
+
+
+def test_unknown_lattice_is_usage_error():
+    _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
+                         "--lattice", "foo"), "--lattice")
+
+
+def test_malformed_weyl_is_usage_error():
+    _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
+                         "--weyl", "foo"), "--weyl")

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import random
@@ -216,6 +217,68 @@ def test_abelian_basis_klein():
     assert len(coords) == 4
 
 
+def _sum_group(factors):
+    elems = list(itertools.product(*(range(d) for d in factors)))
+
+    def mul(a, b):
+        return tuple((x + y) % d for x, y, d in zip(a, b, factors))
+
+    return elems, mul, (0,) * len(factors)
+
+
+def _check_presentation(elems, mul, identity, factors, basis, coords):
+    """coords is a homomorphism onto ⊕ Z/factors with coords[basis[j]] = e_j."""
+    target = FinAb.abstract(factors)
+    assert tuple(factors) == target.factors
+    assert set(coords) == set(elems)
+    assert coords[identity] == target.zero
+    for x in elems:
+        for y in elems:
+            assert coords[mul(x, y)] == target.add(coords[x], coords[y])
+    assert set(coords.values()) == set(target.elements())
+    for j, b in enumerate(basis):
+        assert coords[b] == tuple(int(i == j) for i in range(len(factors)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(2, 12), max_size=3).filter(
+           lambda f: math.prod(f) <= 128),
+       st.integers(0, 10 ** 6))
+def test_abelian_basis_on_sums_of_cyclic_groups(factors, seed):
+    elems, mul, zero = _sum_group(factors)
+    random.Random(seed).shuffle(elems)
+    got, basis, coords = abelian_basis(elems, mul, zero)
+    assert tuple(got) == FinAb.abstract(factors).invariant_factors
+    # a homomorphism onto a group of the same order: an additive bijection
+    _check_presentation(elems, mul, zero, got, basis, coords)
+
+
+def test_abelian_basis_elementary_abelian_64():
+    elems, mul, zero = _sum_group([2] * 6)
+    factors, basis, coords = abelian_basis(elems, mul, zero)
+    assert factors == [2] * 6
+    _check_presentation(elems, mul, zero, factors, basis, coords)
+
+
+def test_abelian_basis_presents_the_abelianization():
+    from cuspidor.clifford import (ConcreteGroup, dihedral8_central_descriptor,
+                                   q8_descriptor)
+    s3 = list(itertools.permutations(range(3)))
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(3))
+
+    cases = [(s3, compose, (0, 1, 2), [2])]
+    for ext in (q8_descriptor(), dihedral8_central_descriptor()):
+        group = ConcreteGroup(ext)
+        assert not group.is_abelian()
+        cases.append((group.elements, group.mul, group.identity, [2, 2]))
+    for elems, mul, identity, want in cases:
+        factors, basis, coords = abelian_basis(elems, mul, identity)
+        assert factors == want
+        _check_presentation(elems, mul, identity, factors, basis, coords)
+
+
 def test_qz_kernel_nonsquare():
     m = Mat([[2, 0], [0, 3], [2, 3]])
     g = qz_kernel(m)
@@ -291,7 +354,8 @@ def test_mult_order_matches_definition(n, a):
 def test_no_private_copies_of_the_helpers():
     banned = {"_gcd", "_lcm", "_is_prime", "_prime_factors", "_mult_order",
               "_order_mod", "_prime_power", "_prime_of", "_is_prime_power",
-              "_least_prime_factor"}
+              "_least_prime_factor", "generating_sequence", "_mat_order",
+              "_twist_order", "_is_irreducible", "_coords", "_coord_matrix"}
     found = []
     for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

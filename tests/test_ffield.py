@@ -153,3 +153,36 @@ def test_finite_field_is_shared_per_size():
     assert f is finite_field(3, 2)
     assert f == FiniteField(3, 2) and f.q == 9
     assert finite_field(3) is not f
+
+
+def _poly_divides(g, f, p):
+    """Does the monic g divide f over GF(p)?  Coefficients low to high."""
+    f = list(f)
+    for i in range(len(f) - len(g), -1, -1):
+        c = f[i + len(g) - 1]
+        for j, gj in enumerate(g):
+            f[i + j] = (f[i + j] - c * gj) % p
+    return not any(f[:len(g) - 1])
+
+
+def test_conway_moduli_are_irreducible():
+    # trial division by every monic polynomial of degree <= m/2
+    import itertools
+    from cuspidor.exactcore import prime_power
+    from cuspidor.ffield import _conway_modulus
+    for q in odd_prime_powers(2000):
+        p, m = prime_power(q)
+        f = _conway_modulus(p, m)
+        assert len(f) == m + 1 and f[-1] == 1
+        for deg in range(1, m // 2 + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                assert not _poly_divides(low + (1,), f, p), (p, m, low)
+
+
+def test_primitivity_test_rejects_a_reducible_modulus():
+    # x^2 + x + 1 = (x - 1)^2 over GF(3): there x^k = 1 + k(x - 1), so
+    # x^((q-1)/r) != 1 for the only prime r = 2 of q - 1 = 8, yet x^8 != 1
+    from cuspidor.ffield import _element_is_primitive, _poly_pow_mod
+    modulus = (1, 1, 1)
+    assert _poly_pow_mod((0, 1), 4, modulus, 3) != (1, 0)
+    assert not _element_is_primitive((0, 1), modulus, 3, 9)

@@ -211,3 +211,11 @@ def test_json_roundtrip():
 def test_prime_support():
     assert prime_support(192) == {2, 3}
     assert prime_support(1) == set()
+
+
+def test_weyl_element_of_the_wrong_size_is_rejected():
+    from cuspidor.errors import InvalidWeylElement
+    rd = build_classical("A", 1, "sc")
+    for m in (Mat.identity(2), Mat([[1, 0]]), Mat([[1], [0]])):
+        with pytest.raises(InvalidWeylElement, match="1 x 1"):
+            WeylElement(rd, m)
