@@ -19,12 +19,13 @@ invariance of theta_sum, which the acceptance suite sweeps.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import NotRealizable, OutOfScope, SingularRoot
+from .errors import InvalidPoint, NotRealizable, OutOfScope, SingularRoot
 from .exactcore import QV
-from .ffield import FiniteField, MultCharacter, additive_character
+from .ffield import FiniteField, MultCharacter
 from .torus import FrobeniusTorus, TorusCharacter
 
 ASYMMETRIC = "asymmetric"
@@ -162,8 +163,7 @@ def _validate_gauss_identity(t, base, d, sign, s2):
     if (field.q - 1) % order:
         raise ArithmeticError("composite character order does not divide q^d - 1")
     psi = MultCharacter(field, order, int(base * order) % order)
-    lam = additive_character(field)
-    g = sum((psi(x) * lam(x) for x in field.units()), Cyc.rational(0))
+    g = psi.gauss_sum()
     gsq = g * g
     want = Cyc.rational(field.q) if psi(field.neg(field.one)) == Cyc.rational(1) \
         else Cyc.rational(-field.q)
@@ -205,9 +205,9 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     """
     t = theta.torus
     rd = t.rd
+    _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    value = Cyc.rational(1)
     skipped = []
     factors = {}
     for orbit in chi.orbits:
@@ -218,8 +218,14 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
             skipped.append(orbit.rep)
             continue
         factors[tuple(orbit.rep)] = f
-        value = value * Fraction(f)
-    return DeltaResult(value, skipped, factors)
+    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
+                       factors)
+
+
+def _check_point(t, gamma: QV):
+    if len(gamma.coords) != t.rd.rank:
+        raise InvalidPoint(f"point has {len(gamma.coords)} coordinates, "
+                           f"the torus has rank {t.rd.rank}")
 
 
 def _orbit_factor(t, rd, orbit, rep, gamma, a: ModAData, field, rep_sign=1):
@@ -248,6 +254,7 @@ def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
     """
     t = theta.torus
     rd = t.rd
+    _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
     if tuple(rep) not in {tuple(r) for r in orbit.roots}:
@@ -275,14 +282,22 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
 
     ``weyl_set`` is the finite model of N(S,G)(F)/S(F): matrices commuting
     with the twist.  The leading constants (Kottwitz sign, discriminant,
-    epsilon factor) default to 1 and scale the result symbolically.
+    epsilon factor) default to 1 and scale the result symbolically.  Each
+    term is a sign times a root of unity, so the sum is one signed
+    histogram of exponents at the lcm n of theta's denominators, and one
+    Cyc of conductor n.
     """
     t = theta.torus
+    _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    acc = Cyc.rational(0)
+    terms = []                  # (sign of delta_II, theta) per w, theta in Q/Z
     for m in weyl_set:
         gw = QV(t.inverse_action(m).apply(gamma.coords))
         d = delta_II(theta, gw, chi, a, field)
-        acc = acc + d.value * Cyc.from_qz(theta.on_vector(gw))
-    return acc * leading
+        terms.append((math.prod(d.factors.values()), theta.on_vector(gw)))
+    n = math.lcm(*(x.denominator for _, x in terms))
+    counts = [0] * n
+    for sign, x in terms:
+        counts[x.numerator * (n // x.denominator)] += sign * leading
+    return Cyc.from_root_multiplicities(n, counts)

@@ -86,6 +86,16 @@ def _fraction(text) -> Fraction:
             f"not a rational number: {text!r}") from None
 
 
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+
+
 def _cycles(text):
     """Comma-separated cycle lengths, e.g. 1,2."""
     try:
@@ -326,7 +336,7 @@ def main(argv=None):
 
     p = sub.add_parser("torus")
     torus_flags(p)
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=_positive_int, default=1)
 
     for name in ("stabilizer", "packet-count", "bicharacter"):
         p = sub.add_parser(name)

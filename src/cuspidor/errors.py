@@ -96,5 +96,13 @@ class InvalidWeylElement(CuspidorError, ValueError):
     pass
 
 
+class InvalidPoint(CuspidorError, ValueError):
+    """A torus point whose coordinate count is not the torus rank."""
+
+
+class InvalidDegree(CuspidorError, ValueError):
+    """An extension degree d < 1, so k_d is not a field extension."""
+
+
 class InvalidFixture(CuspidorError, ValueError):
     """A fixture path that cannot be read, parsed or validated."""

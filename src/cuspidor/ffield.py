@@ -3,8 +3,10 @@
 Moduli are chosen deterministically, Conway style: the lexicographically
 least monic irreducible polynomial whose root x is primitive and whose
 powers norm down compatibly to the generators of all proper subfields.
-Elements are coefficient tuples over Z/p; a discrete-log table is built
-eagerly (fields here stay small, q <= 10^6).
+Elements are coefficient tuples over Z/p.  The powers of the generator and
+the discrete-log table are built eagerly (fields here stay small,
+q <= 10^6), so products, inverses and powers of units are index arithmetic
+mod q - 1; sums keep the coefficient path.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _element_is_primitive(x, modulus, p, q):
 
 
 class FiniteField:
-    """GF(p^m) with a fixed primitive generator and eager dlog table."""
+    """GF(p^m) with a fixed primitive generator and eager exponent/dlog tables."""
 
     MAX_ENUM = 10 ** 6
 
@@ -136,11 +138,17 @@ class FiniteField:
             self.generator = ((-self.modulus[0]) % p,)
         else:
             self.generator = (0, 1) + (0,) * (m - 2)
-        self._dlog = {}
-        x = self.one
-        for e in range(self.q - 1):
-            self._dlog[x] = e
-            x = self.mul(x, self.generator)
+        self._exp = [self.one]          # _exp[e] = generator^e, e < q - 1
+        for _ in range(self.q - 2):
+            self._exp.append(_poly_mul_mod(self._exp[-1], self.generator,
+                                           self.modulus, p))
+        self._dlog = {x: e for e, x in enumerate(self._exp)}
+        if len(self._dlog) != self.q - 1:
+            raise ArithmeticError("generator is not primitive")
+        # the trace is F_p-linear: keep tr(x^i) for the basis x^i, i < m,
+        # which are the first m generator powers (for m = 1 just 1)
+        self._basis_traces = tuple(self.trace_to_subfield(x, p)[0]
+                                   for x in self._exp[:m])
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -161,17 +169,19 @@ class FiniteField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        return _poly_mul_mod(a, b, self.modulus, self.p)
+        if a == self.zero or b == self.zero:
+            return self.zero
+        return self._exp[(self._dlog[a] + self._dlog[b]) % (self.q - 1)]
 
     def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError
-        return self.power(a, self.q - 2)
+        return self.power(a, -1)
 
     def power(self, a, e: int):
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        return _poly_pow_mod(a, e, self.modulus, self.p)
+        if a == self.zero:
+            if e < 0:
+                raise ZeroDivisionError
+            return self.one if e == 0 else self.zero
+        return self._exp[self._dlog[a] * e % (self.q - 1)]
 
     def from_int(self, k: int):
         """The prime-field element k, embedded."""
@@ -179,16 +189,11 @@ class FiniteField:
 
     def elements(self):
         yield self.zero
-        x = self.one
-        for _ in range(self.q - 1):
-            yield x
-            x = self.mul(x, self.generator)
+        yield from self._exp
 
     def units(self):
-        x = self.one
-        for _ in range(self.q - 1):
-            yield x
-            x = self.mul(x, self.generator)
+        """generator^e for e = 0, 1, ..., q - 2, in that order."""
+        return iter(self._exp)
 
     def dlog(self, a) -> int:
         if a == self.zero:
@@ -196,7 +201,7 @@ class FiniteField:
         return self._dlog[a]
 
     def gen_power(self, e: int):
-        return self.power(self.generator, e % (self.q - 1))
+        return self._exp[e % (self.q - 1)]
 
     def sgn(self, a) -> int:
         """Quadratic character of the unit a: +1 square, -1 nonsquare."""
@@ -248,8 +253,7 @@ class FiniteField:
 
     def absolute_trace(self, a):
         """Trace down to the prime field, as an integer mod p."""
-        t = self.trace_to_subfield(a, self.p)
-        return t[0]
+        return sum(c * t for c, t in zip(a, self._basis_traces)) % self.p
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,6 +289,21 @@ class MultCharacter:
 
     def is_trivial(self) -> bool:
         return self.order == 1 or self.power % self.order == 0
+
+    def gauss_sum(self) -> Cyc:
+        """g(psi) = sum over the units x of psi(x) zeta_p^tr(x), exactly.
+
+        With n = order * p (order divides q - 1, so it is prime to p) each
+        term is zeta_n^(power * dlog(x) * p + tr(x) * order): the sum is one
+        histogram of those exponents mod n and one Cyc.
+        """
+        f = self.field
+        n = self.order * f.p
+        counts = [0] * n
+        for e, x in enumerate(f.units()):
+            counts[(self.power * e % self.order * f.p
+                    + f.absolute_trace(x) * self.order) % n] += 1
+        return Cyc.from_root_multiplicities(n, counts)
 
 
 def mult_character(field: FiniteField, order: int) -> MultCharacter:

@@ -31,6 +31,7 @@ from .cyclotomic import Cyc
 from .errors import (
     IncompatibleCharacters,
     InvalidCharacter,
+    InvalidDegree,
     InvalidPrimePower,
     InvalidWeylSet,
     NotRealizable,
@@ -121,11 +122,13 @@ class FrobeniusTorus:
         return out
 
     def frobenius(self, d: int = 1) -> Mat:
+        if d < 1:
+            raise InvalidDegree(f"extension degree must be >= 1, got {d}")
         return self._memo(("frobenius", d),
                           lambda: (self.q ** d) * (self.w_cochar ** d))
 
     def rational_points(self, d: int = 1):
-        """S(k_d) = ker(F^d - 1) with section into (Q/Z)^rank."""
+        """S(k_d) = ker(F^d - 1) with section into (Q/Z)^rank; d >= 1."""
         return self._memo(("points", d),
                           lambda: twisted_fixed_points(self.frobenius(d)))
 

@@ -233,3 +233,101 @@ def test_galois_stability_of_delta():
     gamma = th.group.gens[0]
     v = delta_II(th, gamma, chi, a, f9).value
     assert v.galois(3) == v  # value is rational (+-1), trivially stable
+
+
+# -- histogram sums against direct term-by-term references ---------------------
+
+def _rank2_tori():
+    """Every elliptic torus of A1, A2, B2 and D2 at q in {3, 5, 7}."""
+    from cuspidor.acceptance import _elliptic_classes
+    for kind, rank in [("A", 1), ("A", 2), ("B", 2), ("D", 2)]:
+        rd = build_classical(kind, rank, "sc")
+        for w in _elliptic_classes(rd):
+            for q in (3, 5, 7):
+                yield FrobeniusTorus(rd, w, q)
+
+
+def _direct_gauss_sum(psi, lam, field):
+    """sum of psi(x) * lam(x) over the units, each term a Cyc product.
+
+    The product is formed once per distinct pair of character values.
+    """
+    products = {}
+    total = Cyc.rational(0)
+    for x in field.units():
+        key = (psi.power * field.dlog(x) % psi.order, field.absolute_trace(x))
+        if key not in products:
+            products[key] = psi(x) * lam(x)
+        total = total + products[key]
+    return total
+
+
+def test_gauss_histogram_matches_direct_sum():
+    # every (field, order, power) that mod_a_data validates on these tori;
+    # the powers of one (field, order) form one Galois orbit, so the direct
+    # sum is taken for the least power k and g(psi^(k s)) = sigma(g(psi^k)),
+    # where sigma maps zeta_order to zeta_order^s and fixes zeta_p
+    from cuspidor.ffield import MultCharacter, additive_character
+    met = {}
+    for t in _rank2_tori():
+        chi = classify_chi_data(t)
+        for th in all_characters(t):
+            if not is_nonsingular(th):
+                continue
+            for orbit in chi.symmetric_orbits():
+                base = th.composite_with_coroot(t.rd.coroot(orbit.rep),
+                                                orbit.degree)
+                field = t.extension_field(orbit.degree)
+                met.setdefault((field.p, field.m, base.denominator),
+                               set()).add(base.numerator)
+    assert sum(len(ks) for ks in met.values()) > 90
+    for (p, m, order), powers in sorted(met.items()):
+        field = FiniteField(p, m)
+        k0 = min(powers)
+        direct = _direct_gauss_sum(MultCharacter(field, order, k0),
+                                   additive_character(field), field)
+        n = order * p
+        for k in sorted(powers):
+            s = k * pow(k0, -1, order) % order
+            sigma = next(x for x in range(s, n, order) if x % p == 1)
+            got = MultCharacter(field, order, k).gauss_sum()
+            assert got == direct.galois(sigma), (p, m, order, k)
+            assert got.n == n
+
+
+def test_theta_sum_matches_per_w_accumulation():
+    for t in _rank2_tori():
+        chi = classify_chi_data(t)
+        wset = t.weyl_centralizer()
+        field = t.extension_field(t.splitting_degree)
+        chars = [th for th in all_characters(t) if is_nonsingular(th)]
+        for th in chars[:3]:
+            a = mod_a_data(th, chi)
+            for gc in th.group.elements():
+                gamma = th.group.lift(gc)
+                want = Cyc.rational(0)
+                for m in wset:
+                    gw = QV(t.inverse_action(m).apply(gamma.coords))
+                    d = delta_II(th, gw, chi, a, field)
+                    want = want + d.value * Cyc.from_qz(th.on_vector(gw))
+                got = theta_sum(th, gamma, chi, a, wset, field)
+                assert (got.n, got.coeffs) == (want.n, want.coeffs)
+            scaled = theta_sum(th, gamma, chi, a, wset, field, Fraction(-3, 2))
+            assert scaled == want * Fraction(-3, 2)
+
+
+def test_point_of_wrong_length_is_rejected():
+    from cuspidor.errors import InvalidPoint
+    t = sl2_coxeter(3)
+    th = theta_of_order(t, 4)
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    wset = [Mat.identity(1)]
+    for gamma in (QV([Fraction(1, 4), Fraction(1, 2)]), QV([])):
+        with pytest.raises(InvalidPoint):
+            delta_II(th, gamma, chi, a)
+        with pytest.raises(InvalidPoint):
+            theta_sum(th, gamma, chi, a, wset)
+        with pytest.raises(InvalidPoint):
+            delta_II_at_representative(th, gamma, chi, a, chi.orbits[0],
+                                       chi.orbits[0].rep)

@@ -213,3 +213,17 @@ def test_unknown_lattice_is_usage_error():
 def test_malformed_weyl_is_usage_error():
     _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
                          "--weyl", "foo"), "--weyl")
+
+
+@pytest.mark.parametrize("command", ["delta", "theta-sum"])
+def test_gamma_of_wrong_length_is_domain_error(command):
+    proc = run_cli(command, "--type", "A", "--rank", "1", "--q", "3",
+                   "--theta", "1/4", "--gamma", "1/4", "1/2")
+    _domain_error(proc, "InvalidPoint")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_nonpositive_degree_is_usage_error(degree):
+    _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
+                         f"--degree={degree}"), "--degree")

@@ -186,3 +186,70 @@ def test_primitivity_test_rejects_a_reducible_modulus():
     modulus = (1, 1, 1)
     assert _poly_pow_mod((0, 1), 4, modulus, 3) != (1, 0)
     assert not _element_is_primitive((0, 1), modulus, 3, 9)
+
+
+# -- exponent arithmetic against the polynomial reference ----------------------
+
+def _fields(bound):
+    from cuspidor.exactcore import prime_power
+    return [finite_field(*prime_power(q)) for q in odd_prime_powers(bound)]
+
+
+def _reference_trace(f, a):
+    """tr(a) = a + a^p + ... + a^(p^(m-1)), by repeated Frobenius."""
+    from cuspidor.ffield import _poly_pow_mod
+    out, x = f.zero, a
+    for _ in range(f.m):
+        out = f.add(out, x)
+        x = _poly_pow_mod(x, f.p, f.modulus, f.p)
+    assert not any(out[1:])
+    return out[0]
+
+
+def test_unit_arithmetic_matches_polynomials_up_to_729():
+    import random
+    from cuspidor.ffield import _poly_mul_mod, _poly_pow_mod
+    rng = random.Random(729)
+    for f in _fields(729):
+        def ref_mul(a, b):
+            return _poly_mul_mod(a, b, f.modulus, f.p)
+
+        els = list(f.elements())
+        assert len(set(els)) == f.q and els[0] == f.zero
+        assert list(f.units()) == els[1:]
+        fixed = [f.zero, f.one, f.generator, rng.choice(els)]
+        x = f.one
+        for e in range(f.q - 1):
+            assert f.gen_power(e) == x
+            assert f.gen_power(e - (f.q - 1)) == x
+            assert f.dlog(x) == e
+            x = ref_mul(x, f.generator)
+        assert x == f.one
+        for a in els:
+            for b in fixed:
+                assert f.mul(a, b) == ref_mul(a, b)
+            assert f.absolute_trace(a) == _reference_trace(f, a)
+            if a != f.zero:
+                assert ref_mul(a, f.inv(a)) == f.one
+        for a in rng.sample(els[1:], min(12, f.q - 1)):
+            inverse = _poly_pow_mod(a, f.q - 2, f.modulus, f.p)
+            assert f.inv(a) == inverse
+            for e in (0, 1, 2, f.p, f.q - 2, f.q - 1, f.q, 3 * f.q + 1):
+                assert f.power(a, e) == _poly_pow_mod(a, e, f.modulus, f.p)
+                assert f.power(a, -e) == _poly_pow_mod(inverse, e, f.modulus,
+                                                       f.p)
+        assert f.power(f.zero, 0) == f.one
+        assert f.power(f.zero, 5) == f.zero
+        with pytest.raises(ZeroDivisionError):
+            f.inv(f.zero)
+        with pytest.raises(ZeroDivisionError):
+            f.power(f.zero, -2)
+
+
+def test_products_match_polynomials_on_all_pairs_up_to_125():
+    from cuspidor.ffield import _poly_mul_mod
+    for f in _fields(125):
+        els = list(f.elements())
+        for a in els:
+            for b in els:
+                assert f.mul(a, b) == _poly_mul_mod(a, b, f.modulus, f.p)

@@ -35,6 +35,16 @@ def test_sl2_rational_points():
     assert g2.factors == (8,)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_degree_below_one_is_rejected(degree):
+    from cuspidor.errors import InvalidDegree
+    t = sl2_coxeter(3)
+    with pytest.raises(InvalidDegree):
+        t.frobenius(degree)
+    with pytest.raises(InvalidDegree):
+        t.rational_points(degree)
+
+
 def test_split_torus_points():
     rd = build_classical("A", 1, "sc")
     t = FrobeniusTorus(rd, WeylElement(rd, Mat.identity(1)), 3)
