@@ -178,11 +178,7 @@ def criterion_6_biquadratic():
                   if all(x == 0 for x in to_ad(a_grp.lift(c)))]
         quot = quotient_by(a_grp, kernel)
         assert quot.group.factors == (2, 2, 2)
-        k = len(a_grp.factors)
-        cols = [quot.project(tuple(int(i == j) for i in range(k)))
-                for j in range(k)]
-        push = Mat([[cols[j][i] for j in range(k)]
-                    for i in range(len(quot.group.factors))])
+        push = Mat(zip(*map(quot.project, a_grp.standard_basis())))
         ext_ad = transform(rep.extension, Pushout(push, quot.group.factors))
         ok, _ = has_multiplicity_one(ext_ad)
         assert not ok

@@ -257,16 +257,8 @@ def _c_correction(rd: RootDatum, m: Mat, minv: Mat, g: NormalizerElement) -> QV:
 def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
     if not lifts:
         return None
-    k = len(fixed.factors)
     # action matrices of the chosen C-generators on the fixed torus
-    action = []
-    for bmat in basis:
-        mc = rd.cochar_coord_matrix(bmat)
-        cols = []
-        for g in fixed.gens:
-            cols.append(fixed.project(g.act(mc)))
-        rows = [[cols[j][i] for j in range(k)] for i in range(k)]
-        action.append(Mat(rows))
+    action = [fixed.induced(rd.cochar_coord_matrix(b)) for b in basis]
     if not factors:
         return ExtensionDescriptor(fixed.factors, [], [], {})
 
@@ -436,12 +428,7 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
         raise ArithmeticError("commutator is not Frobenius-fixed")
 
     fixed = twisted_fixed_points(f_coords)
-    acts = []
-    for w in (w1, w2):
-        mc = rd.cochar_coord_matrix(w.matrix)
-        k = len(fixed.factors)
-        cols = [fixed.project(g.act(mc)) for g in fixed.gens]
-        acts.append(Mat([[cols[j][i] for j in range(k)] for i in range(k)]))
+    acts = [fixed.induced(rd.cochar_coord_matrix(w.matrix)) for w in (w1, w2)]
     quot = coinvariants(fixed, acts)
     cls = quot.project(fixed.project(comm))
     trivial = (cls == quot.group.zero)

@@ -204,28 +204,36 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     convention a_{-alpha} = -a_alpha.
     """
     t = theta.torus
-    rd = t.rd
     _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
+    factors, skipped = _delta_factors(t, gamma, chi, a, field)
+    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
+                       factors)
+
+
+def _delta_factors(t, gamma, chi, a, field):
+    """The orbit factors of delta_II at a checked point, and the skipped reps."""
     skipped = []
     factors = {}
     for orbit in chi.orbits:
         if orbit.kind != SYMMETRIC_UNRAMIFIED:
             continue
-        f = _orbit_factor(t, rd, orbit, orbit.rep, gamma, a, field)
+        f = _orbit_factor(t, t.rd, orbit, orbit.rep, gamma, a, field)
         if f is None:
             skipped.append(orbit.rep)
             continue
         factors[tuple(orbit.rep)] = f
-    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
-                       factors)
+    return factors, skipped
 
 
 def _check_point(t, gamma: QV):
+    """Raise InvalidPoint unless gamma is a point of S(k) = ker(F - 1)."""
     if len(gamma.coords) != t.rd.rank:
         raise InvalidPoint(f"point has {len(gamma.coords)} coordinates, "
                            f"the torus has rank {t.rd.rank}")
+    if not t.rational_points(1).contains(gamma):
+        raise InvalidPoint(f"point {gamma!r} is not in S(k) = ker(F - 1)")
 
 
 def _orbit_factor(t, rd, orbit, rep, gamma, a: ModAData, field, rep_sign=1):
@@ -285,7 +293,8 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     epsilon factor) default to 1 and scale the result symbolically.  Each
     term is a sign times a root of unity, so the sum is one signed
     histogram of exponents at the lcm n of theta's denominators, and one
-    Cyc of conductor n.
+    Cyc of conductor n.  gamma is checked once: the Weyl images of a point
+    of S(k) stay in S(k).
     """
     t = theta.torus
     _check_point(t, gamma)
@@ -294,8 +303,8 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     terms = []                  # (sign of delta_II, theta) per w, theta in Q/Z
     for m in weyl_set:
         gw = QV(t.inverse_action(m).apply(gamma.coords))
-        d = delta_II(theta, gw, chi, a, field)
-        terms.append((math.prod(d.factors.values()), theta.on_vector(gw)))
+        factors, _ = _delta_factors(t, gw, chi, a, field)
+        terms.append((math.prod(factors.values()), theta.on_vector(gw)))
     n = math.lcm(*(x.denominator for _, x in terms))
     counts = [0] * n
     for sign, x in terms:

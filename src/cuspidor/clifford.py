@@ -30,7 +30,7 @@ import random
 from functools import cached_property
 
 from .errors import NotEquivariant, TooLarge
-from .exactcore import FinAb, Mat, coinvariants
+from .exactcore import FinAb, Mat, coinvariants, solve_mod
 
 
 class ExtensionDescriptor:
@@ -120,14 +120,11 @@ class ExtensionDescriptor:
                 raise ValueError("action matrix is not an automorphism")
         for g in self.action:
             for h in self.action:
-                for a in _gens(self.A):
-                    x = self.A.apply_matrix(g, self.A.apply_matrix(h, a))
-                    y = self.A.apply_matrix(h, self.A.apply_matrix(g, a))
-                    if x != y:
-                        raise ValueError("action matrices must commute on A")
+                if not _commute_on(self.A, g, h):
+                    raise ValueError("action matrices must commute on A")
         for j, g in enumerate(self.action):
             m = g ** self.C.factors[j]
-            for a in _gens(self.A):
+            for a in self.A.standard_basis():
                 if self.A.apply_matrix(m, a) != a:
                     raise ValueError("action order incompatible with C")
         # twisted cocycle identity
@@ -162,11 +159,6 @@ class ExtensionDescriptor:
                    for c1, c2, v in data["cocycle"]}
         return ExtensionDescriptor(data["A"], data["C"],
                                    [Mat(m) for m in data["action"]], cocycle)
-
-
-def _gens(group: FinAb):
-    k = len(group.factors)
-    return [tuple(int(i == j) for i in range(k)) for j in range(k)]
 
 
 class ConcreteGroup:
@@ -259,8 +251,8 @@ class ConcreteGroup:
     def is_abelian(self) -> bool:
         """Do the generators (e_i, 0) and (0, f_j) of B commute pairwise?"""
         zero_a, zero_c = self.ext.A.zero, self.ext.C.zero
-        gens = ([(a, zero_c) for a in _gens(self.ext.A)]
-                + [(zero_a, c) for c in _gens(self.ext.C)])
+        gens = ([(a, zero_c) for a in self.ext.A.standard_basis()]
+                + [(zero_a, c) for c in self.ext.C.standard_basis()])
         return all(self.mul(x, y) == self.mul(y, x)
                    for x, y in itertools.combinations(gens, 2))
 
@@ -371,34 +363,25 @@ def transform(ext: ExtensionDescriptor, op):
     if isinstance(op, Pullback):
         cp = FinAb.abstract(op.c_factors)
         m = op.matrix
-
-        def img(c):
-            out = m.apply(c)
-            return tuple(int(x) % d for x, d in zip(out, ext.C.factors))
-
-        for j, g in enumerate(_gens(cp)):
-            if ext.C.smul(cp.factors[j], img(g)) != ext.C.zero:
-                raise ValueError("pullback map is not a homomorphism")
-        action = [ext.action_matrix(img(g)) for g in _gens(cp)]
-        cocycle = {(c1, c2): ext.z(img(c1), img(c2))
+        _check_homomorphism(cp, ext.C, m, "pullback")
+        action = [ext.action_matrix(ext.C.apply_matrix(m, g))
+                  for g in cp.standard_basis()]
+        cocycle = {(c1, c2): ext.z(ext.C.apply_matrix(m, c1),
+                                   ext.C.apply_matrix(m, c2))
                    for c1 in cp.elements() for c2 in cp.elements()}
         return ExtensionDescriptor(ext.A.factors, op.c_factors, action, cocycle)
     if isinstance(op, Pushout):
         ap = FinAb.abstract(op.a_factors)
         m = op.matrix
-
-        def phi(a):
-            out = m.apply(a)
-            return tuple(int(x) % d for x, d in zip(out, ap.factors))
-
-        # the pushout action matrices A' -> A' must commute with phi
+        _check_homomorphism(ext.A, ap, m, "pushout")
+        # the pushout action matrices A' -> A' must commute with the map
         new_action = []
         for g in ext.action:
             rows = _induced_matrix(ext.A, ap, m, g)
             if rows is None:
                 raise NotEquivariant("pushout map is not C-equivariant")
             new_action.append(rows)
-        cocycle = {(c1, c2): phi(ext.z(c1, c2))
+        cocycle = {(c1, c2): ap.apply_matrix(m, ext.z(c1, c2))
                    for c1 in ext.C.elements() for c2 in ext.C.elements()}
         return ExtensionDescriptor(op.a_factors, ext.C.factors, new_action,
                                    cocycle)
@@ -424,65 +407,39 @@ def transform(ext: ExtensionDescriptor, op):
     raise ValueError("unknown transform")
 
 
+def _check_homomorphism(src: FinAb, dst: FinAb, m: Mat, name: str):
+    """Raise unless d_j·m(e_j) = 0 in dst for every generator e_j of src."""
+    for d, e in zip(src.factors, src.standard_basis()):
+        if dst.smul(d, dst.apply_matrix(m, e)) != dst.zero:
+            raise ValueError(f"{name} map is not a homomorphism")
+
+
 def _induced_matrix(a_group: FinAb, ap_group: FinAb, proj: Mat, g: Mat):
-    """Matrix on A' with proj∘g = (matrix)∘proj, or None if not induced."""
-    # solve column by column on the images of A-generators; A' is generated
-    # by them when proj is surjective, which the corpus uses
+    """Matrix on A' with proj∘g = (matrix)∘proj, or None if not induced.
+
+    Column j is proj(g(s_j)) for any s_j with proj(s_j) = e_j (a congruence
+    mod the exponent of A'); proj is a homomorphism, so the choice of s_j
+    does not matter.
+    """
     k = len(ap_group.factors)
     if k == 0:
         return Mat.identity(0)
-    cols = {}
-    for a in _gens(a_group):
-        src = tuple(int(x) % d for x, d in zip(proj.apply(a), ap_group.factors))
-        dst = tuple(int(x) % d for x, d in
-                    zip(proj.apply(a_group.apply_matrix(g, a)), ap_group.factors))
-        cols[src] = dst
-    # extend linearly: find preimages of the standard generators
-    out_cols = []
-    table = _span_table(ap_group, list(cols))
-    for j in range(k):
-        e = tuple(int(i == j) for i in range(k))
-        combo = table.get(e)
-        if combo is None:
+    n = ap_group.exponent
+    scale = [n // d for d in ap_group.factors]
+    scaled = Mat([[c * x for x in row] for c, row in zip(scale, proj.rows)])
+    cols = []
+    for e in ap_group.standard_basis():
+        s = solve_mod(scaled, [c * x for c, x in zip(scale, e)], n)
+        if s is None:
             return None
-        acc = ap_group.zero
-        for src, mult in combo:
-            img = cols[src]
-            acc = ap_group.add(acc, ap_group.smul(mult, img))
-        out_cols.append(acc)
-    rows = [[out_cols[j][i] for j in range(k)] for i in range(k)]
-    m = Mat(rows)
+        cols.append(ap_group.apply_matrix(proj, a_group.apply_matrix(g, s)))
+    m = Mat(zip(*cols))
     # verify equivariance on every generator
-    for a in _gens(a_group):
-        src = tuple(int(x) % d for x, d in zip(proj.apply(a), ap_group.factors))
-        dst = tuple(int(x) % d for x, d in
-                    zip(proj.apply(a_group.apply_matrix(g, a)), ap_group.factors))
-        if ap_group.apply_matrix(m, src) != dst:
+    for a in a_group.standard_basis():
+        if ap_group.apply_matrix(m, ap_group.apply_matrix(proj, a)) != \
+                ap_group.apply_matrix(proj, a_group.apply_matrix(g, a)):
             return None
     return m
-
-
-def _span_table(group: FinAb, gens):
-    """Every group element as a combination of the given generators."""
-    table = {group.zero: []}
-    frontier = [group.zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            combo = table[x]
-            for s in gens:
-                y = group.add(x, s)
-                if y not in table:
-                    table[y] = _combine(combo, s)
-                    nxt.append(y)
-        frontier = nxt
-    return table
-
-
-def _combine(combo, s):
-    out = dict(combo)
-    out[s] = out.get(s, 0) + 1
-    return sorted(out.items())
 
 
 def _block_diag(*mats):
@@ -563,13 +520,8 @@ def _char_act(ext: ExtensionDescriptor, c, rho):
     """(c·rho)(a) = rho(c^{-1} a): the action on the character indices."""
     m = ext.action_matrix(ext.C.neg(c))
     # rho' with rho'(a) = rho(m a): index transforms by the transpose
-    k = len(ext.A.factors)
-    out = [0] * k
-    for j in range(k):
-        e = tuple(int(i == j) for i in range(k))
-        val = ext.A.char_value(rho, ext.A.apply_matrix(m, e))
-        out[j] = int(val * ext.A.factors[j]) % ext.A.factors[j]
-    return tuple(out)
+    return tuple(int(ext.A.char_value(rho, ext.A.apply_matrix(m, e)) * d) % d
+                 for d, e in zip(ext.A.factors, ext.A.standard_basis()))
 
 
 def census_summary(entries):
@@ -680,7 +632,7 @@ def random_descriptor(rng: random.Random, max_order=256) -> ExtensionDescriptor:
 def _commute_on(a_group: FinAb, g: Mat, h: Mat) -> bool:
     return all(a_group.apply_matrix(g, a_group.apply_matrix(h, x))
                == a_group.apply_matrix(h, a_group.apply_matrix(g, x))
-               for x in _gens(a_group))
+               for x in a_group.standard_basis())
 
 
 def _action_matrix(action, rank, c):
@@ -728,6 +680,6 @@ def _random_action(rng, a: FinAb, order: int):
         if not a.is_automorphism(m):
             continue
         p = m ** order
-        if all(a.apply_matrix(p, g) == g for g in _gens(a)):
+        if all(a.apply_matrix(p, g) == g for g in a.standard_basis()):
             return m
     return ident

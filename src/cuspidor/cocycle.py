@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import DifferentOrbits, NotNormal, UnequalStabilizers
-from .exactcore import FinAb, Mat, abelian_basis, smith_normal_form
+from .exactcore import FinAb, Mat, abelian_basis, solve_mod
 
 
 class FiniteGroup:
@@ -260,17 +260,14 @@ def beta_correction(fam: EtaFamily, v, u):
     if v not in fam.orbit(u):
         raise DifferentOrbits("beta correction needs basepoints in one orbit")
     x = next(a for a in g.elements if fam.act(a, u) == v)
-    beta = {}
+    beta = general_beta(fam, v, u)
     for a in g.elements:
-        direct = (fam.eta(v, u, fam.act(a, u))
-                  - fam.eta(v, fam.act(a, v), fam.act(a, u))) % 1
         # lemma form: eta_U(x, 1, a) - eta_U(x, ax, a), in inhomogeneous shape
         lemma = (fam.eta(fam.act(x, u), u, fam.act(a, u))
                  - fam.eta(fam.act(x, u), fam.act(g.mul(a, x), u),
                            fam.act(a, u))) % 1
-        if direct != lemma:
+        if beta[a] != lemma:
             raise ValueError("beta closed forms disagree")
-        beta[a] = direct
     return beta
 
 
@@ -365,34 +362,13 @@ def _solve_coboundary(q, z, modulus, negate=False):
                 raise ArithmeticError("modulus does not clear denominators")
             rows.append(row)
             rhs.append(int(val) % modulus)
-    x = _solve_mod(Mat(rows), rhs, modulus)
+    x = solve_mod(Mat(rows), rhs, modulus)
     if x is None:
         return None
     out = {q.identity: Fraction(0)}
     for g, xi in zip(els, x):
         out[g] = Fraction(xi % modulus, modulus)
     return out
-
-
-def _solve_mod(a: Mat, b, n: int):
-    """Solve a x ≡ b (mod n) over the integers, via SNF of [a | nI]."""
-    rows = [list(r) + [n if i == j else 0 for j in range(a.nrows)]
-            for i, r in enumerate(a.rows)]
-    big = Mat(rows)
-    u, d, v = smith_normal_form(big)
-    ub = u.apply(b)
-    y = [Fraction(0)] * big.ncols
-    for i in range(big.nrows):
-        di = d.rows[i][i] if i < min(big.nrows, big.ncols) else 0
-        if di == 0:
-            if ub[i] % 1 != 0 or int(ub[i]) != 0:
-                return None
-        else:
-            if int(ub[i]) % di:
-                return None
-            y[i] = Fraction(int(ub[i]), di)
-    x_full = v.apply(y)
-    return [int(x) for x in x_full[:a.ncols]]
 
 
 def _certificate(q, z):

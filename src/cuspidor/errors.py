@@ -97,7 +97,7 @@ class InvalidWeylElement(CuspidorError, ValueError):
 
 
 class InvalidPoint(CuspidorError, ValueError):
-    """A torus point whose coordinate count is not the torus rank."""
+    """A torus point with the wrong coordinate count, or not in S(k)."""
 
 
 class InvalidDegree(CuspidorError, ValueError):

@@ -2,10 +2,17 @@
 
 Everything here is immutable and pure: integer number theory (prime
 factors, primality, prime powers, multiplicative orders), integer matrices,
-Gauss–Jordan elimination over Q, Smith normal form, subgroups of (Q/Z)^n
-cut out by integer matrices, coinvariants, and affine solving of
-(M-1)x = c over Q/Z.  This is the substrate for every lattice quotient in
-the package; gcd, lcm and isqrt come from ``math``.
+Gauss–Jordan elimination over Q, Smith normal form, coordinates on a lattice
+basis, subgroups of (Q/Z)^n cut out by integer matrices with the maps a
+matrix induces on them, coinvariants, affine solving of (M-1)x = c over Q/Z,
+and linear congruences mod n.  This is the substrate for every lattice
+quotient in the package; gcd, lcm and isqrt come from ``math``.
+
+Lattice-basis coordinates: a lattice is a matrix S whose rows are basis
+vectors of a subspace of an ambient space; the coordinates of an ambient
+vector y are (S^T)^{-1} y (a left inverse when S has fewer rows than
+columns), and an ambient endomorphism M acts on coordinates by
+(S^T)^{-1} M S^T.
 """
 
 from __future__ import annotations
@@ -300,6 +307,59 @@ def smith_normal_form(m: Mat):
     return Mat(u), Mat(a), Mat(v)
 
 
+def lattice_solver(basis_rows: Mat) -> Mat:
+    """Left inverse of basis_rows^T (Gram pseudo-inverse for k < n)."""
+    if basis_rows.nrows == basis_rows.ncols:
+        return basis_rows.transpose().inverse()
+    return (basis_rows * basis_rows.transpose()).inverse() * basis_rows
+
+
+def coords_of(basis_rows: Mat, ambient, solver: Mat = None):
+    """Coordinates of an ambient vector on the given lattice basis.
+
+    ``solver`` is ``lattice_solver(basis_rows)`` when the caller keeps it.
+    """
+    if solver is None:
+        solver = lattice_solver(basis_rows)
+    coords = solver.apply(ambient)
+    back = basis_rows.transpose().apply(coords)
+    if [Fraction(x) for x in back] != [Fraction(x) for x in ambient]:
+        raise ValueError("vector outside the span of the lattice")
+    return coords
+
+
+def ambient_of(basis_rows: Mat, coords):
+    return basis_rows.transpose().apply(coords)
+
+
+def coord_matrix(basis_rows: Mat, vstar_mat: Mat, solver: Mat = None) -> Mat:
+    """An ambient endomorphism in the coordinates of the given lattice basis."""
+    if solver is None:
+        solver = lattice_solver(basis_rows)
+    out = solver * vstar_mat * basis_rows.transpose()
+    # the span must be preserved, not just hit compatibly
+    back = basis_rows.transpose() * out
+    if back != vstar_mat * basis_rows.transpose():
+        raise ValueError("endomorphism does not preserve the span")
+    if not out.is_integral():
+        raise ValueError("endomorphism does not preserve the lattice")
+    return out.to_int()
+
+
+def coord_convert(from_rows: Mat, to_rows: Mat) -> Mat:
+    """The integer matrix taking coordinates on from_rows to those on to_rows.
+
+    Raises ValueError unless the first lattice lies in the second.
+    """
+    out = lattice_solver(to_rows) * from_rows.transpose()
+    back = to_rows.transpose() * out
+    if back != from_rows.transpose():
+        raise ValueError("source lattice outside the span of the target")
+    if not out.is_integral():
+        raise ValueError("source lattice not contained in the target")
+    return out.to_int()
+
+
 class QV:
     """Vector over Q/Z: exact rationals, each reduced to [0, 1)."""
 
@@ -428,6 +488,11 @@ class FinAb:
     def elements(self):
         return itertools.product(*(range(d) for d in self.factors))
 
+    def standard_basis(self):
+        """The coordinate tuples e_j, one per cyclic factor."""
+        k = len(self.factors)
+        return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
     def element_order(self, x) -> int:
         return math.lcm(*(d // math.gcd(a, d) for a, d in zip(x, self.factors)))
 
@@ -498,6 +563,10 @@ class FinAb:
 
     def apply_matrix(self, m: Mat, x):
         return tuple(int(c) % d for c, d in zip(m.apply(x), self.factors))
+
+    def induced(self, m: Mat) -> Mat:
+        """The matrix on the group's coordinates of an ambient m mapping it to itself."""
+        return Mat(zip(*(self.project(g.act(m)) for g in self.gens)))
 
 
 class RankReport:
@@ -607,9 +676,7 @@ def coinvariants(group: FinAb, actions):
         if not group.is_automorphism(m):
             raise InvalidAction(f"matrix {m!r} is not an automorphism of {group!r}")
         delta = m - Mat.identity(k)
-        for j in range(k):
-            img = delta.apply(tuple(1 if i == j else 0 for i in range(k)))
-            elems.append(tuple(int(c) % d for c, d in zip(img, group.factors)))
+        elems += [group.apply_matrix(delta, e) for e in group.standard_basis()]
     return quotient_by(group, elems)
 
 
@@ -650,6 +717,23 @@ def solve_linear_qz(m: Mat, c: QV):
 def solve_affine(m: Mat, c: QV):
     """Solutions of (m - 1)x = c over Q/Z; None when the orbit is empty."""
     return solve_linear_qz(m - Mat.identity(m.nrows), c)
+
+
+def solve_mod(a: Mat, b, n: int):
+    """An integer x with a·x ≡ b (mod n >= 1), or None (Cohen, GTM 138, §2.4).
+
+    a·x + n·y = b over Z; with U [a | nI] V = D it reads d_i z_i = (U b)_i,
+    and the nI block makes every d_i nonzero.
+    """
+    big = Mat([list(r) + [n * (i == j) for j in range(a.nrows)]
+               for i, r in enumerate(a.rows)])
+    u, d, v = smith_normal_form(big)
+    z = [0] * big.ncols
+    for i, r in enumerate(u.apply(b)):
+        z[i], rem = divmod(r, d.rows[i][i])
+        if rem:
+            return None
+    return list(v.apply(z)[:a.ncols])
 
 
 def abelian_basis(elements, mul, identity):
@@ -700,7 +784,6 @@ def abelian_basis(elements, mul, identity):
     coords = {x: tuple(sum(a * b for a, b in zip(wx, col)) % dj
                        for col, dj in zip(cols, factors))
               for x, wx in word.items()}
-    units = [tuple(int(i == j) for i in range(len(keep)))
-             for j in range(len(keep))]
-    basis = [next(x for x in elems if coords[x] == e) for e in units]
+    basis = [next(x for x in elems if coords[x] == e)
+             for e in FinAb.abstract(factors).standard_basis()]
     return factors, basis, coords

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .centralizer import ParameterDatum
 from .clifford import _block_diag
-from .exactcore import Mat, QV, smith_normal_form
+from .exactcore import (Mat, QV, coord_matrix, coords_of, lattice_solver,
+                        smith_normal_form)
 from .rootdata import RootDatum, build_classical
-from .torus import _solver, coord_matrix, coords_of
 
 
 class Monomial:
@@ -155,9 +155,7 @@ class UpElement:
     def inv(self) -> "UpElement":
         cand = UpElement(self.m1.inv(), self.m2.inv(),
                          (-self.z1[0], -self.z1[1]), -self.z2, self.gamma)
-        cand = UpElement(*(lambda g: (g.m1, g.m2, g.z1, g.z2, g.gamma))(
-            self_inverse_fix(self, cand)))
-        return cand
+        return self_inverse_fix(self, cand)
 
     def power(self, k: int) -> "UpElement":
         out = UpElement.identity()
@@ -269,43 +267,33 @@ def build_biquadratic():
     """The rank-9 parameter datum of the ramified biquadratic example."""
     rel_resid = check_upstairs_relation()
     basis = biquadratic_lattice()
-    solver = _solver(basis)
+    solver = lattice_solver(basis)
     # the relation residue must be trivial in the quotient torus
     resid_coords = coords_of(basis, rel_resid, solver)
     if any(Fraction(x) % 1 for x in resid_coords):
         raise ArithmeticError("relation fails in the quotient")
 
-    # roots and coroots of SL4 x SL4 in the new coordinates
-    roots, coroots, simple_idx = [], [], []
-    pairs = []
+    # roots and coroots of SL4 x SL4 in the new coordinates: e_i - e_j pairs
+    # against the basis rows as a root and solves on them as a coroot
+    def e_minus_e(base, i, j):
+        amb = [Fraction(0)] * 11
+        amb[base + i], amb[base + j] = 1, -1
+        return amb
+
+    def root_of(amb):
+        return tuple(int(x) for x in basis.apply(amb))
+
+    roots, coroots = [], []
     for base in (0, 6):
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    amb = [Fraction(0)] * 11
-                    amb[base + i], amb[base + j] = 1, -1
-                    pairs.append((base, i, j, amb))
-    for base, i, j, amb in pairs:
-        coroot_coords = tuple(coords_of(basis, amb, solver))
-        root_row = tuple(sum(Fraction(amb[t]) * basis.rows[r][t]
-                             for t in range(11)) for r in range(9))
-        roots.append(tuple(int(x) for x in root_row))
-        coroots.append(tuple(int(x) for x in coroot_coords))
-    for base in (0, 6):
-        for i in range(3):
-            amb = [Fraction(0)] * 11
-            amb[base + i], amb[base + i + 1] = 1, -1
-            target = tuple(int(sum(Fraction(amb[t]) * basis.rows[r][t]
-                                   for t in range(11))) for r in range(9))
-        # simple indices collected below
-    simple_idx = []
-    for base in (0, 6):
-        for i in range(3):
-            amb = [Fraction(0)] * 11
-            amb[base + i], amb[base + i + 1] = 1, -1
-            row = tuple(int(sum(Fraction(amb[t]) * basis.rows[r][t]
-                                for t in range(11))) for r in range(9))
-            simple_idx.append(roots.index(row))
+                    amb = e_minus_e(base, i, j)
+                    roots.append(root_of(amb))
+                    coroots.append(tuple(int(x) for x in
+                                         coords_of(basis, amb, solver)))
+    simple_idx = [roots.index(root_of(e_minus_e(base, i, i + 1)))
+                  for base in (0, 6) for i in range(3)]
     rd = RootDatum("biquadratic", Mat.identity(9), roots, coroots, simple_idx)
 
     # cochar-side 11x11 maps

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidLattice, InvalidWeylElement, NotCommuting, Reducible
-from .exactcore import Mat, QV, is_prime, prime_factors
+from .exactcore import (Mat, QV, coord_convert, coords_of, is_prime,
+                        lattice_solver, prime_factors)
 
 CARTAN = {
     "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
@@ -64,11 +65,11 @@ class RootDatum:
         self._coroot_of = dict(zip(self.roots, self.coroots))
         self._root_index = {r: i for i, r in enumerate(self.roots)}
         self.basis_inv = basis.inverse()
-        # pseudo-inverse solve for simple-system coefficients; the simple
-        # system need not span the ambient space (central torus directions)
-        smat = Mat([self.roots[i] for i in self.simple_idx])
-        self._simple_mat = smat
-        self._simple_solve = (smat * smat.transpose()).inverse() * smat
+        self.xv_rows = self.basis_inv.transpose()   # rows span X^vee in V*
+        # the simple system need not span the ambient space (central torus
+        # directions), so its solver may be a pseudo-inverse
+        self._simple_mat = Mat([self.roots[i] for i in self.simple_idx])
+        self._simple_solve = lattice_solver(self._simple_mat)
         self._weyl = None
         self._pos_cache = {}
         self._pos_set = None
@@ -82,9 +83,8 @@ class RootDatum:
         for a, av in zip(self.roots, self.coroots):
             if sum(x * y for x, y in zip(a, av)) != 2:
                 raise ValueError("pairing <a, a_vee> != 2")
-        binv_t = self.basis_inv.transpose()
         for a in self.roots:
-            coords = binv_t.apply(a)
+            coords = self.xv_rows.apply(a)
             if any(Fraction(c).denominator != 1 for c in coords):
                 raise InvalidLattice("root outside the character lattice")
 
@@ -105,11 +105,7 @@ class RootDatum:
 
     def simple_coefficients(self, root):
         """Coefficients of a root on the simple system (exact rationals)."""
-        coeffs = self._simple_solve.apply(root)
-        back = self._simple_mat.transpose().apply(coeffs)
-        if list(back) != [Fraction(x) for x in root]:
-            raise ValueError("root outside the span of the simple system")
-        return coeffs
+        return coords_of(self._simple_mat, root, self._simple_solve)
 
     def is_positive(self, root) -> bool:
         key = tuple(root)
@@ -208,7 +204,7 @@ class RootDatum:
         key = tuple(root)
         out = self._pair_cache.get(key)
         if out is None:
-            row = self.basis_inv.transpose().apply(key)
+            row = self.xv_rows.apply(key)
             out = tuple(int(x) for x in row)
             self._pair_cache[key] = out
         return out
@@ -429,9 +425,10 @@ def _check_between(basis, q_basis, p_basis):
     if basis.nrows != q_basis.nrows or basis.det() == 0:
         raise InvalidLattice("lattice basis must be square and invertible")
     for name, inner, outer in [("Q<=X", q_basis, basis), ("X<=P", basis, p_basis)]:
-        sol = outer.transpose().inverse() * inner.transpose()
-        if not sol.is_integral():
-            raise InvalidLattice(f"lattice condition {name} fails")
+        try:
+            coord_convert(inner, outer)
+        except ValueError:
+            raise InvalidLattice(f"lattice condition {name} fails") from None
 
 
 def weyl_order_primes(rd: RootDatum):
@@ -486,35 +483,6 @@ def bad_prime_data(rd: RootDatum):
     return bad, connection_index(rd)
 
 
-def _exceptional_stats(label: str):
-    """(marks, connection index, |W|) computed from the stored Cartan matrix."""
-    cartan = CARTAN[label]
-    n = len(cartan)
-    # roots in simple-root coordinates by reflection closure
-    simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for i in range(n):
-                k = sum(a[j] * cartan[j][i] for j in range(n))
-                img = tuple(a[j] - k * int(j == i) for j in range(n))
-                if img not in roots:
-                    roots.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    marks = max(roots, key=lambda r: sum(r))
-    f = abs(Mat(cartan).det())
-    prod = 1
-    for c in marks:
-        prod *= c
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return list(marks), f, f * fact * prod
-
-
 def weyl_order_formula(rd: RootDatum) -> int:
     """|W| = f * n! * prod(marks) from the marks of the highest root."""
     marks = highest_root_marks(rd)
@@ -528,6 +496,26 @@ def weyl_order_formula(rd: RootDatum) -> int:
     return f * fact * prod
 
 
+def _exceptional_datum(label: str) -> RootDatum:
+    """The adjoint root datum of an exceptional type, in simple-root coordinates.
+
+    The simple roots are the unit vectors and the simple coroots the columns
+    of the stored Cartan matrix, so <alpha_j, alpha_i^vee> = CARTAN[j][i].
+    """
+    cartan = Mat(CARTAN[label])
+    simples = Mat.identity(cartan.nrows).rows
+    roots, coroots = _root_closure(simples, cartan.transpose().rows)
+    return RootDatum(label, Mat.identity(cartan.nrows), roots, coroots,
+                     [roots.index(s) for s in simples])
+
+
+def _table_rows(rd: RootDatum):
+    """(bad primes and primes of the connection index, primes of |W|, |W|)."""
+    bad, f = bad_prime_data(rd)
+    order = weyl_order_formula(rd)
+    return bad | prime_support(f), prime_support(order), order
+
+
 def table_check(classical_ranks=None):
     """Check all nine intro-table columns; returns a per-column report."""
     if classical_ranks is None:
@@ -539,12 +527,9 @@ def table_check(classical_ranks=None):
         entries = []
         for n in ranks:
             rd = build_classical(kind, n, "sc")
-            bad, f = bad_prime_data(rd)
-            order = weyl_order_formula(rd)
+            row1, row2, order = _table_rows(rd)
             if order <= 10 ** 5:
                 assert order == rd.weyl_order()
-            row1 = bad | prime_support(f)
-            row2 = prime_support(order)
             want1 = prime_support(n + 1) if rule1 == "p|n+1" else {2}
             bound = (n + 1) if rule2 == "p<=n+1" else n
             want2 = {p for p in range(2, bound + 1) if is_prime(p)}
@@ -553,12 +538,7 @@ def table_check(classical_ranks=None):
                             "ok": ok})
         report[kind] = {"ok": all(e["ok"] for e in entries), "entries": entries}
     for label in ("E6", "E7", "E8", "F4", "G2"):
-        marks, f, order = _exceptional_stats(label)
-        bad = set()
-        for m in marks:
-            bad |= prime_support(m)
-        row1 = bad | prime_support(f)
-        row2 = prime_support(order)
+        row1, row2, order = _table_rows(_exceptional_datum(label))
         want1, want2 = PAPER_TABLE[label]
         report[label] = {"ok": (row1 == want1 and row2 == want2),
                          "row1": sorted(row1), "row2": sorted(row2),

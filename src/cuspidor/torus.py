@@ -16,10 +16,9 @@ because a torus never changes after construction and the cached ``Mat`` and
 ``FinAb`` values are immutable; the tables are bounded by the degrees asked
 for, |roots| x degrees, and |C_W(w)|.
 
-Coordinate conventions: a lattice is a matrix S whose rows are basis vectors
-of a subspace of the cocharacter space V*; the coordinates of an ambient
-vector y are (S^T)^{-1} y, and a V*-endomorphism M acts on coordinates by
-(S^T)^{-1} M S^T.
+Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee, the lattice
+of a connected part) are handled in the lattice-basis coordinates of
+``exactcore``.
 """
 
 from __future__ import annotations
@@ -42,60 +41,17 @@ from .exactcore import (
     Mat,
     QV,
     abelian_basis,
+    ambient_of,
+    coord_convert,
+    coord_matrix,
+    coords_of,
+    lattice_solver,
     prime_power,
     quotient_by,
     twisted_fixed_points,
 )
 from .ffield import FiniteField, finite_field
 from .rootdata import RootDatum, WeylElement
-
-
-def _solver(basis_rows: Mat) -> Mat:
-    """Left inverse of basis_rows^T (Gram pseudo-inverse for k < n)."""
-    if basis_rows.nrows == basis_rows.ncols:
-        return basis_rows.transpose().inverse()
-    return (basis_rows * basis_rows.transpose()).inverse() * basis_rows
-
-
-def coords_of(basis_rows: Mat, ambient, solver: Mat = None):
-    """Coordinates of an ambient vector on the given lattice basis.
-
-    ``solver`` is ``_solver(basis_rows)`` when the caller keeps it.
-    """
-    if solver is None:
-        solver = _solver(basis_rows)
-    coords = solver.apply(ambient)
-    back = basis_rows.transpose().apply(coords)
-    if [Fraction(x) for x in back] != [Fraction(x) for x in ambient]:
-        raise ValueError("vector outside the span of the lattice")
-    return coords
-
-
-def ambient_of(basis_rows: Mat, coords):
-    return basis_rows.transpose().apply(coords)
-
-
-def coord_matrix(basis_rows: Mat, vstar_mat: Mat, solver: Mat = None) -> Mat:
-    """A V*-endomorphism in the coordinates of the given lattice basis."""
-    if solver is None:
-        solver = _solver(basis_rows)
-    out = solver * vstar_mat * basis_rows.transpose()
-    # the span must be preserved, not just hit compatibly
-    back = basis_rows.transpose() * out
-    if back != vstar_mat * basis_rows.transpose():
-        raise ValueError("endomorphism does not preserve the span")
-    if not out.is_integral():
-        raise ValueError("endomorphism does not preserve the lattice")
-    return out.to_int()
-
-
-def coord_convert(from_rows: Mat, to_rows: Mat) -> Mat:
-    """Coordinate conversion matrix between two lattice bases."""
-    out = _solver(to_rows) * from_rows.transpose()
-    back = to_rows.transpose() * out
-    if back != from_rows.transpose():
-        raise ValueError("source lattice outside the span of the target")
-    return out
 
 
 class FrobeniusTorus:
@@ -342,10 +298,6 @@ def is_regular(theta: TorusCharacter) -> bool:
     return weyl_stabilizer(theta).order == 1
 
 
-def _unit(i, group):
-    return tuple(int(j == i) for j in range(len(group.factors)))
-
-
 class AdjointModel:
     """The adjoint and simply connected tori with the same twist.
 
@@ -364,17 +316,9 @@ class AdjointModel:
         wm = rd.dual_matrix(torus.w.matrix)
         self.f_ad = torus.q * coord_matrix(self.pv_rows, wm)
         self.points_ad = twisted_fixed_points(self.f_ad)
-        # X^vee-basis rows: dual basis of rd.basis
-        self.xv_rows = rd.basis.inverse().transpose()
-        conv = coord_convert(self.xv_rows, self.pv_rows)
-        if not conv.is_integral():
-            raise ValueError("X^vee is not contained in P^vee")
-        self.x_to_ad = conv.to_int()
-        conv2 = coord_convert(self.qv_rows, self.xv_rows)
-        if not conv2.is_integral():
-            raise ValueError("Q^vee is not contained in X^vee")
-        self.sc_to_x = conv2.to_int()
-        self.qv_solver = _solver(self.qv_rows)
+        self.x_to_ad = coord_convert(rd.xv_rows, self.pv_rows)
+        self.sc_to_x = coord_convert(self.qv_rows, rd.xv_rows)
+        self.qv_solver = lattice_solver(self.qv_rows)
         self._sc_mats = {}
 
     def cokernel(self):
@@ -471,15 +415,12 @@ def disconnected_bicharacter(theta_full: TorusCharacter, sub_rows: Mat,
         return sum((Fraction(a) * v for a, v in zip(coords0, theta0)),
                    Fraction(0)) % 1
 
-    xv_rows = rd.basis.inverse().transpose()
-    incl = coord_convert(sub_rows, xv_rows)
-    if not incl.is_integral():
-        raise ValueError("sublattice not contained in X^vee")
-    incl = incl.to_int()
+    incl = coord_convert(sub_rows, rd.xv_rows)
     sk = theta_full.group
 
-    for i, g in enumerate(s0.gens):
-        if theta_full.on_vector(QV(incl.apply(g.coords))) != theta0_of(_unit(i, s0)):
+    units = s0.standard_basis()
+    for g, e in zip(s0.gens, units):
+        if theta_full.on_vector(QV(incl.apply(g.coords))) != theta0_of(e):
             raise IncompatibleCharacters("theta_full does not restrict to theta0")
 
     stab_full = set(weyl_stabilizer(theta_full).matrices)
@@ -490,8 +431,8 @@ def disconnected_bicharacter(theta_full: TorusCharacter, sub_rows: Mat,
             mc0 = coord_matrix(sub_rows, md)
         except ValueError:
             continue
-        if all(theta0_of(s0.project(g.act(mc0))) == theta0_of(_unit(i, s0))
-               for i, g in enumerate(s0.gens)):
+        if all(theta0_of(s0.project(g.act(mc0))) == theta0_of(e)
+               for g, e in zip(s0.gens, units)):
             stab0.append(m)
     stab_full = [m for m in stab0 if m in stab_full]
 
@@ -515,7 +456,7 @@ def disconnected_bicharacter(theta_full: TorusCharacter, sub_rows: Mat,
     for i, m in enumerate(coset_reps):
         md = rd.dual_matrix(m)
         for cls, coords in point_reps.items():
-            amb = ambient_of(xv_rows, sk.lift(coords).coords)
+            amb = ambient_of(rd.xv_rows, sk.lift(coords).coords)
             delta = [a - b for a, b in zip(md.apply(amb), amb)]
             c0 = QV(coords_of(sub_rows, delta))
             table[(i, cls)] = Cyc.from_qz(theta0_of(s0.project(c0)))

@@ -154,6 +154,20 @@ def test_d4_sc_fixture():
     assert verdict["consistent"]
 
 
+def test_induced_matrices_on_the_fixture_fixed_tori():
+    # FinAb.induced against project∘act on every point of each fixed torus
+    d4 = build_d4_sc()
+    for datum, rep in [spin9_report(), biquadratic_report(),
+                       (d4, centralizer(d4))]:
+        torus = rep.fixed_torus
+        for w in rep.omega_matrices:
+            m = datum.rd.cochar_coord_matrix(w)
+            induced = torus.induced(m)
+            for x in torus.elements():
+                assert torus.apply_matrix(induced, x) == \
+                    torus.project(torus.lift(x).act(m))
+
+
 def test_centralizer_conjugation_invariance():
     datum, rep1 = spin9_report()
     rd = datum.rd

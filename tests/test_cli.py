@@ -223,6 +223,15 @@ def test_gamma_of_wrong_length_is_domain_error(command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["delta", "theta-sum"])
+def test_gamma_outside_rational_points_is_domain_error(command):
+    # S(k) = ker(F - 1) = (1/4)Z/Z for the SL2 torus with w = -1 at q = 3
+    proc = run_cli(command, "--type", "A", "--rank", "1", "--q", "3",
+                   "--theta", "1/4", "--gamma", "1/8")
+    _domain_error(proc, "InvalidPoint")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("degree", ["-1", "0"])
 def test_nonpositive_degree_is_usage_error(degree):
     _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",

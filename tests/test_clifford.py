@@ -153,6 +153,84 @@ def test_transform_pushout_equivariance_checked():
         transform(ext, Pushout(Mat([[1, 0]]), [2]))
 
 
+def test_transform_pushout_rejects_a_non_homomorphism():
+    # Z/2 -> Z/4, 1 -> 1 does not respect 2·1 = 0
+    ext = ExtensionDescriptor([2], [2], [Mat.identity(1)], {})
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        transform(ext, Pushout(Mat([[1]]), [4]))
+
+
+def _bfs_induced_matrix(a_group, ap_group, proj, g):
+    """The breadth-first search the congruence solve replaced, as reference."""
+    k = len(ap_group.factors)
+    if k == 0:
+        return Mat.identity(0)
+    cols = {}
+    for a in a_group.standard_basis():
+        cols[ap_group.apply_matrix(proj, a)] = ap_group.apply_matrix(
+            proj, a_group.apply_matrix(g, a))
+    table = {ap_group.zero: []}
+    frontier = [ap_group.zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for src in cols:
+                y = ap_group.add(x, src)
+                if y not in table:
+                    combo = dict(table[x])
+                    combo[src] = combo.get(src, 0) + 1
+                    table[y] = sorted(combo.items())
+                    nxt.append(y)
+        frontier = nxt
+    out_cols = []
+    for e in ap_group.standard_basis():
+        combo = table.get(e)
+        if combo is None:
+            return None
+        acc = ap_group.zero
+        for src, mult in combo:
+            acc = ap_group.add(acc, ap_group.smul(mult, cols[src]))
+        out_cols.append(acc)
+    m = Mat([[out_cols[j][i] for j in range(k)] for i in range(k)])
+    for a in a_group.standard_basis():
+        if ap_group.apply_matrix(m, ap_group.apply_matrix(proj, a)) != \
+                ap_group.apply_matrix(proj, a_group.apply_matrix(g, a)):
+            return None
+    return m
+
+
+def test_induced_matrix_matches_the_breadth_first_search():
+    # random homomorphisms A -> A' from random descriptors: entry (i, j) is
+    # a multiple of d'_i / gcd(d_j, d'_i), so d_j·m(e_j) = 0 in A', plus a
+    # multiple of d'_i, since a row is only defined mod d'_i; the first case
+    # has a row that is 1 mod 2 but 0 mod 3 in A' = Z/2 x Z/6
+    from cuspidor.clifford import _induced_matrix
+    from cuspidor.exactcore import FinAb
+    cases = [(ExtensionDescriptor([2, 6], [2], [Mat([[1, 0], [0, -1]])], {}),
+              FinAb.abstract([2, 6]), Mat([[3, 0], [0, 1]]))]
+    rng = random.Random(20261018)
+    for _ in range(150):
+        ext = random_descriptor(rng, max_order=64)
+        # A' cyclic factors divide those of A, so that proj is often onto
+        picked = rng.sample(ext.A.factors, rng.randint(1, len(ext.A.factors)))
+        ap = FinAb.abstract([rng.choice([x for x in range(2, d + 1) if d % x == 0])
+                             for d in picked])
+        proj = Mat([[rng.randrange(math.gcd(d, dp)) * (dp // math.gcd(d, dp))
+                     + rng.randrange(3) * dp
+                     for d in ext.A.factors] for dp in ap.factors])
+        cases.append((ext, ap, proj))
+    outcomes = {True: 0, False: 0}
+    for ext, ap, proj in cases:
+        for g in ext.action:
+            new = _induced_matrix(ext.A, ap, proj, g)
+            assert new == _bfs_induced_matrix(ext.A, ap, proj, g)
+            outcomes[new is not None] += 1
+    first, ap, proj = cases[0]
+    assert _induced_matrix(first.A, ap, proj, first.action[0]) == \
+        Mat([[1, 0], [0, 5]])
+    assert outcomes[True] > 50 and outcomes[False] > 50
+
+
 def test_oracle_agreement_small_corpus():
     rng = random.Random(20240808)
     checked = 0

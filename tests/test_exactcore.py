@@ -25,6 +25,7 @@ from cuspidor.exactcore import (
     qz_kernel,
     smith_normal_form,
     solve_affine,
+    solve_mod,
     twisted_fixed_points,
 )
 
@@ -351,11 +352,63 @@ def test_mult_order_matches_definition(n, a):
     assert all(pow(a, j, n) != 1 % n for j in range(1, k))
 
 
+# -- maps induced on a finite abelian group, and congruences mod n ----------------
+
+def _small_kernel_and_map(scale, entries, poly):
+    """ker(M) on (Q/Z)^n for M = scale·``entries``, and m = a + bM + cM^2.
+
+    m commutes with M, so it maps the kernel into itself; the scale makes
+    non-cyclic kernels common.
+    """
+    n = math.isqrt(len(entries))
+    m_rel = scale * Mat([entries[i * n:(i + 1) * n] for i in range(n)])
+    ident = Mat.identity(n)
+    a, b, c = poly
+    return qz_kernel(m_rel), a * ident + b * m_rel + c * (m_rel * m_rel)
+
+
+@PROPERTY
+@given(st.integers(1, 3),
+       st.sampled_from([4, 9]).flatmap(
+           lambda k: st.lists(st.integers(-3, 3), min_size=k, max_size=k)),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
+def test_induced_matrix_is_project_of_act(scale, entries, poly):
+    group, m = _small_kernel_and_map(scale, entries, poly)
+    if isinstance(group, RankReport) or group.order > 512:
+        return
+    induced = group.induced(m)
+    for x in group.elements():
+        assert group.apply_matrix(induced, x) == \
+            group.project(group.lift(x).act(m))
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_solve_mod_matches_brute_force(n, nrows, ncols, data):
+    a = Mat(data.draw(st.lists(
+        st.lists(st.integers(-n, n), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows)))
+    b = data.draw(st.lists(st.integers(0, n - 1), min_size=nrows,
+                           max_size=nrows))
+
+    def solves(x):
+        return all((sum(r * v for r, v in zip(row, x)) - bi) % n == 0
+                   for row, bi in zip(a.rows, b))
+
+    exists = any(solves(x) for x in itertools.product(range(n), repeat=ncols))
+    x = solve_mod(a, b, n)
+    assert (x is not None) == exists
+    if x is not None:
+        assert len(x) == ncols and solves(x)
+
+
 def test_no_private_copies_of_the_helpers():
     banned = {"_gcd", "_lcm", "_is_prime", "_prime_factors", "_mult_order",
               "_order_mod", "_prime_power", "_prime_of", "_is_prime_power",
               "_least_prime_factor", "generating_sequence", "_mat_order",
-              "_twist_order", "_is_irreducible", "_coords", "_coord_matrix"}
+              "_twist_order", "_is_irreducible", "_coords", "_coord_matrix",
+              "_solver", "_gens", "_unit", "_span_table", "_combine",
+              "_solve_mod", "_exceptional_stats"}
     found = []
     for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
