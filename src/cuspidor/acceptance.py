@@ -130,8 +130,8 @@ def criterion_4_q8():
         census = census_summary(irrep_census(ext))
         assert census == {1: 4, 2: 1}
         table, mults = restriction_multiplicities(ext)
-        central = [per for ch, per in zip(table.chars, mults)
-                   if int(ch[0].rational_value()) == 2]
+        central = [per for row, per in zip(table.mults, mults)
+                   if sum(row[0]) == 2]
         assert len(central) == 1 and list(central[0].values()) == [2]
         return {"census": census}
 

@@ -238,9 +238,9 @@ def cmd_cliff_oracle(args):
         "degrees": table.degrees(),
         "classes": len(table.classes),
         "restrictions": [
-            {"degree": int(table.chars[i][0].rational_value()),
+            {"degree": sum(row[0]),
              "multiplicities": sorted(per.values(), reverse=True)}
-            for i, per in enumerate(mults)],
+            for row, per in zip(table.mults, mults)],
     }
     return _emit(payload)
 

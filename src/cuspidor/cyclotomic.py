@@ -46,15 +46,18 @@ def _polydiv_exact(num, den):
 
 @functools.lru_cache(maxsize=None)
 def _reduction_rows(n: int):
-    """z^k for k in [phi(n), n) expressed on the power basis, as tuples."""
+    """z^k for k in [phi(n), n) on the power basis, as integer tuples.
+
+    Phi_n is monic with integer coefficients, so every row is integral.
+    """
     phi = len(cyclotomic_polynomial(n)) - 1
     rows = {}
     # z^phi = -(lower coefficients of Phi_n)
-    base = [-Fraction(c) for c in cyclotomic_polynomial(n)[:phi]]
+    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
     cur = base[:]
     rows[phi] = tuple(cur)
     for k in range(phi + 1, n):
-        shifted = [Fraction(0)] + cur[:-1]
+        shifted = [0] + cur[:-1]
         top = cur[-1]
         if top:
             shifted = [s + top * b for s, b in zip(shifted, base)]
@@ -98,20 +101,26 @@ class Cyc:
 
     @staticmethod
     def from_root_multiplicities(n: int, coeffs) -> "Cyc":
-        """sum of coeffs[s] * zeta_n^s, built in one reduction pass."""
-        if n == 1:
-            return Cyc.rational(sum(coeffs))
-        acc = _zero_vec(n)
-        phi = len(acc)
+        """sum of coeffs[s] * zeta_n^s, built in one reduction pass.
+
+        The coefficients are folded mod n and the polynomial is divided by
+        Phi_n from the top down, touching only the non-zero coefficients of
+        Phi_n; integer coefficients stay integers until the one Cyc.
+        """
+        acc = [0] * n
         for s, c in enumerate(coeffs):
-            if not c:
-                continue
-            k = s % n
-            if k < phi:          # a basis monomial: one coefficient moves
-                acc[k] += c
-            else:
-                acc = [a + c * b for a, b in zip(acc, _monomial(n, k))]
-        return Cyc(n, acc)
+            if c:
+                acc[s % n] += c
+        if n == 1:
+            return Cyc.rational(acc[0])
+        phi, low = _division_terms(n)
+        for k in range(n - 1, phi - 1, -1):
+            c = acc[k]
+            if c:
+                base = k - phi
+                for j, pj in low:
+                    acc[base + j] -= c * pj
+        return Cyc(n, acc[:phi])
 
     def promote(self, m: int) -> "Cyc":
         """Rewrite in Q(zeta_m); requires n | m."""
@@ -267,11 +276,19 @@ class Cyc:
 
 def _zero_vec(n):
     phi, _ = _reduction_rows(n) if n > 1 else (1, None)
-    return [Fraction(0)] * phi
+    return [0] * phi
 
 
 def _basis_row(phi, k):
-    return tuple(Fraction(int(i == k)) for i in range(phi))
+    return tuple(int(i == k) for i in range(phi))
+
+
+@functools.lru_cache(maxsize=None)
+def _division_terms(n: int):
+    """phi(n) and the non-zero (j, c) of Phi_n below its leading term."""
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,13 @@
 """Independent character-table oracle (Dixon/Burnside class-algebra method).
 
-Eigenvector search runs over GF(l) for a prime l = 1 mod exp(B); character
-values are then lifted exactly into Q(zeta_exp(B)) by root-of-unity
-multiplicity recovery, and all restriction multiplicities are computed in
-exact cyclotomic arithmetic.  Abelian groups take a direct path: the dual of
-their SNF presentation (``exactcore.abelian_basis``).  This module never
-consults the Clifford machinery it checks.
+Eigenvector search runs over GF(l) for a prime l = 1 mod e = exp(B); each
+character value is then lifted exactly as the integer multiplicities of the
+e-th roots of unity among its eigenvalues.  Orthogonality and restriction
+sums are integer histograms of root exponents mod e, each turned into one
+exact element of Q(zeta_e); ``Cyc`` values of the table are built only on
+demand.  Abelian groups take a direct path: the dual of their SNF
+presentation (``exactcore.abelian_basis``).  This module never consults the
+Clifford machinery it checks.
 """
 
 from __future__ import annotations
@@ -16,39 +18,77 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyc, cyc_sum
+from .cyclotomic import Cyc
 from .errors import TooLarge
 from .exactcore import FinAb, abelian_basis, is_prime, mult_order
 from .clifford import ConcreteGroup, ExtensionDescriptor
 
 
 class CharacterTable:
-    """Exact irreducible characters indexed by conjugacy classes."""
+    """Exact irreducible characters indexed by conjugacy classes.
 
-    __slots__ = ("classes", "chars", "class_of", "exponent", "group")
+    ``mults[i][k][s]`` is the multiplicity of zeta_e^s (e = ``exponent``)
+    among the eigenvalues of the i-th irreducible at the k-th class
+    representative, so chi_i(g_k) = sum_s mults[i][k][s] zeta_e^s; class 0
+    is the identity and sum(mults[i][0]) is the degree.  ``terms`` holds the
+    same vectors as their non-zero (s, m) pairs, and ``chars`` (a list of
+    dicts: class index -> Cyc) is built from ``mults`` on first access.
+    """
 
-    def __init__(self, classes, chars, class_of, exponent, group):
+    __slots__ = ("classes", "mults", "terms", "class_of", "exponent", "group",
+                 "_chars")
+
+    def __init__(self, classes, mults, class_of, exponent, group):
         self.classes = classes
-        self.chars = chars          # list of dicts: class index -> Cyc
+        self.mults = mults
+        self.terms = [[tuple((s, c) for s, c in enumerate(m) if c) for m in row]
+                      for row in mults]
         self.class_of = class_of
         self.exponent = exponent
         self.group = group
+        self._chars = None
+
+    @property
+    def chars(self):
+        if self._chars is None:
+            e = self.exponent
+            self._chars = [{k: Cyc.from_root_multiplicities(e, m)
+                            for k, m in enumerate(row)} for row in self.mults]
+        return self._chars
 
     def degrees(self):
-        return sorted(int(ch[0].rational_value()) for ch in self.chars)
+        return sorted(sum(row[0]) for row in self.mults)
 
     def restriction_multiplicity(self, chi, a_char_fn, a_elements) -> int:
-        """<chi|_A, rho> computed exactly; rho given as a -> Q/Z value."""
-        total = cyc_sum(
-            self.chars[chi][self.class_of[(a, self.group.ext.C.zero)]]
-            * Cyc.from_qz(-a_char_fn(a)) for a in a_elements)
-        out = total * Fraction(1, len(a_elements))
-        if not out.is_rational():
+        """<chi|_A, rho> computed exactly; rho given as a -> Q/Z value.
+
+        rho(a) = k/e because exp(A) divides e, so chi(a) zeta^(-k) moves
+        chi(a)'s root multiplicities by -k: the sum is one histogram mod e.
+        """
+        e = self.exponent
+        row = self.terms[chi]
+        czero = self.group.ext.C.zero
+        hist = [0] * e
+        for a in a_elements:
+            rho = Fraction(a_char_fn(a))
+            k, rest = divmod(rho.numerator * e, rho.denominator)
+            if rest:
+                raise ArithmeticError("rho is not valued in the e-th roots of 1")
+            for s, m in row[self.class_of[(a, czero)]]:
+                hist[(s - k) % e] += m
+        total = _rational_sum(e, hist)
+        if total is None:
             raise ArithmeticError("restriction multiplicity is not rational")
-        r = out.rational_value()
-        if r.denominator != 1 or r < 0:
+        r, rest = divmod(total, len(a_elements))
+        if rest or r < 0:
             raise ArithmeticError("restriction multiplicity is not a count")
         return int(r)
+
+
+def _rational_sum(e, hist):
+    """sum_s hist[s] zeta_e^s, built as one Cyc; None unless it is rational."""
+    total = Cyc.from_root_multiplicities(e, hist)
+    return total.rational_value() if total.is_rational() else None
 
 
 def brute_force_census(group: ConcreteGroup) -> CharacterTable:
@@ -62,46 +102,60 @@ def brute_force_census(group: ConcreteGroup) -> CharacterTable:
             class_of[x] = i
     e = group.exponent()
     if group.is_abelian():
-        chars = _abelian_characters(group, classes)
+        mults = _abelian_mults(group, classes, e)
     else:
-        chars = _dixon_characters(group, classes, class_of, e)
-    table = CharacterTable(classes, chars, class_of, e, group)
+        mults = _dixon_mults(group, classes, class_of, e)
+    table = CharacterTable(classes, mults, class_of, e, group)
     _validate_table(table, group)
     return table
 
 
 def _validate_table(table, group):
-    classes = table.classes
-    n = len(classes)
-    if len(table.chars) != n:
+    """Degree count and row orthogonality on every pair of rows, exactly.
+
+    sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) = |B| [i == j] is one histogram
+    mod e per pair i <= j, h[s - t] += |C_k| m_ik[s] m_jk[t]; the pairs
+    j < i are the complex conjugates of these rational values.
+    """
+    n = len(table.classes)
+    if len(table.mults) != n:
         raise ArithmeticError("#irreducibles != #classes")
-    total = sum(int(ch[0].rational_value()) ** 2 for ch in table.chars)
-    if total != len(group.elements):
+    order = len(group.elements)
+    if sum(d * d for d in table.degrees()) != order:
         raise ArithmeticError("sum of squared degrees != |B|")
-    # row orthogonality for a few rows
-    for i in range(min(n, 4)):
-        for j in range(min(n, 4)):
-            acc = cyc_sum(Cyc.rational(len(classes[k]))
-                          * table.chars[i][k] * table.chars[j][k].conj()
-                          for k in range(n))
-            want = len(group.elements) if i == j else 0
-            if not (acc == Cyc.rational(want)):
+    e = table.exponent
+    sizes = [len(c) for c in table.classes]
+    for i, row in enumerate(table.terms):
+        weighted = [[(s, size * m) for s, m in terms]
+                    for terms, size in zip(row, sizes)]
+        for j in range(i, n):
+            hist = [0] * e
+            for left, right in zip(weighted, table.terms[j]):
+                for s, a in left:
+                    for t, b in right:
+                        hist[(s - t) % e] += a * b
+            if _rational_sum(e, hist) != (order if i == j else 0):
                 raise ArithmeticError("row orthogonality fails")
 
 
-def _abelian_characters(group, classes):
-    """Characters of an abelian B: the dual of its SNF presentation."""
+def _abelian_mults(group, classes, e):
+    """Characters of an abelian B: the dual of its SNF presentation.
+
+    Every value is one e-th root of unity, so each vector is one-hot; the
+    e vectors are shared.
+    """
     table = group.table
     factors, _, coords = abelian_basis(range(len(table)),
                                        lambda x, y: table[x][y], 0)
     dual = FinAb.abstract(factors)
     reps = [coords[group.number[cls[0]]] for cls in classes]
-    return [{i: Cyc.from_qz(dual.char_value(x, a)) for i, a in enumerate(reps)}
+    one_hot = [tuple(int(s == t) for t in range(e)) for s in range(e)]
+    return [[one_hot[int(dual.char_value(x, a) * e)] for a in reps]
             for x in dual.characters()]
 
 
-def _dixon_characters(group, classes, class_of, e):
-    """Characters from the eigenvectors of the class matrices, on numbers."""
+def _dixon_mults(group, classes, class_of, e):
+    """Root multiplicities from the eigenvectors of the class matrices."""
     table = group.table
     order = len(table)
     n = len(classes)
@@ -150,7 +204,7 @@ def _dixon_characters(group, classes, class_of, e):
     e_inv = pow(e, ell - 2, ell)
     id_idx = cls[0]                 # the identity is number 0
     # eigenvalues omega_i = |C_i| chi(g_i)/chi(1) mod ell, one per vector
-    chars = []
+    rows = []
     for basis in spaces:
         vec = basis[:, 0]
         # normalize so the identity-class coordinate is 1
@@ -167,10 +221,9 @@ def _dixon_characters(group, classes, class_of, e):
         deg = _lift_square(d2, order, ell)
         # chi mod ell on each class
         chi_bar = [deg * w * inv for w, inv in zip(omegas, inv_sizes)]
-        chars.append({i: _lift_value([chi_bar[k] for k in powers[i]], deg,
-                                     transform, e_inv, ell)
-                      for i in range(n)})
-    return chars
+        rows.append([_lift_value([chi_bar[k] for k in powers[i]], deg,
+                                 transform, e_inv, ell) for i in range(n)])
+    return rows
 
 
 def _split_space(m, basis, ell):
@@ -329,7 +382,7 @@ def _lift_square(d2, order, ell):
 
 
 def _lift_value(chi_bar, deg, transform, e_inv, ell):
-    """chi(rep) lifted exactly via multiplicities of e-th roots of unity.
+    """The multiplicities m_s of the e-th roots of unity in chi(rep).
 
     ``chi_bar[t]`` is chi(rep^t) mod ell for t < e, and ``transform[s][t]``
     is z^(-s t) for the e-th root of unity z mod ell.
@@ -342,7 +395,7 @@ def _lift_value(chi_bar, deg, transform, e_inv, ell):
         coeffs.append(m_s)
     if sum(coeffs) != deg:
         raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-    return Cyc.from_root_multiplicities(len(transform), coeffs)
+    return tuple(coeffs)
 
 
 def restriction_multiplicities(ext: ExtensionDescriptor,
@@ -380,20 +433,26 @@ def oracle_multiplicity_one(ext: ExtensionDescriptor) -> bool:
     table = brute_force_census(group)
     a = ext.A
     czero = ext.C.zero
+    e = table.exponent
     # group A-elements by (class, inverse class) with counts
     weights = {}
     for x in a.elements():
         i = table.class_of[(x, czero)]
         j = table.class_of[group.inv((x, czero))]
         weights[(i, j)] = weights.get((i, j), 0) + 1
-    for ch in table.chars:
-        d = int(ch[0].rational_value())
+    for row, terms in zip(table.mults, table.terms):
+        d = sum(row[0])
         if d == 1:
             continue
-        acc = cyc_sum(Cyc.rational(w) * ch[i] * ch[j]
-                      for (i, j), w in weights.items())
-        if not acc.is_rational():
+        # sum_x chi(x) chi(x^-1) as one histogram mod e
+        hist = [0] * e
+        for (i, j), w in weights.items():
+            for s, u in terms[i]:
+                for t, v in terms[j]:
+                    hist[(s + t) % e] += w * u * v
+        norm = _rational_sum(e, hist)
+        if norm is None:
             raise ArithmeticError("restriction norm is not rational")
-        if acc.rational_value() != d * a.order:
+        if norm != d * a.order:
             return False
     return True

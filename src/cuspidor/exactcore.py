@@ -534,8 +534,9 @@ class FinAb:
 
     def char_value(self, x, a) -> Fraction:
         """Value in Q/Z of the character indexed by x at the element a."""
-        return sum((Fraction(xi * ai, d) for xi, ai, d in zip(x, a, self.factors)),
-                   Fraction(0)) % 1
+        e = self.exponent
+        return Fraction(sum(xi * ai * (e // d) for xi, ai, d
+                            in zip(x, a, self.factors)) % e, e)
 
     def hom_matrix_ok(self, m: Mat) -> bool:
         """Does the integer matrix define an endomorphism in coordinates?"""

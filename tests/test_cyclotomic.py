@@ -99,3 +99,15 @@ def test_reduce_is_idempotent_and_equal(terms):
     assert x.n % r.n == 0
     again = r.reduce()
     assert (again.n, again.coeffs) == (r.n, r.coeffs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(_DIVISORS_120),
+       st.lists(st.integers(-4, 4), max_size=150),
+       st.sampled_from([1, Fraction(-2, 3)]))
+def test_from_root_multiplicities_is_the_root_sum(n, hist, scale):
+    # hist may be longer than n: exponents are read mod n
+    hist = [scale * h for h in hist]
+    want = cyc_sum(h * Cyc.zeta(n, s) for s, h in enumerate(hist))
+    got = Cyc.from_root_multiplicities(n, hist)
+    assert got.n == n and got == want

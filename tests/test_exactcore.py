@@ -254,6 +254,17 @@ def test_abelian_basis_on_sums_of_cyclic_groups(factors, seed):
     _check_presentation(elems, mul, zero, got, basis, coords)
 
 
+@PROPERTY
+@given(st.lists(st.integers(2, 30), max_size=4), st.data())
+def test_char_value_is_the_sum_of_coordinate_pairings(factors, data):
+    g = FinAb.abstract(factors)
+    coords = st.tuples(*(st.integers(-60, 60) for _ in g.factors))
+    x, a = data.draw(coords), data.draw(coords)
+    want = sum((Fraction(xi * ai, d) for xi, ai, d in zip(x, a, g.factors)),
+               Fraction(0)) % 1
+    assert g.char_value(x, a) == want
+
+
 def test_abelian_basis_elementary_abelian_64():
     elems, mul, zero = _sum_group([2] * 6)
     factors, basis, coords = abelian_basis(elems, mul, zero)
