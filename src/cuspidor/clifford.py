@@ -1,11 +1,12 @@
 """Extensions 1 -> A -> B -> C -> 1 of finite abelian groups.
 
 An ExtensionDescriptor carries the action of C on A and a normalized
-2-cocycle; ConcreteGroup realizes B on pairs (a, c).  The module decides
-multiplicity one through the commutator function in coinvariants
-and computes the full irreducible census through stabilizers and
-projective-representation dimensions; the independent character-table
-oracle lives in dixon.py.
+2-cocycle.  The module decides multiplicity one through the commutator of
+two sections in coinvariants, read off the cocycle in closed form, and
+computes the irreducible census through stabilizers and projective
+dimensions on integers (character indices, Q/Z values as numerators over
+exp(A)).  Neither multiplies in B: ConcreteGroup realizes B on pairs (a, c)
+only for the character-table oracle in dixon.py and the pair API.
 
 ConcreteGroup also numbers its elements: element number i is
 ``elements[i]``, which is (a, c) with i = |A|·(index of c) + (index of a),
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotEquivariant, TooLarge
 from .exactcore import FinAb, Mat, coinvariants, solve_mod
@@ -94,16 +97,27 @@ class ExtensionDescriptor:
         return self.cocycle[(tuple(c1), tuple(c2))]
 
     def _normalize(self, raw):
-        """Shift by the constant coboundary so z(1,.) = z(.,1) = 0."""
-        zero_a = self.A.zero
-        z11 = tuple(raw.get((self.C.zero, self.C.zero), zero_a))
+        """Reduce the values into A's normal form and shift by the constant
+        coboundary so z(1,.) = z(.,1) = 0; ValueError for a key that is not
+        a pair of C-elements in normal form or a value of the wrong length.
+        """
+        a, zero, factors = self.A, self.A.zero, self.A.factors
+        pairs = list(itertools.product(self.C.elements(), repeat=2))
+        stray = raw.keys() - set(pairs)
+        if stray:
+            raise ValueError(f"cocycle key {min(stray)} is not a pair in "
+                             f"{self.C!r}")
         out = {}
-        for c1 in self.C.elements():
-            for c2 in self.C.elements():
-                v = tuple(raw.get((c1, c2), zero_a))
-                if z11 != zero_a:
-                    v = self.A.add(v, self.A.neg(self.act(c1, z11)))
-                out[(c1, c2)] = v
+        for key in pairs:
+            v = raw.get(key, zero)
+            if len(v) != len(factors):
+                raise ValueError(f"cocycle value {v} is not in {a!r}")
+            out[key] = tuple([operator.index(x) % d
+                              for x, d in zip(v, factors)])
+        z11 = out[(self.C.zero, self.C.zero)]
+        if z11 != zero:
+            for c1, c2 in pairs:
+                out[(c1, c2)] = a.add(out[(c1, c2)], a.neg(self.act(c1, z11)))
         return out
 
     def _validate(self):
@@ -115,13 +129,11 @@ class ExtensionDescriptor:
             if self.z(self.C.zero, c) != zero or self.z(c, self.C.zero) != zero:
                 raise ValueError("cocycle is not normalized")
         # action must be by automorphisms and define a C-action
-        for g in self.action:
-            if not self.A.is_automorphism(g):
-                raise ValueError("action matrix is not an automorphism")
-        for g in self.action:
-            for h in self.action:
-                if not _commute_on(self.A, g, h):
-                    raise ValueError("action matrices must commute on A")
+        if not all(self.A.is_automorphism(g) for g in self.action):
+            raise ValueError("action matrix is not an automorphism")
+        if not all(_commute_on(self.A, g, h)
+                   for g, h in itertools.product(self.action, repeat=2)):
+            raise ValueError("action matrices must commute on A")
         for j, g in enumerate(self.action):
             m = g ** self.C.factors[j]
             for a in self.A.standard_basis():
@@ -293,27 +305,30 @@ def commutator_function(ext: ExtensionDescriptor, c1, c2):
     Returns (coinvariant quotient, class).  Section independence is asserted
     by recomputing with a shifted section.
     """
-    return _commutator_class(ConcreteGroup(ext), c1, c2)
-
-
-def _commutator_class(grp: ConcreteGroup, c1, c2):
-    ext = grp.ext
-    word = _section_commutator(grp, c1, c2, shift=None)
     quot = ext.coinvariant_quotient(c1, c2)
+    word, shifted = _commutator_words(ext, c1, c2)
     cls = quot.project(word)
-    shift = tuple((i + 1) % d for i, d in enumerate(ext.A.factors))
-    word2 = _section_commutator(grp, c1, c2, shift=shift)
-    if quot.project(word2) != cls:
+    if quot.project(shifted) != cls:
         raise ArithmeticError("commutator class depends on the section")
     return quot, cls
 
 
-def _section_commutator(grp: ConcreteGroup, c1, c2, shift=None):
-    s1 = (shift if shift is not None else grp.ext.A.zero, c1)
-    s2 = (grp.ext.A.zero, c2)
-    w = grp.mul(grp.mul(s1, s2), grp.mul(grp.inv(s1), grp.inv(s2)))
-    assert w[1] == grp.ext.C.zero
-    return w[0]
+def _commutator_words(ext: ExtensionDescriptor, c1, c2):
+    """[s(c1), s(c2)] in A for the zero section and a shifted one.
+
+    For s(c) = (0, c) the group law gives s(c1)s(c2) = (z(c1, c2), c1 + c2)
+    and s(c2)s(c1) = (z(c2, c1), c1 + c2), both over c1 + c2 as C is abelian,
+    so [s(c1), s(c2)] = s(c1)s(c2)·(s(c2)s(c1))^{-1} = z(c1, c2) - z(c2, c1).
+    The section (t, c1) = t·s(c1) gives t·word·s(c2)t^{-1}s(c2)^{-1}, that is
+    word + t - c2·t.
+    """
+    a = ext.A
+    z12, z21 = ext.z(c1, c2), ext.z(c2, c1)
+    word = tuple((x - y) % d for x, y, d in zip(z12, z21, a.factors))
+    t = tuple((i + 1) % d for i, d in enumerate(a.factors))
+    shifted = tuple((w + x - y) % d for w, x, y, d
+                    in zip(word, t, ext.act(c2, t), a.factors))
+    return word, shifted
 
 
 def has_multiplicity_one(ext: ExtensionDescriptor):
@@ -322,14 +337,10 @@ def has_multiplicity_one(ext: ExtensionDescriptor):
     On failure the witness is (c1, c2, rho) where rho is a character of A
     that is <c1,c2>-invariant and nontrivial on the commutator.
     """
-    grp = ConcreteGroup(ext)
-    cs = list(ext.C.elements())
-    for c1 in cs:
-        for c2 in cs:
-            quot, cls = _commutator_class(grp, c1, c2)
-            if cls != quot.group.zero:
-                rho = _separating_character(ext, quot, cls)
-                return False, (c1, c2, rho)
+    for c1, c2 in itertools.product(ext.C.elements(), repeat=2):
+        quot, cls = commutator_function(ext, c1, c2)
+        if cls != quot.group.zero:
+            return False, (c1, c2, _separating_character(ext, quot, cls))
     return True, None
 
 
@@ -346,16 +357,14 @@ def _separating_character(ext, quot, cls):
     raise ArithmeticError("no separating character found")
 
 
-class Pullback:
-    def __init__(self, matrix: Mat, c_factors):
-        self.matrix = matrix
-        self.c_factors = tuple(c_factors)
+class Pullback(NamedTuple):
+    matrix: Mat
+    c_factors: tuple
 
 
-class Pushout:
-    def __init__(self, matrix: Mat, a_factors):
-        self.matrix = matrix
-        self.a_factors = tuple(a_factors)
+class Pushout(NamedTuple):
+    matrix: Mat
+    a_factors: tuple
 
 
 def transform(ext: ExtensionDescriptor, op):
@@ -390,19 +399,11 @@ def transform(ext: ExtensionDescriptor, op):
         a_factors = list(ext.A.factors) + list(other.A.factors)
         c_factors = list(ext.C.factors) + list(other.C.factors)
         ka, kb = len(ext.A.factors), len(other.A.factors)
-        action = []
-        for g in ext.action:
-            action.append(_block_diag(g, Mat.identity(kb)))
-        for g in other.action:
-            action.append(_block_diag(Mat.identity(ka), g))
-        cocycle = {}
-        for c1a in ext.C.elements():
-            for c1b in other.C.elements():
-                for c2a in ext.C.elements():
-                    for c2b in other.C.elements():
-                        cocycle[(tuple(c1a) + tuple(c1b),
-                                 tuple(c2a) + tuple(c2b))] = (
-                            tuple(ext.z(c1a, c2a)) + tuple(other.z(c1b, c2b)))
+        action = ([_block_diag(g, Mat.identity(kb)) for g in ext.action]
+                  + [_block_diag(Mat.identity(ka), g) for g in other.action])
+        pairs = itertools.product(ext.cocycle.items(), other.cocycle.items())
+        cocycle = {(c1a + c1b, c2a + c2b): za + zb
+                   for ((c1a, c2a), za), ((c1b, c2b), zb) in pairs}
         return ExtensionDescriptor(a_factors, c_factors, action, cocycle)
     raise ValueError("unknown transform")
 
@@ -454,20 +455,15 @@ def _block_diag(*mats):
     return Mat(rows)
 
 
-class CensusEntry:
-    __slots__ = ("dimension", "orbit_size", "multiplicity", "count", "orbit_rep")
-
-    def __init__(self, dimension, orbit_size, multiplicity, count, orbit_rep):
-        self.dimension = dimension
-        self.orbit_size = orbit_size
-        self.multiplicity = multiplicity
-        self.count = count
-        self.orbit_rep = orbit_rep
+class CensusEntry(NamedTuple):
+    dimension: int
+    orbit_size: int
+    multiplicity: int
+    count: int
+    orbit_rep: tuple
 
     def to_json(self):
-        return {"dimension": self.dimension, "orbit_size": self.orbit_size,
-                "multiplicity": self.multiplicity, "count": self.count,
-                "orbit_rep": list(self.orbit_rep)}
+        return {**self._asdict(), "orbit_rep": list(self.orbit_rep)}
 
 
 def irrep_census(ext: ExtensionDescriptor):
@@ -477,33 +473,31 @@ def irrep_census(ext: ExtensionDescriptor):
     pushed-out cocycle rho∘z on C_rho (trivial iff symmetric, since the
     coefficients are divisible), the projective dimension m = sqrt of the
     index of the radical of its commutator pairing, and the census entry
-    (dim = orbit * m, count = |C_rho| / m^2).
+    (dim = orbit * m, count = |C_rho| / m^2), with Q/Z values as integer
+    numerators over exp(A).
     """
     if ext.order() > 4096:
         raise TooLarge("census bounded at 4096")
-    a, c = ext.A, ext.C
-    cs = list(c.elements())
+    a = ext.A
+    exp_a = a.exponent
+    scale = [exp_a // d for d in a.factors]
+    cs = list(ext.C.elements())
     seen = set()
     entries = []
     for rho in a.characters():
         if rho in seen:
             continue
-        orbit = set()
-        for cc in cs:
-            img = _char_act(ext, cc, rho)
-            orbit.add(img)
+        images = [_char_act(ext, cc, rho) for cc in cs]
+        orbit = set(images)
         seen |= orbit
-        stab = [cc for cc in cs
-                if _char_act(ext, cc, rho) == rho]
-        # pushed cocycle on the stabilizer: values rho(z(c1,c2)) in Q/Z
-        pairs = {}
-        for c1 in stab:
-            for c2 in stab:
-                pairs[(c1, c2)] = a.char_value(rho, ext.z(c1, c2))
+        stab = [cc for cc, img in zip(cs, images) if img == rho]
+        # pushed cocycle on the stabilizer: rho(z(c1, c2)) = value / exp_a
+        weights = [r * s for r, s in zip(rho, scale)]
+        value = {key: sum(w * x for w, x in zip(weights, ext.z(*key))) % exp_a
+                 for key in itertools.product(stab, repeat=2)}
         # radical of the commutator pairing
         radical = [c1 for c1 in stab
-                   if all((pairs[(c1, c2)] - pairs[(c2, c1)]) % 1 == 0
-                          for c2 in stab)]
+                   if all(value[(c1, c2)] == value[(c2, c1)] for c2 in stab)]
         m2 = len(stab) // len(radical)
         m = math.isqrt(m2)
         if m * m != m2:
@@ -517,11 +511,16 @@ def irrep_census(ext: ExtensionDescriptor):
 
 
 def _char_act(ext: ExtensionDescriptor, c, rho):
-    """(c·rho)(a) = rho(c^{-1} a): the action on the character indices."""
-    m = ext.action_matrix(ext.C.neg(c))
-    # rho' with rho'(a) = rho(m a): index transforms by the transpose
-    return tuple(int(ext.A.char_value(rho, ext.A.apply_matrix(m, e)) * d) % d
-                 for d, e in zip(ext.A.factors, ext.A.standard_basis()))
+    """(c·rho)(a) = rho(c^{-1} a): the action on the character indices.
+
+    With m the matrix of c^{-1} and e = exp(A), rho(m e_j) is
+    (sum_i rho_i·m_ij·e/d_i mod e)/e: index j is that numerator over e/d_j.
+    """
+    factors, e = ext.A.factors, ext.A.exponent
+    rows = ext.action_matrix(ext.C.neg(c)).rows
+    return tuple(sum(r * row[j] * (e // d)
+                     for r, row, d in zip(rho, rows, factors)) % e // (e // dj)
+                 for j, dj in enumerate(factors))
 
 
 def census_summary(entries):

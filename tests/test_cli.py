@@ -168,6 +168,33 @@ def test_cliff_rejected_descriptor_is_domain_error(tmp_path):
     _domain_error(run_cli("cliff", "--fixture", str(path)), "InvalidFixture")
 
 
+def test_cliff_oracle_reduces_an_unreduced_cocycle_value(tmp_path):
+    # z(1, 1) = 5 is the element 1 of Z/2: the group is Z/4 either way
+    outputs = []
+    for value in (5, 1):
+        path = tmp_path / f"z{value}.json"
+        path.write_text(json.dumps({"A": [2], "C": [2], "action": [[[1]]],
+                                    "cocycle": [[[1], [1], [value]]]}))
+        for command in ("cliff", "cliff-oracle"):
+            proc = run_cli(command, "--fixture", str(path))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(payload(proc)["payload"])
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0]["census"] == {"1": 4}
+    assert outputs[1]["degrees"] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("entry", [[[3], [1], [1]], [[1], [1], [1, 0]]],
+                         ids=["key-not-in-C", "value-of-wrong-length"])
+@pytest.mark.parametrize("command", ["cliff", "cliff-oracle"])
+def test_cliff_malformed_cocycle_entry_is_domain_error(tmp_path, command,
+                                                       entry):
+    path = tmp_path / "bad-cocycle.json"
+    path.write_text(json.dumps({"A": [2], "C": [2], "action": [[[1]]],
+                                "cocycle": [entry]}))
+    _domain_error(run_cli(command, "--fixture", str(path)), "InvalidFixture")
+
+
 def test_d2n_negative_q_is_domain_error():
     proc = run_cli("d2n", "--n", "2", "--q", "-3", "--cycles", "1,1")
     _domain_error(proc, "InvalidCycleType")

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidor.clifford import (
+    CensusEntry,
     ConcreteGroup,
     ExtensionDescriptor,
     Pullback,
@@ -18,6 +21,8 @@ from cuspidor.clifford import (
     random_descriptor,
     transform,
 )
+from cuspidor.clifford import (_char_act, _commutator_words,
+                               _separating_character)
 from cuspidor.cyclotomic import Cyc, cyc_sum
 from cuspidor.dixon import (
     brute_force_census,
@@ -350,3 +355,169 @@ def test_character_tables_are_row_orthogonal():
                 assert acc == Cyc.rational(ext.order() if i == j else 0)
         checked += 1
     assert checked == 12
+
+
+def test_unreduced_cocycle_values_are_reduced():
+    ext = ExtensionDescriptor([2], [2], [Mat.identity(1)],
+                              {((1,), (1,)): (5,)})
+    assert ext.cocycle == {((0,), (0,)): (0,), ((0,), (1,)): (0,),
+                           ((1,), (0,)): (0,), ((1,), (1,)): (1,)}
+    # a value with a negative coordinate, on A = Z/4 x Z/2
+    ext = ExtensionDescriptor([4, 2], [2], [Mat.identity(2)],
+                              {((1,), (1,)): (-1, 3)})
+    assert ext.z((1,), (1,)) == (3, 1)
+
+
+@pytest.mark.parametrize("cocycle", [{((3,), (1,)): (1,)},
+                                     {((1,), (1, 0)): (1,)},
+                                     {((1,), (1,)): (1, 0)},
+                                     {((1,), (1,)): ()}])
+def test_malformed_cocycle_entries_are_rejected(cocycle):
+    with pytest.raises(ValueError, match="cocycle (key|value)"):
+        ExtensionDescriptor([2], [2], [Mat.identity(1)], cocycle)
+
+
+# -- the closed forms against the group law and the Fraction census -----------
+
+def _shift(ext):
+    """t in the shifted section (t, c1) of the section-independence check."""
+    return tuple((i + 1) % d for i, d in enumerate(ext.A.factors))
+
+
+def _group_law_commutator(grp, s1, s2):
+    """s1·s2·s1^{-1}·s2^{-1} through ConcreteGroup.mul and inv."""
+    w = grp.mul(grp.mul(s1, s2), grp.mul(grp.inv(s1), grp.inv(s2)))
+    assert w[1] == grp.ext.C.zero
+    return w[0]
+
+
+def _reference_verdict(ext):
+    """has_multiplicity_one with both commutators multiplied out in B."""
+    grp = ConcreteGroup(ext)
+    cs = list(ext.C.elements())
+    for c1 in cs:
+        for c2 in cs:
+            quot = ext.coinvariant_quotient(c1, c2)
+            cls = quot.project(_group_law_commutator(
+                grp, grp.section(c1), grp.section(c2)))
+            shifted = _group_law_commutator(grp, (_shift(ext), c1),
+                                            grp.section(c2))
+            assert quot.project(shifted) == cls
+            if cls != quot.group.zero:
+                return False, (c1, c2, _separating_character(ext, quot, cls))
+    return True, None
+
+
+def _fraction_char_act(ext, c, rho):
+    m = ext.action_matrix(ext.C.neg(c))
+    return tuple(int(ext.A.char_value(rho, ext.A.apply_matrix(m, e)) * d) % d
+                 for d, e in zip(ext.A.factors, ext.A.standard_basis()))
+
+
+def _fraction_census(ext):
+    """irrep_census with Q/Z values as Fractions, one character at a time."""
+    a, cs = ext.A, list(ext.C.elements())
+    seen, entries = set(), []
+    for rho in a.characters():
+        if rho in seen:
+            continue
+        orbit = {_fraction_char_act(ext, cc, rho) for cc in cs}
+        seen |= orbit
+        stab = [cc for cc in cs if _fraction_char_act(ext, cc, rho) == rho]
+        pairs = {(c1, c2): a.char_value(rho, ext.z(c1, c2))
+                 for c1 in stab for c2 in stab}
+        radical = [c1 for c1 in stab
+                   if all((pairs[(c1, c2)] - pairs[(c2, c1)]) % 1 == 0
+                          for c2 in stab)]
+        m = math.isqrt(len(stab) // len(radical))
+        assert m * m * len(radical) == len(stab)
+        entries.append(CensusEntry(len(orbit) * m, len(orbit), m,
+                                   len(stab) // (m * m), rho))
+    return entries
+
+
+@st.composite
+def descriptors(draw):
+    """random_descriptor(random.Random(k), 128); on half of the draws, the
+    first k' >= k whose action is not trivial."""
+    k = draw(st.integers(0, 10 ** 6))
+    acting = draw(st.booleans())
+    while True:
+        ext = random_descriptor(random.Random(k), max_order=128)
+        ident = Mat.identity(len(ext.A.factors))
+        if not acting or any(g != ident for g in ext.action):
+            return ext
+        k += 1
+
+
+def bilinear_z2xz4_descriptor():
+    """A = Z/2 x Z/4 central, C = (Z/4)^2, z(c1, c2) = c1[0]·c2[1]·(0, 1).
+
+    The commutator pairing of the order-4 character rho = (0, 1) takes
+    values of order 4 although A has a factor 2, and its radical is 0.
+    """
+    return ExtensionDescriptor(
+        [2, 4], [4, 4], [Mat.identity(2)] * 2,
+        lambda c1, c2: (0, c1[0] * c2[1] % 4))
+
+
+FIXTURES = [q8_descriptor(), dihedral8_central_descriptor(),
+            dihedral8_cyclic_descriptor(), bilinear_z2xz4_descriptor()]
+SAMPLE = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def check_closed_form_commutators(ext):
+    grp = ConcreteGroup(ext)
+    t = _shift(ext)
+    for c1 in ext.C.elements():
+        for c2 in ext.C.elements():
+            word, shifted = _commutator_words(ext, c1, c2)
+            assert word == _group_law_commutator(grp, grp.section(c1),
+                                                 grp.section(c2))
+            assert shifted == _group_law_commutator(grp, (t, c1),
+                                                    grp.section(c2))
+            quot, cls = commutator_function(ext, c1, c2)
+            assert cls == quot.project(word)
+
+
+def check_against_the_fraction_code(ext):
+    ok, witness = has_multiplicity_one(ext)
+    ref_ok, ref_witness = _reference_verdict(ext)
+    assert ok == ref_ok
+    if not ok:
+        assert witness[:2] == ref_witness[:2]
+        assert [witness[2](a) for a in ext.A.elements()] == \
+            [ref_witness[2](a) for a in ext.A.elements()]
+    assert [e.to_json() for e in irrep_census(ext)] == \
+        [e.to_json() for e in _fraction_census(ext)]
+    for c in ext.C.elements():
+        for rho in ext.A.characters():
+            assert _char_act(ext, c, rho) == _fraction_char_act(ext, c, rho)
+
+
+@pytest.mark.parametrize("ext", FIXTURES,
+                         ids=["q8", "d8", "d8-cyclic", "bilinear-z2xz4"])
+def test_closed_form_commutators_on_the_fixtures(ext):
+    check_closed_form_commutators(ext)
+    check_against_the_fraction_code(ext)
+
+
+def test_census_of_the_bilinear_fixture():
+    # rho = (0, 1) has stabilizer C and a pairing with radical 0: one
+    # irreducible of dimension 4 above it
+    census = {tuple(e.orbit_rep): (e.dimension, e.count)
+              for e in irrep_census(bilinear_z2xz4_descriptor())}
+    assert census[(0, 1)] == (4, 1)
+    assert census[(0, 0)] == (1, 16)
+
+
+@SAMPLE
+@given(descriptors())
+def test_closed_form_commutators_match_the_group_law(ext):
+    check_closed_form_commutators(ext)
+
+
+@SAMPLE
+@given(descriptors())
+def test_integer_census_and_verdict_match_the_fraction_code(ext):
+    check_against_the_fraction_code(ext)
