@@ -44,7 +44,7 @@ class ExtensionDescriptor:
     A-elements.  The twisted 2-cocycle identity is validated on construction.
     """
 
-    def __init__(self, a_factors, c_factors, action, cocycle, validate=True):
+    def __init__(self, a_factors, c_factors, action, cocycle):
         self.A = FinAb.abstract(a_factors)
         self.C = FinAb.abstract(c_factors)
         self.action = tuple(action)
@@ -57,8 +57,7 @@ class ExtensionDescriptor:
             (c1, c2): cocycle(c1, c2)
             for c1 in self.C.elements() for c2 in self.C.elements()}
         self.cocycle = self._normalize(raw)
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -121,6 +120,15 @@ class ExtensionDescriptor:
         return out
 
     def _validate(self):
+        """Given a normalized z and a C-action, the cocycle identity runs c2
+        over ``C.standard_basis()`` only, |C|²·rank C, by Light's test
+        (Clifford–Preston, *The Algebraic Theory of Semigroups* I, §1.2): the
+        bracketings of (a1, c1)(a2, c2)(a3, c3) differ by the identity's
+        defect at (c1, c2, c3), so L = {g : (xg)y = x(gy) for all x, y} holds
+        (a, c2) iff it holds at all (c1, c2, c3), as it does for c2 = 0.  L is
+        closed under products, (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) =
+        x((gh)y), and (a, 0)(x, c) = (a + x, c): L = B once it holds (0, e_j).
+        """
         if self.order() > 4096:
             raise TooLarge("extension too large to validate")
         cs = list(self.C.elements())
@@ -139,14 +147,8 @@ class ExtensionDescriptor:
             for a in self.A.standard_basis():
                 if self.A.apply_matrix(m, a) != a:
                     raise ValueError("action order incompatible with C")
-        # twisted cocycle identity
-        if len(cs) ** 3 <= 200000:
-            triples = itertools.product(cs, repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.choice(cs), rng.choice(cs), rng.choice(cs))
-                       for _ in range(5000))
-        for c1, c2, c3 in triples:
+        # twisted cocycle identity, c2 running over generators
+        for c1, c2, c3 in itertools.product(cs, self.C.standard_basis(), cs):
             lhs = self.A.add(self.act(c1, self.z(c2, c3)),
                              self.z(c1, self.C.add(c2, c3)))
             rhs = self.A.add(self.z(c1, c2), self.z(self.C.add(c1, c2), c3))

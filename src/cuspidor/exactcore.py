@@ -737,22 +737,14 @@ def solve_mod(a: Mat, b, n: int):
     return list(v.apply(z)[:a.ncols])
 
 
-def abelian_basis(elements, mul, identity):
-    """The SNF presentation of the finite group on ``elements`` under ``mul``.
-
-    Generators are taken greedily from ``elements``: each one not yet
-    reached by words in the earlier ones.  A breadth-first search writes
-    every element x as a word w(x) in Z^k, and the Schreier relations
-    w(x) + e_i - w(x g_i) span the relation lattice of the abelianization
-    (Cohen, GTM 138, §2.4).  Its Smith normal form U R V = D gives the
-    invariant factors d_1 | d_2 | ... (those > 1, ascending) and
-    coords[x] = w(x)·V mod d_j, a homomorphism onto ⊕ Z/d_j that is a
-    bijection exactly when the group is abelian.  Returns
-    (factors, basis, coords) with coords[basis[j]] = e_j.
+def generating_words(elements, mul, identity):
+    """(gens, word): greedy generators from ``elements`` (each one not yet
+    reached by the earlier ones) and a word in Z^k for each element that
+    right multiplication reaches from ``identity``: all of them, if it is a
+    left identity, each then a product of ``identity`` and ``gens``.
     """
-    elems = list(elements)
     gens, word = [], {identity: ()}
-    for g in elems:
+    for g in elements:
         if g in word:
             continue
         gens.append(g)
@@ -769,10 +761,27 @@ def abelian_basis(elements, mul, identity):
                         word[y] = tuple(w)
                         nxt.append(y)
             frontier = nxt
+    k = len(gens)
+    return gens, {x: w + (0,) * (k - len(w)) for x, w in word.items()}
+
+
+def abelian_basis(elements, mul, identity):
+    """The SNF presentation of the finite group on ``elements`` under ``mul``.
+
+    ``generating_words`` writes every element x as a word w(x) in Z^k in
+    greedy generators g_i, and the Schreier relations
+    w(x) + e_i - w(x g_i) span the relation lattice of the abelianization
+    (Cohen, GTM 138, §2.4).  Its Smith normal form U R V = D gives the
+    invariant factors d_1 | d_2 | ... (those > 1, ascending) and
+    coords[x] = w(x)·V mod d_j, a homomorphism onto ⊕ Z/d_j that is a
+    bijection exactly when the group is abelian.  Returns
+    (factors, basis, coords) with coords[basis[j]] = e_j.
+    """
+    elems = list(elements)
+    gens, word = generating_words(elems, mul, identity)
     if not gens:
         return [], [], {identity: ()}
     k = len(gens)
-    word = {x: w + (0,) * (k - len(w)) for x, w in word.items()}
     rels = dict.fromkeys(
         tuple(a + (j == i) - b
               for j, (a, b) in enumerate(zip(wx, word[mul(x, g)])))

@@ -168,6 +168,18 @@ def test_cliff_rejected_descriptor_is_domain_error(tmp_path):
     _domain_error(run_cli("cliff", "--fixture", str(path)), "InvalidFixture")
 
 
+def test_cliff_rejects_a_cocycle_broken_off_the_old_sample(tmp_path):
+    # the carry cocycle of Z/4 -> Z/128 -> Z/64 with z(2, 11) flipped: the
+    # 2-cocycle identity fails at (1, 1, 11), among others
+    cocycle = [[[c1], [c2], [1]] for c1 in range(64) for c2 in range(64)
+               if c1 + c2 >= 64]
+    cocycle.append([[2], [11], [1]])
+    path = tmp_path / "z64.json"
+    path.write_text(json.dumps({"A": [2], "C": [64], "action": [[[1]]],
+                                "cocycle": cocycle}))
+    _domain_error(run_cli("cliff", "--fixture", str(path)), "InvalidFixture")
+
+
 def test_cliff_oracle_reduces_an_unreduced_cocycle_value(tmp_path):
     # z(1, 1) = 5 is the element 1 of Z/2: the group is Z/4 either way
     outputs = []
@@ -208,6 +220,38 @@ def test_unreadable_fixture_is_domain_error(tmp_path, command, flag, content):
     if content is not None:
         path.write_text(content)
     _domain_error(run_cli(command, flag, str(path)), "InvalidFixture")
+
+
+def _family(elements, table, points, action, eta=()):
+    return {"group": {"elements": elements, "table": table},
+            "set": {"elements": points, "action": action}, "eta": list(eta)}
+
+
+Z2_TABLE = [[[0], [1]], [[1], [0]]]
+TEN_POINTS = [[i] for i in range(10)]
+
+
+@pytest.mark.parametrize("family", [
+    # the identity swaps the two points
+    _family([[0], [1]], Z2_TABLE, [[0], [1]],
+            [[[g], [u], [1 - u]] for g in range(2) for u in range(2)]),
+    # the Cech identity fails at (1, 8, 9, 0), past the eighth point
+    _family([[0]], [[[0]]], TEN_POINTS, [[[0], u, u] for u in TEN_POINTS],
+            [[[8], [9], [0], "1/2"]]),
+    # no identity element
+    _family([[0], [1]], [[[0], [0]], [[0], [0]]], [], []),
+    # 1 has no inverse
+    _family([[0], [1]], [[[0], [1]], [[1], [1]]], [], []),
+    # one row for two elements
+    _family([[0], [1]], Z2_TABLE[:1], [], []),
+], ids=["identity-moves-points", "cech-past-point-8", "no-identity",
+        "no-inverse", "missing-row"])
+def test_cocycle_split_invalid_family_is_domain_error(tmp_path, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    proc = run_cli("cocycle-split", "--family", str(path))
+    _domain_error(proc, "InvalidFixture")
+    assert "Traceback" not in proc.stderr
 
 
 def _usage_error(proc, flag):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -521,3 +522,83 @@ def test_closed_form_commutators_match_the_group_law(ext):
 @given(descriptors())
 def test_integer_census_and_verdict_match_the_fraction_code(ext):
     check_against_the_fraction_code(ext)
+
+
+# -- the generator-cost cocycle check against the full |C|^3 sweep ------------
+
+def _full_sweep_accepts(ext, cocycle):
+    """The old validation of ``cocycle`` over ext's groups and action: the
+    normalization ExtensionDescriptor applies, z(0, .) = z(., 0) = 0, and the
+    twisted cocycle identity on all |C|^3 triples."""
+    a, c = ext.A, ext.C
+    cs = list(c.elements())
+    z00 = cocycle[(c.zero, c.zero)]
+    z = {(c1, c2): a.add(v, a.neg(ext.act(c1, z00)))
+         for (c1, c2), v in cocycle.items()}
+    if any(z[(c.zero, x)] != a.zero or z[(x, c.zero)] != a.zero for x in cs):
+        return False
+    return all(a.add(ext.act(c1, z[(c2, c3)]), z[(c1, c.add(c2, c3))])
+               == a.add(z[(c1, c2)], z[(c.add(c1, c2), c3)])
+               for c1, c2, c3 in itertools.product(cs, repeat=3))
+
+
+def _validator_accepts(ext, cocycle):
+    try:
+        ExtensionDescriptor(ext.A.factors, ext.C.factors, ext.action, cocycle)
+    except ValueError:
+        return False
+    return True
+
+
+def _shifted_cocycles(ext, rng, count):
+    """``count`` copies of ext's cocycle, each with one value moved by a
+    non-zero element of A."""
+    keys = sorted(ext.cocycle)
+    nonzero = [x for x in ext.A.elements() if x != ext.A.zero]
+    for _ in range(count):
+        key = rng.choice(keys)
+        cocycle = dict(ext.cocycle)
+        cocycle[key] = ext.A.add(cocycle[key], rng.choice(nonzero))
+        yield cocycle
+
+
+def _inflated_cocycles(ext, rng):
+    """ext's cocycle plus g(c1[j], c2[j]), one random normalized g per
+    coordinate j of C.  The sum passes the identity at every c2 = e_i with
+    i != j, so only e_j can reject it; a one-value shift is caught by any
+    single generator."""
+    a = ext.A
+    for j, d in enumerate(ext.C.factors):
+        g = {(x, y): rng.choice(list(a.elements())) if x and y else a.zero
+             for x in range(d) for y in range(d)}
+        yield {(c1, c2): a.add(v, g[(c1[j], c2[j])])
+               for (c1, c2), v in ext.cocycle.items()}
+
+
+def test_cocycle_check_matches_the_full_sweep_on_perturbed_cocycles():
+    rng = random.Random(11)
+    verdicts = []
+    for k in range(150):
+        ext = random_descriptor(random.Random(k), max_order=256)
+        for cocycle in itertools.chain(_shifted_cocycles(ext, rng, 2),
+                                       _inflated_cocycles(ext, rng)):
+            verdict = _validator_accepts(ext, cocycle)
+            assert verdict == _full_sweep_accepts(ext, cocycle), (k, cocycle)
+            verdicts.append(verdict)
+    assert 0 < verdicts.count(True) < len(verdicts)
+
+
+@pytest.mark.parametrize("a, c, action, z", [
+    ([2], [64], [Mat.identity(1)], lambda c1, c2: ((c1[0] + c2[0]) // 64,)),
+    ([4], [2, 32], [Mat([[-1]]), Mat.identity(1)],
+     lambda c1, c2: (2 * ((c1[1] + c2[1]) // 32),)),
+], ids=["Z/64", "Z/2xZ/32"])
+def test_cocycle_check_matches_the_full_sweep_on_a_large_c(a, c, action, z):
+    # |C|^3 > 200000 triples: the old validator sampled 5000 of them
+    ext = ExtensionDescriptor(a, c, action, z)
+    assert _full_sweep_accepts(ext, ext.cocycle)
+    rng = random.Random(len(c))
+    for cocycle in itertools.chain(_shifted_cocycles(ext, rng, 8),
+                                   _inflated_cocycles(ext, rng)):
+        assert (_validator_accepts(ext, cocycle)
+                == _full_sweep_accepts(ext, cocycle))

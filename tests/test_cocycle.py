@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from cuspidor.cocycle import (
+    BasepointCocycle,
     EtaFamily,
     FiniteGroup,
     NoSplitting,
@@ -19,6 +21,7 @@ from cuspidor.cocycle import (
     is_homomorphism,
     splitting_difference,
 )
+from cuspidor.cocycle import _assert_cocycle
 from cuspidor.errors import DifferentOrbits, NotNormal, UnequalStabilizers
 
 
@@ -257,3 +260,212 @@ def test_not_normal_raises():
     base = next(u for u in xset if (0, 1, 2) in u)
     with pytest.raises(NotNormal):
         eta_cocycle(fam, base)
+
+
+# -- the generator-cost validators against the full sweeps --------------------
+
+def s3():
+    perms = list(itertools.permutations(range(3)))
+    return FiniteGroup(perms, lambda a, b: tuple(a[b[i]] for i in range(3)))
+
+
+def s3_times_z2():
+    g1, g2 = s3(), zmod(2)
+    els = list(itertools.product(g1.elements, g2.elements))
+    return FiniteGroup(els, lambda a, b: (g1.mul(a[0], b[0]),
+                                          g2.mul(a[1], b[1])))
+
+
+TABLE_GROUPS = pytest.mark.parametrize(
+    "make", [lambda: abelian_group([2, 4]), s3, s3_times_z2],
+    ids=["Z2xZ4", "S3", "S3xZ2"])
+
+
+def _is_group_by_full_sweep(elements, table):
+    """A two-sided identity, an inverse for every element, and
+    associativity on all |G|^3 triples."""
+    def mul(a, b):
+        return table[(a, b)]
+
+    ids = [e for e in elements
+           if all(mul(e, x) == x == mul(x, e) for x in elements)]
+    return (bool(ids)
+            and all(any(mul(a, x) == ids[0] for x in elements)
+                    for a in elements)
+            and all(mul(mul(a, b), c) == mul(a, mul(b, c))
+                    for a, b, c in itertools.product(elements, repeat=3)))
+
+
+def _table_is_accepted(elements, table):
+    try:
+        FiniteGroup(elements, lambda a, b: table[(a, b)])
+    except ValueError:
+        return False
+    return True
+
+
+def _intercalates(elements, table, e):
+    """Tables with one 2x2 Latin subsquare off the identity's row and column
+    swapped: Latin squares with an identity, so inverses exist."""
+    others = [x for x in elements if x != e]
+    for a, b in itertools.combinations(others, 2):
+        for c, d in itertools.combinations(others, 2):
+            if (table[(a, c)] == table[(b, d)]
+                    and table[(a, d)] == table[(b, c)]):
+                out = dict(table)
+                out[(a, c)], out[(a, d)] = table[(a, d)], table[(a, c)]
+                out[(b, c)], out[(b, d)] = table[(b, d)], table[(b, c)]
+                yield out
+
+
+@TABLE_GROUPS
+def test_associativity_check_matches_the_full_sweep(make):
+    g = make()
+    els = g.elements
+    table = {(a, b): g.mul(a, b) for a in els for b in els}
+    assert _table_is_accepted(els, table)
+    rng = random.Random(len(els))
+    broken = []
+    for key in rng.sample(sorted(table), 30):
+        one_cell = dict(table)
+        one_cell[key] = rng.choice([x for x in els if x != table[key]])
+        broken.append(one_cell)
+    broken += list(_intercalates(els, table, g.identity))[:10]
+    for t in broken:
+        assert _table_is_accepted(els, t) == _is_group_by_full_sweep(els, t)
+
+
+@TABLE_GROUPS
+def test_generators_generate_and_decide_commutativity(make):
+    g = make()
+    reached, frontier = {g.identity}, [g.identity]
+    while frontier:
+        frontier = [y for x in frontier for y in
+                    {g.mul(x, s) for s in g.generators} - reached]
+        reached.update(frontier)
+    assert reached == set(g.elements)
+    assert g.is_abelian() == all(g.mul(a, b) == g.mul(b, a)
+                                 for a in g.elements for b in g.elements)
+
+
+def _family_by_full_sweep(group, xs, act, eta):
+    """The degenerate-triple law, the action law on all of G x G x X, the
+    Cech identity on X^4 and invariance under every element on X^3."""
+    els, triples = group.elements, list(itertools.product(xs, repeat=3))
+    return (all(eta(u, u, v) == 0 == eta(u, v, v) for u in xs for v in xs)
+            and all(act(g, u) in xs for g in els for u in xs)
+            and all(act(group.identity, u) == u for u in xs)
+            and all(act(group.mul(g, h), u) == act(g, act(h, u))
+                    for g in els for h in els for u in xs)
+            and all((eta(u2, u3, u4) - eta(u1, u3, u4) + eta(u1, u2, u4)
+                     - eta(u1, u2, u3)) % 1 == 0
+                    for u1, u2, u3, u4 in itertools.product(xs, repeat=4))
+            and all(eta(act(g, u1), act(g, u2), act(g, u3))
+                    == eta(u1, u2, u3) for g in els for u1, u2, u3 in triples))
+
+
+def _family_is_accepted(group, xs, act, eta):
+    try:
+        EtaFamily(group, xs, act, eta)
+    except ValueError:
+        return False
+    return True
+
+
+def _coboundary_eta(xs, phi):
+    return {(u, v, w): (phi[(u, v)] + phi[(v, w)] - phi[(u, w)]) % 1
+            for u, v, w in itertools.product(xs, repeat=3)}
+
+
+def _phi(xs, rng, orbit_rep):
+    """A random 1/4-valued phi with phi(u, u) = 0, constant on the classes
+    of ``orbit_rep``."""
+    values = {}
+    for u, v in itertools.product(xs, repeat=2):
+        values.setdefault(orbit_rep(u, v), Fraction(rng.randrange(4), 4))
+    return {(u, v): 0 if u == v else values[orbit_rep(u, v)]
+            for u, v in itertools.product(xs, repeat=2)}
+
+
+def z3_on_nine_points():
+    g = zmod(3)
+    return g, list(range(9)), {(a, u): (u + 3 * a[0]) % 9
+                               for a in g.elements for u in range(9)}
+
+
+def klein_on_twelve_points():
+    g = klein()
+    xs = [(x, i) for x in g.elements for i in range(3)]
+    return g, xs, {(a, u): (g.mul(a, u[0]), u[1])
+                   for a in g.elements for u in xs}
+
+
+@pytest.mark.parametrize("make", [z3_on_nine_points, klein_on_twelve_points],
+                         ids=["Z3-on-9", "klein-on-12"])
+def test_family_checks_match_the_full_sweeps(make):
+    group, xs, action = make()
+    rng = random.Random(len(xs))
+
+    def orbit_rep(u, v):
+        return min((action[(a, u)], action[(a, v)]) for a in group.elements)
+
+    invariant = _coboundary_eta(xs, _phi(xs, rng, orbit_rep))
+    # d(phi) with phi not invariant: the Cech identity holds, invariance fails
+    moved = _coboundary_eta(xs, _phi(xs, rng, lambda u, v: (u, v)))
+    cases = [(action, invariant), (action, moved)]
+    # one value moved on a whole orbit of triples: invariance still holds
+    for _ in range(15):
+        eta = dict(invariant)
+        u1, u2, u3 = rng.choice(sorted(eta))
+        shift = Fraction(rng.randrange(1, 4), 4)
+        for key in {(action[(a, u1)], action[(a, u2)], action[(a, u3)])
+                    for a in group.elements}:
+            eta[key] = (eta[key] + shift) % 1
+        cases.append((action, eta))
+    for _ in range(10):
+        act = dict(action)
+        key = rng.choice(sorted(act))
+        act[key] = rng.choice([u for u in xs if u != act[key]])
+        cases.append((act, invariant))
+    verdicts = []
+    for act, eta in cases:
+        args = (group, xs, lambda a, u: act[(a, u)],
+                lambda u, v, w: eta[(u, v, w)])
+        verdicts.append(_family_is_accepted(*args))
+        assert verdicts[-1] == _family_by_full_sweep(*args)
+    assert verdicts[:2] == [True, False]
+
+
+@TABLE_GROUPS
+def test_basepoint_cocycle_check_matches_the_full_sweep(make):
+    q = make()
+    els = q.elements
+    rng = random.Random(len(els))
+    eps = {g: Fraction(rng.randrange(6), 6) for g in els}
+    eps[q.identity] = Fraction(0)
+    table = {(a, b): (eps[a] + eps[b] - eps[q.mul(a, b)]) % 1
+             for a in els for b in els}
+    tables = [table]
+    for key in rng.sample(sorted(table), 30):
+        t = dict(table)
+        t[key] = (t[key] + Fraction(rng.randrange(1, 6), 6)) % 1
+        tables.append(t)
+    verdicts = []
+    for t in tables:
+        z = BasepointCocycle(q, None, t, None)
+        try:
+            _assert_cocycle(z)
+            verdicts.append(True)
+        except ValueError:
+            verdicts.append(False)
+        assert verdicts[-1] == (
+            all(z(q.identity, a) == 0 == z(a, q.identity) for a in els)
+            and all((z(b, c) - z(q.mul(a, b), c) + z(a, q.mul(b, c))
+                     - z(a, b)) % 1 == 0
+                    for a, b, c in itertools.product(els, repeat=3)))
+    assert verdicts[0] and not all(verdicts)
+
+
+def test_family_on_an_empty_set_is_accepted():
+    fam = EtaFamily(klein(), [], regular_action(klein()), lambda u, v, w: 0)
+    assert fam.xset == ()
