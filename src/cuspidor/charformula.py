@@ -204,53 +204,56 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     convention a_{-alpha} = -a_alpha.
     """
     t = theta.torus
-    _check_point(t, gamma)
+    x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    factors, skipped = _delta_factors(t, gamma, chi, a, field)
+    factors, skipped = _delta_factors(_orbit_rows(t, chi, a), x,
+                                      field.sign_table(theta.exponent))
     return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
                        factors)
 
 
-def _delta_factors(t, gamma, chi, a, field):
-    """The orbit factors of delta_II at a checked point, and the skipped reps."""
+def _orbit_rows(t, chi, a):
+    """(rep, alpha row on S(k), sign of a_alpha) per symmetric orbit."""
+    return [(orbit.rep, t.root_row(orbit.rep), a.sign(orbit.rep))
+            for orbit in chi.orbits if orbit.kind == SYMMETRIC_UNRAMIFIED]
+
+
+def _delta_factors(orbit_rows, x, signs):
+    """The orbit factors of delta_II at S(k) coordinates x, and the skipped reps."""
     skipped = []
     factors = {}
-    for orbit in chi.orbits:
-        if orbit.kind != SYMMETRIC_UNRAMIFIED:
-            continue
-        f = _orbit_factor(t, t.rd, orbit, orbit.rep, gamma, a, field)
+    for rep, row, a_sign in orbit_rows:
+        f = _orbit_factor(row, x, signs)
         if f is None:
-            skipped.append(orbit.rep)
+            skipped.append(rep)
             continue
-        factors[tuple(orbit.rep)] = f
+        factors[tuple(rep)] = f * a_sign
     return factors, skipped
 
 
-def _check_point(t, gamma: QV):
-    """Raise InvalidPoint unless gamma is a point of S(k) = ker(F - 1)."""
+def _check_point(t, gamma: QV) -> tuple:
+    """The S(k) coordinates of gamma; InvalidPoint unless it is in S(k) = ker(F - 1)."""
     if len(gamma.coords) != t.rd.rank:
         raise InvalidPoint(f"point has {len(gamma.coords)} coordinates, "
                            f"the torus has rank {t.rd.rank}")
-    if not t.rational_points(1).contains(gamma):
-        raise InvalidPoint(f"point {gamma!r} is not in S(k) = ker(F - 1)")
+    try:
+        return t.rational_points(1).project(gamma)
+    except ValueError:
+        raise InvalidPoint(
+            f"point {gamma!r} is not in S(k) = ker(F - 1)") from None
 
 
-def _orbit_factor(t, rd, orbit, rep, gamma, a: ModAData, field, rep_sign=1):
-    """sgn((alpha(gamma)-1)/a) for one orbit representative, or None."""
-    pairing = rd.pairing_row(rep)
-    val = sum((Fraction(r) * c for r, c in zip(pairing, gamma.coords)),
-              Fraction(0)) % 1
-    m = t.splitting_degree
-    card = field.q - 1
-    if card % val.denominator:
+def _orbit_factor(row, x, signs):
+    """sgn(alpha(gamma) - 1) for alpha's row on S(k) at coordinates x, or None.
+
+    ``signs`` is the field's ``sign_table`` at e = exp S(k) = len(signs),
+    and alpha(gamma) = zeta^k with k the dot product of row and x mod e.
+    """
+    s = signs[sum(r * c for r, c in zip(row, x)) % len(signs)]
+    if s == 0:
         raise NotRealizable("alpha(gamma) does not live in the splitting field")
-    x = field.gen_power(val.numerator * (card // val.denominator))
-    if x == field.one:
-        return None
-    num = field.sub(x, field.one)
-    sgn = field.sgn(num) * a.sign(orbit.rep) * rep_sign
-    return sgn
+    return s
 
 
 def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
@@ -261,8 +264,7 @@ def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
     a_{-alpha} = -a_alpha.
     """
     t = theta.torus
-    rd = t.rd
-    _check_point(t, gamma)
+    x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
     if tuple(rep) not in {tuple(r) for r in orbit.roots}:
@@ -275,9 +277,10 @@ def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
         translates.add(cur)
         cur = tuple(t.w.matrix.apply(cur))
     sign_flip = 1 if tuple(rep) in translates else -1
-    f = _orbit_factor(t, rd, orbit, rep, gamma, a, field)
+    f = _orbit_factor(t.root_row(rep), x, field.sign_table(theta.exponent))
     if f is None:
         return None
+    f = f * a.sign(orbit.rep)
     if sign_flip == -1:
         f = f * field.sgn(field.neg(field.one))
     return f
@@ -290,23 +293,34 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
 
     ``weyl_set`` is the finite model of N(S,G)(F)/S(F): matrices commuting
     with the twist.  The leading constants (Kottwitz sign, discriminant,
-    epsilon factor) default to 1 and scale the result symbolically.  Each
-    term is a sign times a root of unity, so the sum is one signed
-    histogram of exponents at the lcm n of theta's denominators, and one
-    Cyc of conductor n.  gamma is checked once: the Weyl images of a point
-    of S(k) stay in S(k).
+    epsilon factor) default to 1 and scale the result symbolically.
+
+    Everything runs on S(k) coordinates with e = exp S(k): gamma is
+    projected once (the Weyl images of a point of S(k) stay in S(k)),
+    gamma^w is the torus's integer matrix of w^-1 on those coordinates,
+    theta(gamma^w) and each alpha(gamma^w) are integer dot products mod e,
+    and sgn(alpha(gamma^w) - 1) is read from the field's sign table.  Each
+    term is a sign times zeta_e^k, so the sum is one signed histogram at
+    n = e / gcd(e, every k met), the lcm of theta's denominators, and one
+    Cyc of conductor n.
     """
     t = theta.torus
-    _check_point(t, gamma)
+    x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    terms = []                  # (sign of delta_II, theta) per w, theta in Q/Z
+    e = theta.exponent
+    signs = field.sign_table(e)
+    dims = theta.group.factors
+    orbit_rows = _orbit_rows(t, chi, a)
+    counts = [0] * e            # signed count of the terms at zeta_e^k
+    g = 0                       # gcd of the k met, so n = e / gcd(e, g)
     for m in weyl_set:
-        gw = QV(t.inverse_action(m).apply(gamma.coords))
-        factors, _ = _delta_factors(t, gw, chi, a, field)
-        terms.append((math.prod(factors.values()), theta.on_vector(gw)))
-    n = math.lcm(*(x.denominator for _, x in terms))
-    counts = [0] * n
-    for sign, x in terms:
-        counts[x.numerator * (n // x.denominator)] += sign * leading
-    return Cyc.from_root_multiplicities(n, counts)
+        xw = tuple(sum(r * c for r, c in zip(row, x)) % d
+                   for row, d in zip(t.inverse_on_points(m), dims))
+        signed, _ = _delta_factors(orbit_rows, xw, signs)
+        k = theta.scaled(xw)
+        counts[k] += math.prod(signed.values())
+        g = math.gcd(g, k)
+    step = math.gcd(e, g)       # every k met is a multiple of step
+    total = Cyc.from_root_multiplicities(e // step, counts[::step])
+    return total if leading == 1 else total * leading

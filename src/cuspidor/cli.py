@@ -254,6 +254,17 @@ def _family_from_json(data) -> EtaFamily:
                for a, u, v in data["set"]["action"]}
     eta_map = {(tuple(u1), tuple(u2), tuple(u3)): Fraction(v)
                for u1, u2, u3, v in data["eta"]}
+    # the maps are only ever read on G and X, so an entry off them would be
+    # dropped unseen
+    points, elements = set(xset), set(g.elements)
+    for (a, u), v in act_map.items():
+        if a not in elements or u not in points or v not in points:
+            raise ValueError(f"action entry {list(a)}, {list(u)} -> {list(v)} "
+                             "lies outside G x X -> X")
+    for key in eta_map:
+        if not points.issuperset(key):
+            raise ValueError(f"eta entry at {[list(u) for u in key]} "
+                             "names a point outside X")
     return EtaFamily(g, xset, lambda a, u: act_map[(a, u)],
                      lambda u1, u2, u3: eta_map.get((u1, u2, u3), 0))
 

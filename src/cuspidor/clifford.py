@@ -262,13 +262,17 @@ class ConcreteGroup:
             out = math.lcm(out, k)
         return out
 
-    def is_abelian(self) -> bool:
-        """Do the generators (e_i, 0) and (0, f_j) of B commute pairwise?"""
+    @cached_property
+    def generators(self):
+        """(e_i, 0) and (0, f_j): they generate B, as (a, 0)(0, c) = (a, c)."""
         zero_a, zero_c = self.ext.A.zero, self.ext.C.zero
-        gens = ([(a, zero_c) for a in self.ext.A.standard_basis()]
+        return ([(a, zero_c) for a in self.ext.A.standard_basis()]
                 + [(zero_a, c) for c in self.ext.C.standard_basis()])
+
+    def is_abelian(self) -> bool:
+        """Do the generators of B commute pairwise?"""
         return all(self.mul(x, y) == self.mul(y, x)
-                   for x, y in itertools.combinations(gens, 2))
+                   for x, y in itertools.combinations(self.generators, 2))
 
     def conjugacy_classes(self):
         """The classes as sorted tuples of pairs, in sorted order."""

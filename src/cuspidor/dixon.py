@@ -111,6 +111,53 @@ def brute_force_census(group: ConcreteGroup) -> CharacterTable:
 
 
 def _validate_table(table, group):
+    """The table's exact check: at generator cost for an abelian B, else pairwise."""
+    if group.is_abelian():
+        _validate_abelian_table(table, group)
+    else:
+        _validate_orthogonality(table, group)
+
+
+def _validate_abelian_table(table, group):
+    """|B| distinct linear characters, checked at |B|^2 rank, exactly.
+
+    Checked: there are |B| rows, every value is a single e-th root of unity
+    (so every degree is 1), each row is multiplicative, chi(gh) =
+    chi(g) chi(h) for g over ``group.generators`` and h over B, and the
+    rows are pairwise distinct.  That is the full orthogonality sweep:
+    - the g with chi(gh) = chi(g) chi(h) for every h are closed under
+      products (chi(g1 g2 h) = chi(g1) chi(g2) chi(h) = chi(g1 g2) chi(h)),
+      so in the finite B they form the subgroup the generators generate,
+      which is B: each row is a homomorphism B -> C^x (and chi(1) = 1
+      follows from chi(g) = chi(g) chi(1));
+    - for two distinct homomorphisms chi != psi, chi conj(psi) is a
+      nontrivial homomorphism, and multiplying its sum over B by a value
+      chi conj(psi)(g0) != 1 only permutes the terms, so the rows are
+      orthogonal; each row has norm |B| since every value has modulus 1;
+    - |B| distinct homomorphisms are all of the dual group.
+    """
+    order = len(group.elements)
+    if len(table.mults) != order or len(table.classes) != order:
+        raise ArithmeticError("#irreducibles != |B|")
+    e = table.exponent
+    cls = [table.class_of[x] for x in group.elements]
+    rows = set()
+    gens = [group.number[g] for g in group.generators]
+    mul = group.table
+    for row in table.terms:
+        if any(len(t) != 1 or t[0][1] != 1 for t in row):
+            raise ArithmeticError("a character of an abelian group has "
+                                  "degree other than 1")
+        chi = [row[k][0][0] for k in cls]       # exponent of chi at each x
+        if any(chi[mul[g][h]] != (chi[g] + chi[h]) % e
+               for g in gens for h in range(order)):
+            raise ArithmeticError("a character is not multiplicative")
+        rows.add(tuple(chi))
+    if len(rows) != order:
+        raise ArithmeticError("two characters are equal")
+
+
+def _validate_orthogonality(table, group):
     """Degree count and row orthogonality on every pair of rows, exactly.
 
     sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) = |B| [i == j] is one histogram

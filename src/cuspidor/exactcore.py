@@ -506,16 +506,19 @@ class FinAb:
         """Normal-form coordinates of an ambient vector lying in the group."""
         if self._vinv is None:
             raise ValueError("group carries no projection data")
-        y = self._vinv.apply(vec.coords)
+        if len(vec.coords) != self._vinv.ncols:
+            raise ValueError("shape mismatch")
+        # vec = nums / den on integers; the SNF coordinate y_i = (vinv nums)_i
+        # / den lies in the group iff d_i y_i is an integer
+        den = math.lcm(*(c.denominator for c in vec.coords))
+        nums = [c.numerator * (den // c.denominator) for c in vec.coords]
         coords = []
-        k = 0
-        for d, yi in zip(self._dfull, y):
-            val = _frac(yi) * d
-            if val.denominator != 1:
+        for d, row in zip(self._dfull, self._vinv.rows):
+            val, rest = divmod(sum(a * x for a, x in zip(row, nums)) * d, den)
+            if rest:
                 raise ValueError("vector is not in the group")
             if d > 1:
-                coords.append(int(val) % d)
-                k += 1
+                coords.append(val % d)
         # columns beyond len(_dfull) (free directions) must be absent here
         if len(coords) != len(self.factors):
             raise ValueError("projection data inconsistent")

@@ -117,7 +117,14 @@ def _element_is_primitive(x, modulus, p, q):
 
 
 class FiniteField:
-    """GF(p^m) with a fixed primitive generator and eager exponent/dlog tables."""
+    """GF(p^m) with a fixed primitive generator and eager exponent/dlog tables.
+
+    ``sign_table(e)`` keeps, per e asked for, the list k -> sgn(zeta^(k(q-1)/e)
+    - 1) for k mod e, zeta the generator: None where that power is 1, and 0
+    where e does not divide k (q - 1), so that the root is not in this field.
+    The table belongs to the field because zeta is the field's generator; it
+    has e entries and is built on first use.
+    """
 
     MAX_ENUM = 10 ** 6
 
@@ -149,6 +156,7 @@ class FiniteField:
         # which are the first m generator powers (for m = 1 just 1)
         self._basis_traces = tuple(self.trace_to_subfield(x, p)[0]
                                    for x in self._exp[:m])
+        self._sign_tables = {}
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -206,6 +214,25 @@ class FiniteField:
     def sgn(self, a) -> int:
         """Quadratic character of the unit a: +1 square, -1 nonsquare."""
         return -1 if self.dlog(a) % 2 else 1
+
+    def sign_table(self, e: int) -> list:
+        """sgn(zeta^(k(q-1)/e) - 1) for k = 0, ..., e - 1, zeta the generator.
+
+        The entry is None where that power is 1, and 0 where k (q - 1)/e is
+        not an integer (the e-th root of unity is not in this field).  Built
+        once per e and kept.
+        """
+        table = self._sign_tables.get(e)
+        if table is None:
+            card = self.q - 1
+            table = []
+            for k in range(e):
+                step, rest = divmod(k * card, e)
+                x = self._exp[step % card]
+                table.append(0 if rest else None if x == self.one
+                             else self.sgn(self.sub(x, self.one)))
+            self._sign_tables[e] = table
+        return table
 
     # -- subfield structure ------------------------------------------------
 

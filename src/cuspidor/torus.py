@@ -9,12 +9,17 @@ lattice-basis coordinates.
 A ``FrobeniusTorus`` computes each of its invariants once and keeps it in a
 per-instance dict: F^d, the norm matrix N_d and S(k_d) per degree d, the
 S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w), the
-action of each m in C_W(w) on the generators of S(k), and m^-1 on X^vee.
-Characters, non-singularity and Weyl stabilizers then read these tables
-instead of rebuilding matrix powers per character.  The caches are safe
-because a torus never changes after construction and the cached ``Mat`` and
-``FinAb`` values are immutable; the tables are bounded by the degrees asked
-for, |roots| x degrees, and |C_W(w)|.
+action of each m in C_W(w) on the generators of S(k), m^-1 on X^vee, the
+integer matrix of m^-1 on S(k) coordinates (``inverse_on_points``), and
+per root the integer row alpha(gens[i]) e with e = exp S(k) (``root_row``).
+Characters, non-singularity, Weyl stabilizers and the character sums of
+``charformula`` then read these tables instead of rebuilding matrix powers
+or projecting per character.  The caches are safe because a torus never
+changes after construction and the cached ``Mat``, ``FinAb`` and tuple
+values are immutable; the tables are bounded by the degrees asked for,
+|roots| x degrees, one row of rk S(k) integers per root, and one
+rk S(k) x rk S(k) integer matrix per element of C_W(w) (per distinct Weyl
+element a caller passes).
 
 Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee, the lattice
 of a connected part) are handled in the lattice-basis coordinates of
@@ -156,6 +161,30 @@ class FrobeniusTorus:
             return mc.inverse().to_int()
         return self._memo(("inverse", m), build)
 
+    def inverse_on_points(self, m: Mat) -> tuple:
+        """Rows of m^-1 on S(k) coordinates, for m commuting with the twist.
+
+        The columns are project(m^-1 gens[i]), so the coordinates of m^-1 x
+        are sum_i rows[j][i] x_i mod d_j.  Built through ``inverse_action``,
+        which rejects an m that does not commute with the twist.
+        """
+        def build():
+            return self.rational_points(1).induced(self.inverse_action(m)).rows
+        return self._memo(("inverse_points", m), build)
+
+    def root_row(self, root) -> tuple:
+        """alpha(gens[i]) e per generator of S(k), e = exp S(k).
+
+        alpha(x) = (sum_i row[i] x_i mod e) / e on S(k) coordinates x.
+        """
+        def build():
+            group = self.rational_points(1)
+            e = group.exponent
+            pairing = self.rd.pairing_row(root)
+            return tuple(int(sum(r * c for r, c in zip(pairing, g.coords)) * e)
+                         % e for g in group.gens)
+        return self._memo(("root_row", tuple(root)), build)
+
     def extension_field(self, d: int) -> FiniteField:
         """GF(q^d), the one shared copy."""
         return finite_field(self.p, self._e * d)
@@ -190,7 +219,14 @@ class FrobeniusTorus:
 
 
 class TorusCharacter:
-    """A homomorphism S(k) -> Q/Z given on normal-form coordinates."""
+    """A homomorphism S(k) -> Q/Z given on normal-form coordinates.
+
+    ``values`` are theta(gens[i]) in Q/Z; ``row`` holds the same values
+    times e = ``exponent`` = exp S(k) as integers, so theta is one integer
+    dot product mod e.
+    """
+
+    __slots__ = ("torus", "group", "values", "exponent", "row")
 
     def __init__(self, torus: FrobeniusTorus, values):
         self.torus = torus
@@ -202,10 +238,15 @@ class TorusCharacter:
             if (v * d) % 1 != 0:
                 raise InvalidCharacter(
                     "character value order incompatible with factor")
+        self.exponent = self.group.exponent
+        self.row = tuple(int(v * self.exponent) for v in self.values)
+
+    def scaled(self, coords) -> int:
+        """e theta(x) mod e at S(k) coordinates x, e = exp S(k)."""
+        return sum(a * t for a, t in zip(coords, self.row)) % self.exponent
 
     def __call__(self, coords) -> Fraction:
-        return sum((Fraction(a) * v for a, v in zip(coords, self.values)),
-                   Fraction(0)) % 1
+        return Fraction(self.scaled(coords), self.exponent)
 
     def on_vector(self, vec: QV) -> Fraction:
         return self(self.group.project(vec))
@@ -280,7 +321,7 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
     t = theta.torus
     n = t.rd.rank
     stab = [m for m, cols in t.centralizer_actions()
-            if all(theta(col) == v for col, v in zip(cols, theta.values))]
+            if all(theta.scaled(col) == r for col, r in zip(cols, theta.row))]
     order = len(stab)
     abelian = all(a * b == b * a for a in stab for b in stab)
     kind = t.rd.label

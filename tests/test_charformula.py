@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -331,3 +332,150 @@ def test_point_of_wrong_length_is_rejected():
         with pytest.raises(InvalidPoint):
             delta_II_at_representative(th, gamma, chi, a, chi.orbits[0],
                                        chi.orbits[0].rep)
+
+
+# -- frozen reference: the Fraction formulas on ambient Q/Z coordinates --------
+
+def _ref_check_point(t, gamma):
+    assert t.rational_points(1).contains(gamma)
+
+
+def _ref_orbit_factor(t, rd, orbit, rep, gamma, a, field):
+    """sgn((alpha(gamma)-1)/a) for one orbit representative, or None."""
+    from cuspidor.errors import NotRealizable
+    pairing = rd.pairing_row(rep)
+    val = sum((Fraction(r) * c for r, c in zip(pairing, gamma.coords)),
+              Fraction(0)) % 1
+    card = field.q - 1
+    if card % val.denominator:
+        raise NotRealizable("alpha(gamma) does not live in the splitting field")
+    x = field.gen_power(val.numerator * (card // val.denominator))
+    if x == field.one:
+        return None
+    num = field.sub(x, field.one)
+    return field.sgn(num) * a.sign(orbit.rep)
+
+
+def _ref_delta_factors(t, gamma, chi, a, field):
+    skipped = []
+    factors = {}
+    for orbit in chi.orbits:
+        if orbit.kind != SYMMETRIC_UNRAMIFIED:
+            continue
+        f = _ref_orbit_factor(t, t.rd, orbit, orbit.rep, gamma, a, field)
+        if f is None:
+            skipped.append(orbit.rep)
+            continue
+        factors[tuple(orbit.rep)] = f
+    return factors, skipped
+
+
+def _ref_theta_value(theta, vec):
+    """theta at an ambient point, summed as Fractions."""
+    coords = theta.group.project(vec)
+    return sum((Fraction(c) * v for c, v in zip(coords, theta.values)),
+               Fraction(0)) % 1
+
+
+def _ref_theta_sum(theta, gamma, chi, a, weyl_set, field, leading):
+    t = theta.torus
+    _ref_check_point(t, gamma)
+    terms = []
+    for m in weyl_set:
+        gw = QV(t.inverse_action(m).apply(gamma.coords))
+        factors, _ = _ref_delta_factors(t, gw, chi, a, field)
+        terms.append((math.prod(factors.values()), _ref_theta_value(theta, gw)))
+    n = math.lcm(*(x.denominator for _, x in terms))
+    counts = [0] * n
+    for sign, x in terms:
+        counts[x.numerator * (n // x.denominator)] += sign * leading
+    return Cyc.from_root_multiplicities(n, counts)
+
+
+def _ref_delta_json(theta, gamma, chi, a, field):
+    from cuspidor.charformula import DeltaResult
+    t = theta.torus
+    _ref_check_point(t, gamma)
+    factors, skipped = _ref_delta_factors(t, gamma, chi, a, field)
+    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
+                       factors).to_json()
+
+
+def _ref_delta_at_representative(theta, gamma, chi, a, orbit, rep, field):
+    t = theta.torus
+    _ref_check_point(t, gamma)
+    cur = tuple(orbit.rep)
+    translates = set()
+    for _ in range(orbit.degree):
+        translates.add(cur)
+        cur = tuple(t.w.matrix.apply(cur))
+    f = _ref_orbit_factor(t, t.rd, orbit, rep, gamma, a, field)
+    if f is None:
+        return None
+    if tuple(rep) not in translates:
+        f = f * field.sgn(field.neg(field.one))
+    return f
+
+
+def _elliptic_tori_q35():
+    """Every elliptic torus of A1, A2, B2 and D2 at q in {3, 5}."""
+    from cuspidor.acceptance import _elliptic_classes
+    for kind, rank in [("A", 1), ("A", 2), ("B", 2), ("D", 2)]:
+        rd = build_classical(kind, rank, "sc")
+        for w in _elliptic_classes(rd):
+            for q in (3, 5):
+                yield FrobeniusTorus(rd, w, q)
+
+
+@pytest.mark.parametrize("torus", list(_elliptic_tori_q35()),
+                         ids=lambda t: f"{t.rd.label}-w{t.w.order}-q{t.q}")
+def test_integer_coordinates_match_the_fraction_reference(torus):
+    t = torus
+    chi = classify_chi_data(t)
+    field = t.extension_field(t.splitting_degree)
+    wset = t.weyl_centralizer()
+    subset = wset[::2]
+    assert 0 < len(subset) < len(wset)
+    group = t.rational_points(1)
+    gammas = [group.lift(c) for c in group.elements()]
+    for th in all_characters(t):
+        if not is_nonsingular(th):
+            continue
+        # the Gauss validation is mod_a_data's own and is tested elsewhere
+        a = mod_a_data(th, chi, validate_bound=0)
+        for gamma in gammas:
+            for ws, lead in ((wset, Fraction(1)), (wset, Fraction(-3, 2)),
+                             (subset, Fraction(1))):
+                got = theta_sum(th, gamma, chi, a, ws, field, lead)
+                want = _ref_theta_sum(th, gamma, chi, a, ws, field, lead)
+                assert (got.n, got.coeffs) == (want.n, want.coeffs)
+            assert (delta_II(th, gamma, chi, a, field).to_json()
+                    == _ref_delta_json(th, gamma, chi, a, field))
+            for orb in chi.symmetric_orbits():
+                for rep in orb.roots:
+                    assert (delta_II_at_representative(th, gamma, chi, a, orb,
+                                                       rep, field)
+                            == _ref_delta_at_representative(th, gamma, chi, a,
+                                                            orb, rep, field))
+
+
+def test_root_value_outside_the_field_is_not_realizable():
+    # SL2 with w = -1 at q = 5: S(k) = (1/6)Z/Z, and alpha(1/6) = 1/3 has
+    # order 3, which does not divide 5 - 1: it lives in GF(25), not GF(5)
+    from cuspidor.errors import NotRealizable
+    t = sl2_coxeter(5)
+    th = theta_of_order(t, 6)
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    f5 = FiniteField(5, 1)
+    gamma = QV([Fraction(1, 6)])
+    orb = chi.orbits[0]
+    with pytest.raises(NotRealizable):
+        theta_sum(th, gamma, chi, a, t.weyl_centralizer(), f5)
+    with pytest.raises(NotRealizable):
+        delta_II(th, gamma, chi, a, f5)
+    for rep in orb.roots:
+        with pytest.raises(NotRealizable):
+            delta_II_at_representative(th, gamma, chi, a, orb, rep, f5)
+    # alpha(1/2) = 1 is realizable anywhere and the orbit is skipped
+    assert delta_II(th, QV([Fraction(1, 2)]), chi, a, f5).skipped_orbits

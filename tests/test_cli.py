@@ -229,6 +229,8 @@ def _family(elements, table, points, action, eta=()):
 
 Z2_TABLE = [[[0], [1]], [[1], [0]]]
 TEN_POINTS = [[i] for i in range(10)]
+Z2_REGULAR_ACTION = [[[g], [u], [(g + u) % 2]] for g in range(2)
+                     for u in range(2)]
 
 
 @pytest.mark.parametrize("family", [
@@ -244,8 +246,14 @@ TEN_POINTS = [[i] for i in range(10)]
     _family([[0], [1]], [[[0], [1]], [[1], [1]]], [], []),
     # one row for two elements
     _family([[0], [1]], Z2_TABLE[:1], [], []),
+    # the regular Z/2 family with an eta entry at a point outside X
+    _family([[0], [1]], Z2_TABLE, [[0], [1]], Z2_REGULAR_ACTION,
+            [[[0], [1], [7], "1/2"]]),
+    # the regular Z/2 family with an action entry for a point outside X
+    _family([[0], [1]], Z2_TABLE, [[0], [1]],
+            Z2_REGULAR_ACTION + [[[0], [5], [5]]]),
 ], ids=["identity-moves-points", "cech-past-point-8", "no-identity",
-        "no-inverse", "missing-row"])
+        "no-inverse", "missing-row", "eta-off-x", "action-off-x"])
 def test_cocycle_split_invalid_family_is_domain_error(tmp_path, family):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family))

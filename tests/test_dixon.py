@@ -111,3 +111,88 @@ def test_oracle_norm_pairs_x_with_its_inverse():
     assert table.degrees() == [1] * 9 + [3, 3]
     assert has_multiplicity_one(ext)[0] is True
     assert oracle_multiplicity_one(ext) is True
+
+
+def _pairwise_sweep_accepts(table, group):
+    """The full check: degree count, sum of squared degrees, and
+    orthogonality of every pair of rows, one histogram mod e per pair."""
+    n = len(table.classes)
+    order = len(group.elements)
+    if len(table.mults) != n:
+        return False
+    if sum(sum(row[0]) ** 2 for row in table.mults) != order:
+        return False
+    e = table.exponent
+    sizes = [len(c) for c in table.classes]
+    for i in range(n):
+        for j in range(n):
+            hist = [0] * e
+            for k, size in enumerate(sizes):
+                for s, a in enumerate(table.mults[i][k]):
+                    for t, b in enumerate(table.mults[j][k]):
+                        if a and b:
+                            hist[(s - t) % e] += size * a * b
+            total = Cyc.from_root_multiplicities(e, hist)
+            if not (total == Cyc.rational(order if i == j else 0)):
+                return False
+    return True
+
+
+def _abelian_groups():
+    """Abelian extensions of order <= 32, trivial and twisted cocycles."""
+    rng = random.Random(12)
+    found = [ConcreteGroup(ExtensionDescriptor.from_json(
+        {"A": [4], "C": [2, 2], "action": [[[1]], [[1]]], "cocycle": []}))]
+    while len(found) < 5:
+        group = ConcreteGroup(random_descriptor(rng, max_order=32))
+        if group.is_abelian() and len(group.elements) > 4:
+            found.append(group)
+    return found
+
+
+def _with_mults(table, group, mults):
+    return CharacterTable(table.classes, mults, table.class_of,
+                          table.exponent, group)
+
+
+@pytest.mark.parametrize("group", _abelian_groups(),
+                         ids=lambda g: f"order{len(g.elements)}")
+def test_abelian_check_matches_the_pairwise_sweep(group):
+    from cuspidor.dixon import _validate_abelian_table
+    table = brute_force_census(group)
+    assert _pairwise_sweep_accepts(table, group)
+    _validate_abelian_table(table, group)
+    rng = random.Random(len(group.elements))
+    n = len(table.mults)
+    corpus = []
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        k, k2 = rng.sample(range(n), 2)
+        mults = [list(row) for row in table.mults]
+        m = mults[i][k]
+        mults[i][k] = m[-1:] + m[:-1]           # one entry times zeta_e
+        corpus.append(mults)
+        mults = [list(row) for row in table.mults]
+        mults[j] = list(mults[i])               # two rows equal
+        corpus.append(mults)
+        mults = [list(row) for row in table.mults]
+        mults[i][k], mults[i][k2] = mults[i][k2], mults[i][k]
+        corpus.append(mults)                    # two entries of one row swapped
+    # a swap of two equal entries changes nothing and must pass both
+    i = next(i for i, row in enumerate(table.mults) if row.count(row[0]) > 1)
+    k, k2 = [k for k, m in enumerate(table.mults[i]) if m == table.mults[i][0]][:2]
+    mults = [list(row) for row in table.mults]
+    mults[i][k], mults[i][k2] = mults[i][k2], mults[i][k]
+    corpus.append(mults)
+    verdicts = []
+    for mults in corpus:
+        bad = _with_mults(table, group, mults)
+        want = _pairwise_sweep_accepts(bad, group)
+        try:
+            _validate_table(bad, group)
+            got = True
+        except ArithmeticError:
+            got = False
+        assert got == want
+        verdicts.append(got)
+    assert verdicts.count(False) >= 12 and verdicts[-1]
