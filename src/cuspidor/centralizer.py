@@ -30,6 +30,9 @@ from .exactcore import (
 )
 from .rootdata import RootDatum, WeylElement, build_classical, lambda_pair, tits_cocycle
 
+# the largest Weyl group `centralizer` enumerates
+WEYL_BOUND = 10 ** 7
+
 
 class NormalizerElement:
     """(torus part, Weyl part, outer part) in the Tits model of N(T,G)."""
@@ -169,7 +172,7 @@ class CentralizerReport:
                 "notes": self.notes}
 
 
-def centralizer(datum: ParameterDatum, weyl_bound: int = 10 ** 7) -> CentralizerReport:
+def centralizer(datum: ParameterDatum) -> CentralizerReport:
     """Cent of the datum's image in the dual group, as an extension report.
 
     Enumerates Weyl candidates commuting with every generator's Weyl/outer
@@ -177,7 +180,7 @@ def centralizer(datum: ParameterDatum, weyl_bound: int = 10 ** 7) -> Centralizer
     directly in the model before reading off the extension cocycle.
     """
     rd = datum.rd
-    if rd.weyl_order() > weyl_bound:
+    if rd.weyl_order() > WEYL_BOUND:
         raise TooLarge("Weyl group too large to enumerate")
     notes = []
     gens = datum.generators

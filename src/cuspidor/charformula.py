@@ -23,14 +23,13 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import InvalidPoint, NotRealizable, OutOfScope, SingularRoot
+from .errors import InvalidPoint, NotRealizable, SingularRoot
 from .exactcore import QV
 from .ffield import FiniteField, MultCharacter
 from .torus import FrobeniusTorus, TorusCharacter
 
 ASYMMETRIC = "asymmetric"
 SYMMETRIC_UNRAMIFIED = "symmetric-unramified"
-SYMMETRIC_RAMIFIED = "symmetric-ramified"
 
 
 class ChiOrbit:
@@ -61,13 +60,13 @@ class ChiData:
         return [o.to_json() for o in self.orbits]
 
 
-def classify_chi_data(torus: FrobeniusTorus, strict: bool = True) -> ChiData:
+def classify_chi_data(torus: FrobeniusTorus) -> ChiData:
     """Orbit types of the twist acting on the roots.
 
     Symmetric iff the orbit of alpha contains -alpha; every symmetric orbit
     in this finite model is unramified (the residue world has no ramified
-    quadratic extensions), so strict mode never rejects model-built tori;
-    externally declared ramified data raise OutOfScope when strict.
+    quadratic extensions), so the kinds are asymmetric and
+    symmetric-unramified only.
     """
     rd = torus.rd
     w = torus.w.matrix
@@ -86,8 +85,6 @@ def classify_chi_data(torus: FrobeniusTorus, strict: bool = True) -> ChiData:
         neg = tuple(-x for x in a)
         kind = SYMMETRIC_UNRAMIFIED if neg in orbit else ASYMMETRIC
         orbits.append(ChiOrbit(a, tuple(orbit), kind, len(orbit)))
-    if strict and any(o.kind == SYMMETRIC_RAMIFIED for o in orbits):
-        raise OutOfScope("ramified symmetric orbits are out of strict scope")
     return ChiData(torus, orbits)
 
 
@@ -258,32 +255,21 @@ def _orbit_factor(row, x, signs):
 
 def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
                                field: FiniteField = None):
-    """The orbit factor evaluated at any representative of the orbit.
+    """The orbit factor evaluated at any root rep of the orbit.
 
-    Implements a_{w^j alpha} = Frobenius transport (same square class) and
-    a_{-alpha} = -a_alpha.
+    Every root of the orbit is a w-translate of orbit.rep, so a_rep has the
+    square class of a_{orbit.rep} by Frobenius transport.  The rule
+    a_{-alpha} = -a_alpha agrees with it: -alpha lies in the same symmetric
+    orbit, and -1 is a square in the even-degree orbit field.
     """
     t = theta.torus
     x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    if tuple(rep) not in {tuple(r) for r in orbit.roots}:
+    if tuple(rep) not in orbit.roots:
         raise ValueError("representative not in the orbit")
-    # rep is either a w-translate of orbit.rep (a transports by Frobenius,
-    # same square class) or of its negative (a transports with a sign)
-    cur = tuple(orbit.rep)
-    translates = set()
-    for _ in range(orbit.degree):
-        translates.add(cur)
-        cur = tuple(t.w.matrix.apply(cur))
-    sign_flip = 1 if tuple(rep) in translates else -1
     f = _orbit_factor(t.root_row(rep), x, field.sign_table(theta.exponent))
-    if f is None:
-        return None
-    f = f * a.sign(orbit.rep)
-    if sign_flip == -1:
-        f = f * field.sgn(field.neg(field.one))
-    return f
+    return None if f is None else f * a.sign(orbit.rep)
 
 
 def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,

@@ -122,8 +122,8 @@ def _weyl(text):
 def _load_torus(args) -> FrobeniusTorus:
     rd = build_classical(args.type, args.rank, args.lattice)
     if args.weyl == "coxeter":
-        elliptic = [WeylElement(rd, m) for m in rd.weyl_group()
-                    if WeylElement(rd, m).is_elliptic()]
+        elliptic = [w for w in (WeylElement(rd, m) for m in rd.weyl_group())
+                    if w.is_elliptic()]
         if not elliptic:
             raise CuspidorError("no elliptic element found")
         w = max(elliptic, key=lambda e: e.order)

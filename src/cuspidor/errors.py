@@ -77,10 +77,6 @@ class InvalidWeylSet(CuspidorError):
     pass
 
 
-class OutOfScope(CuspidorError):
-    pass
-
-
 # Invalid inputs that the library used to reject with a bare ValueError.
 # They stay ValueErrors too, so callers that catch ValueError still do.
 

@@ -8,10 +8,12 @@ lattice-basis coordinates.
 
 A ``FrobeniusTorus`` computes each of its invariants once and keeps it in a
 per-instance dict: F^d, the norm matrix N_d and S(k_d) per degree d, the
-S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w), the
-action of each m in C_W(w) on the generators of S(k), m^-1 on X^vee, the
-integer matrix of m^-1 on S(k) coordinates (``inverse_on_points``), and
-per root the integer row alpha(gens[i]) e with e = exp S(k) (``root_row``).
+S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w) by
+one integer commutation test on V (``commutes``), per m in C_W(w) the matrix
+of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``, the one
+route from a Weyl element to S(k); the stabilizer reads its columns, kept
+once per torus as ``centralizer_columns``), and per root the integer row
+alpha(gens[i]) e with e = exp S(k) (``root_row``).
 Characters, non-singularity, Weyl stabilizers and the character sums of
 ``charformula`` then read these tables instead of rebuilding matrix powers
 or projecting per character.  The caches are safe because a torus never
@@ -130,32 +132,26 @@ class FrobeniusTorus:
         coords = self.rd.coroot_coords(coroot)
         return QV([Fraction(c) * x for c in coords])
 
+    def commutes(self, m: Mat) -> bool:
+        """Does the V-side matrix m commute with the twist?
+
+        m -> cochar(m) = B m^-T B^-1 is an injective group homomorphism, so
+        mw = wm exactly when cochar(m) and cochar(w) commute on X^vee; the
+        test on V is one integer product each way.
+        """
+        w = self.w.matrix
+        return m * w == w * m
+
     def weyl_centralizer(self):
         """Elements of W commuting with the twist (the rational Weyl group)."""
-        def build():
-            out = []
-            for m in self.rd.weyl_group():
-                mc = self.rd.cochar_coord_matrix(m)
-                if mc * self.w_cochar == self.w_cochar * mc:
-                    out.append(m)
-            return tuple(out)
-        return list(self._memo("centralizer", build))
-
-    def centralizer_actions(self):
-        """(m, cols) for each m in C_W(w); cols[i] is m(gens[i]) on S(k)."""
-        def build():
-            group = self.rational_points(1)
-            return tuple(
-                (m, tuple(group.project(g.act(self.rd.cochar_coord_matrix(m)))
-                          for g in group.gens))
-                for m in self.weyl_centralizer())
-        return self._memo("actions", build)
+        return list(self._memo("centralizer", lambda: tuple(
+            m for m in self.rd.weyl_group() if self.commutes(m))))
 
     def inverse_action(self, m: Mat) -> Mat:
         """m^-1 on X^vee coordinates, for m commuting with the twist."""
         def build():
             mc = self.rd.cochar_coord_matrix(m)
-            if mc * self.w_cochar != self.w_cochar * mc:
+            if not self.commutes(m):
                 raise InvalidWeylSet(
                     "weyl element does not commute with the twist")
             return mc.inverse().to_int()
@@ -171,6 +167,17 @@ class FrobeniusTorus:
         def build():
             return self.rational_points(1).induced(self.inverse_action(m)).rows
         return self._memo(("inverse_points", m), build)
+
+    def centralizer_columns(self):
+        """(m, cols) for each m in C_W(w); cols[i] is m^-1(gens[i]) on S(k).
+
+        The columns of ``inverse_on_points(m)``, transposed once per torus.
+        theta∘m = theta exactly when theta∘m^-1 = theta, so they decide the
+        stabilizer of theta in C_W(w).
+        """
+        return self._memo("columns", lambda: tuple(
+            (m, tuple(zip(*self.inverse_on_points(m))))
+            for m in self.weyl_centralizer()))
 
     def root_row(self, root) -> tuple:
         """alpha(gens[i]) e per generator of S(k), e = exp S(k).
@@ -285,12 +292,11 @@ def all_characters(torus: FrobeniusTorus):
                                      zip(x, group.factors)])
 
 
-def is_nonsingular(theta: TorusCharacter, subsystem=None) -> bool:
-    """theta∘N∘alpha_vee nontrivial for every root alpha of the subsystem."""
+def is_nonsingular(theta: TorusCharacter) -> bool:
+    """theta∘N∘alpha_vee nontrivial for every root alpha."""
     rd = theta.torus.rd
-    roots = subsystem if subsystem is not None else rd.roots
-    for a in roots:
-        if theta.composite_with_coroot(rd.coroot(tuple(a))) == 0:
+    for a in rd.roots:
+        if theta.composite_with_coroot(rd.coroot(a)) == 0:
             return False
     return True
 
@@ -320,7 +326,7 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
     """Omega(S,G)(k)_theta: w-commuting Weyl elements fixing theta on S(k)."""
     t = theta.torus
     n = t.rd.rank
-    stab = [m for m, cols in t.centralizer_actions()
+    stab = [m for m, cols in t.centralizer_columns()
             if all(theta.scaled(col) == r for col, r in zip(cols, theta.row))]
     order = len(stab)
     abelian = all(a * b == b * a for a in stab for b in stab)

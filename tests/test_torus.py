@@ -350,17 +350,46 @@ def _quot_cls(pairing, full, sub, incl, coords):
 
 # -- the cached invariants against their definitions ---------------------------
 
-def _coxeter_torus(kind, rank, q):
-    rd = build_classical(kind, rank, "sc")
-    elliptic = [WeylElement(rd, m) for m in rd.weyl_group()
-                if WeylElement(rd, m).is_elliptic()]
+def _coxeter_torus(kind, rank, q, lattice="sc"):
+    rd = build_classical(kind, rank, lattice)
+    elliptic = [w for w in (WeylElement(rd, m) for m in rd.weyl_group())
+                if w.is_elliptic()]
     return FrobeniusTorus(rd, max(elliptic, key=lambda w: w.order), q)
 
 
+def _minus_one_torus(kind, rank, q, lattice="sc"):
+    rd = build_classical(kind, rank, lattice)
+    return FrobeniusTorus(rd, WeylElement(rd, -Mat.identity(rank)), q)
+
+
 def _cached_path_tori():
-    rd = build_classical("B", 2, "sc")
     return [_coxeter_torus("A", 2, 5),
-            FrobeniusTorus(rd, WeylElement(rd, -Mat.identity(2)), 7)]
+            _minus_one_torus("B", 2, 7),
+            _minus_one_torus("C", 2, 5, "ad"),
+            _coxeter_torus("D", 4, 3)]
+
+
+def _cochar_side_centralizer(t):
+    """Frozen reference: the elements m of W with cochar(m) w = w cochar(m)."""
+    rd = t.rd
+    return [m for m in rd.weyl_group()
+            if rd.cochar_coord_matrix(m) * t.w_cochar
+            == t.w_cochar * rd.cochar_coord_matrix(m)]
+
+
+def test_centralizer_matches_cochar_side_filter():
+    for t in _cached_path_tori():
+        assert t.weyl_centralizer() == _cochar_side_centralizer(t)
+
+
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("B", 3), ("C", 3)])
+def test_centralizer_matches_cochar_side_filter_on_every_twist(kind, rank,
+                                                               lattice):
+    rd = build_classical(kind, rank, lattice)
+    for m in rd.weyl_group():
+        t = FrobeniusTorus(rd, WeylElement(rd, m), 3)
+        assert t.weyl_centralizer() == _cochar_side_centralizer(t)
 
 
 def _reference_nonsingular(theta):
