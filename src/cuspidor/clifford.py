@@ -1,12 +1,14 @@
 """Extensions 1 -> A -> B -> C -> 1 of finite abelian groups.
 
 An ExtensionDescriptor carries the action of C on A and a normalized
-2-cocycle.  The module decides multiplicity one through the commutator of
-two sections in coinvariants, read off the cocycle in closed form, and
-computes the irreducible census through stabilizers and projective
-dimensions on integers (character indices, Q/Z values as numerators over
-exp(A)).  Neither multiplies in B: ConcreteGroup realizes B on pairs (a, c)
-only for the character-table oracle in dixon.py and the pair API.
+2-cocycle.  One pass over the C-orbits of characters of A (``orbits``)
+gives both the multiplicity-one verdict with its witness pair and the
+irreducible census, through stabilizers and the commutator pairing on
+integers (character indices, Q/Z values as numerators over exp(A)).  The
+commutator of two sections in coinvariants, read off the cocycle in closed
+form, stays as the pair API and builds the witness character.  Neither
+multiplies in B: ConcreteGroup realizes B on pairs (a, c) only for the
+character-table oracle in dixon.py and the pair API.
 
 ConcreteGroup also numbers its elements: element number i is
 ``elements[i]``, which is (a, c) with i = |A|·(index of c) + (index of a),
@@ -18,9 +20,10 @@ The inverses, the conjugacy classes and the exponent are read from the
 table.  The pair API (``mul``, ``inv``, ``section``) never builds it.
 
 The descriptor memoizes the matrix of each C-element, its action on each
-A-element, and the coinvariant quotient of each ordered pair of action
-matrices.  These caches, and the group's table, are safe because neither a
-descriptor nor a group is ever mutated after construction.
+A-element, the coinvariant quotient of each ordered pair of action
+matrices, and the orbit summaries.  These caches, and the group's table, are
+safe because neither a descriptor nor a group is ever mutated after
+construction.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class ExtensionDescriptor:
         self._action_cache = {}
         self._act_values = {}
         self._quotients = {}
+        self._orbits = None
         if len(self.action) != len(self.C.factors):
             raise ValueError("one action matrix per C generator")
         raw = dict(cocycle) if not callable(cocycle) else {
@@ -91,6 +95,57 @@ class ExtensionDescriptor:
             quot = coinvariants(self.A, list(key))
             self._quotients[key] = quot
         return quot
+
+    def orbits(self):
+        """One ``OrbitSummary`` per C-orbit of characters of A (memoized).
+
+        Each orbit is represented by its first character rho in
+        ``A.characters()`` order.  The pairing on C_rho is (c1, c2) |->
+        rho(z(c1, c2)) - rho(z(c2, c1)), kept only as the radical's size and
+        the first pair, in ``C.elements()`` order, where it is non-zero; the
+        proof that this decides multiplicity one is in
+        ``has_multiplicity_one``.  With t the shift of ``_commutator_words``,
+        rho(c·t) = rho(t) is asserted for every c in C_rho: under rho, that
+        is the shifted-section test of ``commutator_function`` on C_rho.
+        """
+        if self._orbits is not None:
+            return self._orbits
+        a, exp_a = self.A, self.A.exponent
+        scale = [exp_a // d for d in a.factors]
+        cs = list(self.C.elements())
+        t = tuple((i + 1) % d for i, d in enumerate(a.factors))
+
+        def value(weights, x):
+            """rho(x) as a numerator over exp(A); weights = rho_i·exp(A)/d_i."""
+            return sum(map(operator.mul, weights, x)) % exp_a
+
+        seen = set()
+        out = []
+        for rho in a.characters():
+            if rho in seen:
+                continue
+            images = [_char_act(self, c, rho) for c in cs]
+            orbit = set(images)
+            seen |= orbit
+            stab = [c for c, img in zip(cs, images) if img == rho]
+            weights = [r * s for r, s in zip(rho, scale)]
+            rho_t = value(weights, t)
+            if any(value(weights, self.act(c, t)) != rho_t for c in stab):
+                raise ArithmeticError("commutator class depends on the section")
+            pushed = {key: value(weights, self.cocycle[key])
+                      for key in itertools.product(stab, repeat=2)}
+            radical, first = 0, None
+            for c1 in stab:
+                c2 = next((c2 for c2 in stab
+                           if pushed[(c1, c2)] != pushed[(c2, c1)]), None)
+                if c2 is None:
+                    radical += 1
+                elif first is None:
+                    first = (c1, c2)
+            out.append(OrbitSummary(rho, len(orbit), len(stab), radical,
+                                    first))
+        self._orbits = tuple(out)
+        return self._orbits
 
     def z(self, c1, c2):
         return self.cocycle[(tuple(c1), tuple(c2))]
@@ -340,14 +395,27 @@ def _commutator_words(ext: ExtensionDescriptor, c1, c2):
 def has_multiplicity_one(ext: ExtensionDescriptor):
     """(bool, witness): the multiplicity-one criterion via the commutator.
 
-    On failure the witness is (c1, c2, rho) where rho is a character of A
-    that is <c1,c2>-invariant and nontrivial on the commutator.
+    The pair (c1, c2) fails when the class of w = z(c1, c2) - z(c2, c1), the
+    commutator of the sections, is non-zero in A_H for H = <c1, c2>.  As
+    (A_H)^ = (A^)^H, that class is 0 exactly when every H-invariant rho,
+    that is every rho with c1, c2 in C_rho, kills w.  Orbit representatives
+    suffice: C is abelian, so C_{c·rho} = C_rho, and conjugating s(c1),
+    s(c2) by s(c) gives sections of c1, c2 with commutator c·w, so section
+    independence in A_H gives rho(c·w) = rho(w), that is (c^{-1}·rho)(w) =
+    rho(w).  The failing pairs are therefore the pairs in some C_rho², rho
+    an orbit representative, where rho(w) != 0, and the first of them in
+    ``C.elements()`` order is the least ``first_pair`` of ``ext.orbits()``.
+
+    On failure the witness is (c1, c2, rho) for that pair, where rho is a
+    character of A that is <c1,c2>-invariant and nontrivial on the
+    commutator, built through ``commutator_function`` on that pair alone.
     """
-    for c1, c2 in itertools.product(ext.C.elements(), repeat=2):
-        quot, cls = commutator_function(ext, c1, c2)
-        if cls != quot.group.zero:
-            return False, (c1, c2, _separating_character(ext, quot, cls))
-    return True, None
+    pairs = [o.first_pair for o in ext.orbits() if o.first_pair is not None]
+    if not pairs:
+        return True, None
+    c1, c2 = min(pairs)
+    quot, cls = commutator_function(ext, c1, c2)
+    return False, (c1, c2, _separating_character(ext, quot, cls))
 
 
 def _separating_character(ext, quot, cls):
@@ -472,44 +540,40 @@ class CensusEntry(NamedTuple):
         return {**self._asdict(), "orbit_rep": list(self.orbit_rep)}
 
 
+class OrbitSummary(NamedTuple):
+    """A C-orbit of characters of A, as ``ExtensionDescriptor.orbits`` keeps it.
+
+    ``rho`` represents the orbit, ``stabilizer`` and ``radical`` are the
+    orders of C_rho and of the radical of the commutator pairing on it, and
+    ``first_pair`` is the first (c1, c2) where that pairing is non-zero, or
+    None.
+    """
+    rho: tuple
+    orbit_size: int
+    stabilizer: int
+    radical: int
+    first_pair: tuple | None
+
+
 def irrep_census(ext: ExtensionDescriptor):
     """Census of Irr(B) via Clifford theory over the characters of A.
 
-    For each C-orbit of characters rho of A: the stabilizer C_rho, the
-    pushed-out cocycle rho∘z on C_rho (trivial iff symmetric, since the
-    coefficients are divisible), the projective dimension m = sqrt of the
-    index of the radical of its commutator pairing, and the census entry
-    (dim = orbit * m, count = |C_rho| / m^2), with Q/Z values as integer
-    numerators over exp(A).
+    For each C-orbit of characters rho of A (``ext.orbits()``): the
+    stabilizer C_rho, the pushed-out cocycle rho∘z on C_rho (trivial iff
+    symmetric, since the coefficients are divisible), the projective
+    dimension m = sqrt of the index of the radical of its commutator
+    pairing, and the census entry (dim = orbit * m, count = |C_rho| / m^2).
     """
     if ext.order() > 4096:
         raise TooLarge("census bounded at 4096")
-    a = ext.A
-    exp_a = a.exponent
-    scale = [exp_a // d for d in a.factors]
-    cs = list(ext.C.elements())
-    seen = set()
     entries = []
-    for rho in a.characters():
-        if rho in seen:
-            continue
-        images = [_char_act(ext, cc, rho) for cc in cs]
-        orbit = set(images)
-        seen |= orbit
-        stab = [cc for cc, img in zip(cs, images) if img == rho]
-        # pushed cocycle on the stabilizer: rho(z(c1, c2)) = value / exp_a
-        weights = [r * s for r, s in zip(rho, scale)]
-        value = {key: sum(w * x for w, x in zip(weights, ext.z(*key))) % exp_a
-                 for key in itertools.product(stab, repeat=2)}
-        # radical of the commutator pairing
-        radical = [c1 for c1 in stab
-                   if all(value[(c1, c2)] == value[(c2, c1)] for c2 in stab)]
-        m2 = len(stab) // len(radical)
+    for o in ext.orbits():
+        m2 = o.stabilizer // o.radical
         m = math.isqrt(m2)
         if m * m != m2:
             raise ArithmeticError("commutator pairing radical of odd index")
-        count = len(stab) // (m * m)
-        entries.append(CensusEntry(len(orbit) * m, len(orbit), m, count, rho))
+        entries.append(CensusEntry(o.orbit_size * m, o.orbit_size, m,
+                                   o.stabilizer // m2, o.rho))
     total = sum(e.dimension ** 2 * e.count for e in entries)
     if total != ext.order():
         raise ArithmeticError("census mass formula fails")

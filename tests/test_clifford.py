@@ -317,7 +317,8 @@ def _power(ext, c):
 
 def test_cached_coinvariant_quotient_equals_fresh():
     for ext in table_groups():
-        has_multiplicity_one(ext)       # fills the descriptor's cache
+        for c1, c2 in itertools.product(ext.C.elements(), repeat=2):
+            commutator_function(ext, c1, c2)    # fills the descriptor's cache
         for c1 in ext.C.elements():
             for c2 in ext.C.elements():
                 quot, cls = commutator_function(ext, c1, c2)
@@ -522,6 +523,86 @@ def test_closed_form_commutators_match_the_group_law(ext):
 @given(descriptors())
 def test_integer_census_and_verdict_match_the_fraction_code(ext):
     check_against_the_fraction_code(ext)
+
+
+def skew_forms_descriptor():
+    """A = (Z/2)^3 central, C = (Z/2)^3, z(c1, c2) = (c1[2]·c2[1],
+    c1[2]·c2[1], c1[1]·c2[0]).
+
+    The characters (0, 1, 0) and (1, 0, 0) see the skew form on coordinates
+    1, 2 of C, whose first non-zero pair is ((0, 0, 1), (0, 1, 0)).  The
+    first non-trivial character, (0, 0, 1), and the last, (1, 1, 1), see
+    the form on coordinates 0, 1, non-zero first at the later pair
+    ((0, 1, 0), (1, 0, 0)).
+    """
+    return ExtensionDescriptor(
+        [2, 2, 2], [2, 2, 2], [Mat.identity(3)] * 3,
+        lambda c1, c2: (c1[2] * c2[1], c1[2] * c2[1], c1[1] * c2[0]))
+
+
+def failing_products():
+    """q8 x R and R x D8 for the first ten R = random_descriptor(Random(k),
+    16), q8 x D8, D8 x q8 and the bilinear and skew-forms fixtures:
+    extensions that fail multiplicity one."""
+    q8, d8 = q8_descriptor(), dihedral8_central_descriptor()
+    small = [random_descriptor(random.Random(k), max_order=16)
+             for k in range(10)]
+    return ([transform(q8, r) for r in small]
+            + [transform(r, d8) for r in small]
+            + [transform(q8, d8), transform(d8, q8),
+               bilinear_z2xz4_descriptor(), skew_forms_descriptor()])
+
+
+def test_orbit_pass_matches_the_reference_on_failing_products():
+    failing = 0
+    for ext in failing_products():
+        check_against_the_fraction_code(ext)
+        failing += not has_multiplicity_one(ext)[0]
+    assert failing >= 15
+    # the witness pair is the least over all orbits, not the first orbit's
+    ext = skew_forms_descriptor()
+    pairs = {o.rho: o.first_pair for o in ext.orbits()}
+    assert pairs[(0, 1, 0)] == pairs[(1, 0, 0)] == ((0, 0, 1), (0, 1, 0))
+    assert pairs[(0, 0, 1)] == pairs[(1, 1, 1)] == ((0, 1, 0), (1, 0, 0))
+    assert has_multiplicity_one(ext)[1][:2] == ((0, 0, 1), (0, 1, 0))
+
+
+def _counting(monkeypatch, name):
+    """Replace cuspidor.clifford.<name> by a wrapper; return its call list."""
+    import cuspidor.clifford as clifford
+    calls = []
+    inner = getattr(clifford, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(clifford, name, wrapper)
+    return calls
+
+
+def test_verdict_builds_a_coinvariant_quotient_only_for_the_witness(
+        monkeypatch):
+    quotients = _counting(monkeypatch, "coinvariants")
+    assert has_multiplicity_one(dihedral8_cyclic_descriptor())[0]
+    assert len(quotients) == 0
+    ext = q8_descriptor()
+    assert not has_multiplicity_one(ext)[0]
+    assert len(quotients) == 1
+    acts = _counting(monkeypatch, "_char_act")
+    assert census_summary(irrep_census(ext)) == {1: 4, 2: 1}
+    assert acts == []
+
+
+def test_orbit_pass_keeps_the_section_check(monkeypatch):
+    # A = Z/4 with trivial action and t = 1; make act invert A off c = 0,
+    # so rho = 1, fixed by all of C, sees rho(c·t) = -rho(t) != rho(t)
+    assert has_multiplicity_one(direct_product([4], [2]))[0]
+    ext = direct_product([4], [2])
+    monkeypatch.setattr(ext, "act",
+                        lambda c, a: ext.A.neg(a) if any(c) else a)
+    with pytest.raises(ArithmeticError, match="section"):
+        has_multiplicity_one(ext)
 
 
 # -- the generator-cost cocycle check against the full |C|^3 sweep ------------
