@@ -231,7 +231,7 @@ def _elliptic_classes(rd):
         if m in seen:
             continue
         w = WeylElement(rd, m)
-        orbit = {g * m * g.inverse().to_int() for g in weyl}
+        orbit = {g * m * rd.inverse(g) for g in weyl}
         seen |= orbit
         if w.is_elliptic():
             reps.append(w)

@@ -62,19 +62,19 @@ class NormalizerElement:
     def mul(self, other: "NormalizerElement") -> "NormalizerElement":
         rd = self.rd
         # n(w1)o1 n(w2)o2 = z(w1, o1 w2 o1^-1) n(w1 o1(w2)) o1 o2
-        w2c = self.outer * other.weyl * self.outer.inverse().to_int()
+        w2c = self.outer * other.weyl * rd.inverse(self.outer)
         z = tits_cocycle(rd, self.weyl, w2c)
         tau = self.tau + other.tau.act(self.cochar()) + z
         return NormalizerElement(rd, tau, self.weyl * w2c, self.outer * other.outer)
 
     def inverse(self) -> "NormalizerElement":
         rd = self.rd
-        oinv = self.outer.inverse().to_int()
-        winv = oinv * self.weyl.inverse().to_int() * self.outer
+        oinv = rd.inverse(self.outer)
+        winv = oinv * rd.inverse(self.weyl) * self.outer
         cand = NormalizerElement(rd, QV.zero(rd.rank), winv, oinv)
         resid = self.mul(cand)
-        # self * cand = (resid.tau, 1, 1); shift cand by -(total^{-1}) resid.tau
-        shift = (-resid.tau).act(_int_inverse(self.cochar()))
+        # self * cand = (resid.tau, 1, 1), and cand.total() = total^{-1}
+        shift = (-resid.tau).act(cand.cochar())
         out = NormalizerElement(rd, cand.tau + shift, winv, oinv)
         if not self.mul(out).is_identity():
             raise ArithmeticError("inverse construction failed")
@@ -92,11 +92,6 @@ class NormalizerElement:
         for _ in range(k):
             out = out.mul(base)
         return out
-
-
-def _int_inverse(m: Mat) -> Mat:
-    inv = m.inverse()
-    return inv.to_int() if inv.is_integral() else inv
 
 
 class ParameterDatum:
@@ -228,13 +223,12 @@ def _solve_lift(rd: RootDatum, m: Mat, gens):
     """
     n = rd.rank
     mc = rd.cochar_coord_matrix(m)
-    minv = m.inverse().to_int()
     stacked = None
     rhs_parts = []
     for g in gens:
         vc = g.cochar()
         block = vc - Mat.identity(n)
-        c_corr = _c_correction(rd, m, minv, g)
+        c_corr = _c_correction(rd, m, g)
         rhs = QV(mc.apply(g.tau.coords)) - g.tau + c_corr
         stacked = block if stacked is None else stacked.stack(block)
         rhs_parts.append(rhs)
@@ -245,14 +239,15 @@ def _solve_lift(rd: RootDatum, m: Mat, gens):
     return sol.particular
 
 
-def _c_correction(rd: RootDatum, m: Mat, minv: Mat, g: NormalizerElement) -> QV:
+def _c_correction(rd: RootDatum, m: Mat, g: NormalizerElement) -> QV:
     """C(m; v) = z(m, v) - v.z(m, m^{-1}) + z(m v, m^{-1}) for x = (tau, m)."""
     # z-twists with x's outer part trivial
+    minv = rd.inverse(m)
     z1 = tits_cocycle(rd, m, g.weyl)
     z2 = tits_cocycle(rd, m, minv)
     mv_weyl = m * g.weyl
     # z((mv_weyl, o_v), (m^{-1}, 1)) = z_LS(mv_weyl, o_v m^{-1} o_v^{-1})
-    conj_minv = g.outer * minv * g.outer.inverse().to_int()
+    conj_minv = g.outer * minv * rd.inverse(g.outer)
     z3 = tits_cocycle(rd, mv_weyl, conj_minv)
     return z1 - z2.act(g.cochar()) + z3
 

@@ -104,16 +104,16 @@ class ExtensionDescriptor:
         rho(z(c1, c2)) - rho(z(c2, c1)), kept only as the radical's size and
         the first pair, in ``C.elements()`` order, where it is non-zero; the
         proof that this decides multiplicity one is in
-        ``has_multiplicity_one``.  With t the shift of ``_commutator_words``,
-        rho(c·t) = rho(t) is asserted for every c in C_rho: under rho, that
-        is the shifted-section test of ``commutator_function`` on C_rho.
+        ``has_multiplicity_one``.  rho(c·e) = rho(e) is asserted for every c
+        in C_rho and generator e of A: under rho, that is the shifted-section
+        test of ``commutator_function`` on C_rho.
         """
         if self._orbits is not None:
             return self._orbits
         a, exp_a = self.A, self.A.exponent
         scale = [exp_a // d for d in a.factors]
         cs = list(self.C.elements())
-        t = tuple((i + 1) % d for i, d in enumerate(a.factors))
+        gens = a.standard_basis()
 
         def value(weights, x):
             """rho(x) as a numerator over exp(A); weights = rho_i·exp(A)/d_i."""
@@ -129,8 +129,8 @@ class ExtensionDescriptor:
             seen |= orbit
             stab = [c for c, img in zip(cs, images) if img == rho]
             weights = [r * s for r, s in zip(rho, scale)]
-            rho_t = value(weights, t)
-            if any(value(weights, self.act(c, t)) != rho_t for c in stab):
+            if any(value(weights, self.act(c, e)) != value(weights, e)
+                   for c in stab for e in gens):
                 raise ArithmeticError("commutator class depends on the section")
             pushed = {key: value(weights, self.cocycle[key])
                       for key in itertools.product(stab, repeat=2)}
@@ -364,31 +364,31 @@ def commutator_function(ext: ExtensionDescriptor, c1, c2):
     """Image of s(c1)s(c2)s(c1)^{-1}s(c2)^{-1} in the <c1,c2>-coinvariants.
 
     Returns (coinvariant quotient, class).  Section independence is asserted
-    by recomputing with a shifted section.
+    by recomputing with the section of c1 shifted by each generator of A.
     """
     quot = ext.coinvariant_quotient(c1, c2)
     word, shifted = _commutator_words(ext, c1, c2)
     cls = quot.project(word)
-    if quot.project(shifted) != cls:
+    if any(quot.project(w) != cls for w in shifted):
         raise ArithmeticError("commutator class depends on the section")
     return quot, cls
 
 
 def _commutator_words(ext: ExtensionDescriptor, c1, c2):
-    """[s(c1), s(c2)] in A for the zero section and a shifted one.
+    """[s(c1), s(c2)] in A for the zero section and the shifted ones.
 
     For s(c) = (0, c) the group law gives s(c1)s(c2) = (z(c1, c2), c1 + c2)
     and s(c2)s(c1) = (z(c2, c1), c1 + c2), both over c1 + c2 as C is abelian,
     so [s(c1), s(c2)] = s(c1)s(c2)·(s(c2)s(c1))^{-1} = z(c1, c2) - z(c2, c1).
     The section (t, c1) = t·s(c1) gives t·word·s(c2)t^{-1}s(c2)^{-1}, that is
-    word + t - c2·t.
+    word + t - c2·t, linear in t: one shifted word per generator t of A.
     """
     a = ext.A
     z12, z21 = ext.z(c1, c2), ext.z(c2, c1)
     word = tuple((x - y) % d for x, y, d in zip(z12, z21, a.factors))
-    t = tuple((i + 1) % d for i, d in enumerate(a.factors))
-    shifted = tuple((w + x - y) % d for w, x, y, d
-                    in zip(word, t, ext.act(c2, t), a.factors))
+    shifted = [tuple((w + x - y) % d for w, x, y, d
+                     in zip(word, t, ext.act(c2, t), a.factors))
+               for t in a.standard_basis()]
     return word, shifted
 
 

@@ -71,9 +71,10 @@ class RootDatum:
         self._simple_mat = Mat([self.roots[i] for i in self.simple_idx])
         self._simple_solve = lattice_solver(self._simple_mat)
         self._weyl = None
-        self._pos_cache = {}
         self._pos_set = None
+        self._pos_frozen = None
         self._cochar_cache = {}
+        self._inverse_cache = {}
         self._pair_cache = {}
         self._validate()
 
@@ -108,23 +109,30 @@ class RootDatum:
         return coords_of(self._simple_mat, root, self._simple_solve)
 
     def is_positive(self, root) -> bool:
-        key = tuple(root)
-        out = self._pos_cache.get(key)
-        if out is None:
-            coeffs = self.simple_coefficients(key)
-            nonzero = [c for c in coeffs if c != 0]
-            out = bool(nonzero) and all(c > 0 for c in nonzero)
-            self._pos_cache[key] = out
-        return out
+        nonzero = [c for c in self.simple_coefficients(root) if c != 0]
+        return bool(nonzero) and all(c > 0 for c in nonzero)
 
     def positive_roots(self):
         if self._pos_set is None:
             self._pos_set = tuple(r for r in self.roots if self.is_positive(r))
+            self._pos_frozen = frozenset(self._pos_set)
         return list(self._pos_set)
 
-    def positive_root_set(self):
+    def positive_root_set(self) -> frozenset:
         self.positive_roots()
-        return set(self._pos_set)
+        return self._pos_frozen
+
+    def inversion_set(self, m: Mat) -> frozenset:
+        """N(m) = {a > 0 : m^-1 a < 0} for a matrix m permuting the roots.
+
+        Computed as {-m b : b > 0, m b < 0}, applying m only: for a in N(m),
+        b = -m^-1 a is positive with m b = -a < 0; conversely such a b gives
+        a = -m b > 0 with m^-1 a = -b < 0.
+        """
+        pos = self.positive_root_set()
+        images = (m.apply(b) for b in self._pos_set)
+        return frozenset(tuple(-x for x in img) for img in images
+                         if img not in pos)
 
     def reflection(self, root) -> Mat:
         """s_alpha acting on V (character side)."""
@@ -182,10 +190,20 @@ class RootDatum:
                 return v
         raise ArithmeticError("no regular vector found")
 
+    def inverse(self, m: Mat) -> Mat:
+        """m^-1 for a Weyl or outer matrix m, the one Gauss–Jordan on them.
+
+        The memo holds one entry per distinct m passed in, at most |W| times
+        the outer parts; a singular m raises ValueError and is not cached.
+        """
+        out = self._inverse_cache.get(m)
+        if out is None:
+            out = self._inverse_cache[m] = m.inverse()
+        return out
+
     def dual_matrix(self, m: Mat) -> Mat:
         """Action on V* (cocharacter side) of the V-side matrix m."""
-        d = m.inverse().transpose()
-        return d.to_int() if d.is_integral() else d
+        return self.inverse(m).transpose()
 
     def cochar_coord_matrix(self, m: Mat) -> Mat:
         """Action of the V-side matrix m on X^vee, in dual-basis coordinates."""
@@ -274,7 +292,7 @@ class WeylElement:
         return f"WeylElement({self.matrix!r})"
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.rd, self.matrix.inverse().to_int())
+        return WeylElement(self.rd, self.rd.inverse(self.matrix))
 
     def is_elliptic(self) -> bool:
         return (self.matrix - Mat.identity(self.rd.rank)).det() != 0
@@ -560,50 +578,34 @@ class LambdaPairResult:
 def lambda_pair(rd: RootDatum, u: WeylElement, v: WeylElement) -> LambdaPairResult:
     """The Tits commutator pairing for commuting u, v.
 
-    Lambda_{u,v} = {a > 0, (uv)^{-1} a > 0} intersected with the roots made
-    negative by exactly one of u^{-1}, v^{-1}; lambda = sum of their coroots;
-    the commutator of the Tits lifts is the class of lambda/2 in
+    Lambda_{u,v} = (N(u) △ N(v)) - N(uv): the a > 0 with (uv)^{-1} a > 0
+    made negative by exactly one of u^{-1}, v^{-1}; lambda = sum of their
+    coroots; the commutator of the Tits lifts is the class of lambda/2 in
     X^vee tensor Q/Z.
     """
     if not u.commutes_with(v):
         raise NotCommuting("lambda pairing needs commuting elements")
-    ui = u.matrix.inverse().to_int()
-    vi = v.matrix.inverse().to_int()
-    uvi = (u.matrix * v.matrix).inverse().to_int()
-    chosen = []
-    pos = rd.positive_root_set()
-    lam = tuple(Fraction(0) for _ in range(rd.rank))
-    for a in rd.positive_roots():
-        if tuple(uvi.apply(a)) not in pos:
-            continue
-        nu = tuple(ui.apply(a)) not in pos
-        nv = tuple(vi.apply(a)) not in pos
-        if nu != nv:
-            chosen.append(a)
-            av = rd.coroot(a)
-            lam = tuple(x + y for x, y in zip(lam, av))
-    half = tuple(Fraction(x, 2) for x in lam)
-    coords = QV(rd.coroot_coords(half))
-    return LambdaPairResult(tuple(chosen), lam, coords, coords.is_zero())
+    lam_set = ((rd.inversion_set(u.matrix) ^ rd.inversion_set(v.matrix))
+               - rd.inversion_set(u.matrix * v.matrix))
+    chosen = tuple(a for a in rd.positive_roots() if a in lam_set)
+    lam, coords = _half_coroot_sum(rd, chosen)
+    return LambdaPairResult(chosen, lam, coords, coords.is_zero())
 
 
 def tits_cocycle(rd: RootDatum, u_mat: Mat, v_mat: Mat) -> QV:
     """Tits section cocycle z(u,v) as a class in X^vee ⊗ Q/Z.
 
-    n(u)n(v) = z(u,v) n(uv) with z(u,v) = (1/2) * sum of coroots over
-    {a > 0 : u^{-1} a < 0, (uv)^{-1} a > 0}; identified against concrete
-    monomial Tits lifts, and its antisymmetrization is the lambda pairing.
+    n(u)n(v) = z(u,v) n(uv) with z(u,v) = (1/2) * sum of coroots over N(u) -
+    N(uv) = {a > 0 : u^{-1} a < 0, (uv)^{-1} a > 0}; identified against
+    concrete monomial Tits lifts, and its antisymmetrization is lambda_pair.
     """
-    ui = u_mat.inverse().to_int()
-    uvi = (u_mat * v_mat).inverse().to_int()
-    pos = rd.positive_root_set()
-    lam = tuple(Fraction(0) for _ in range(rd.rank))
-    for a in rd.positive_roots():
-        if tuple(ui.apply(a)) in pos:
-            continue
-        if tuple(uvi.apply(a)) not in pos:
-            continue
-        av = rd.coroot(a)
-        lam = tuple(x + y for x, y in zip(lam, av))
-    half = tuple(Fraction(x, 2) for x in lam)
-    return QV(rd.coroot_coords(half))
+    roots = rd.inversion_set(u_mat) - rd.inversion_set(u_mat * v_mat)
+    return _half_coroot_sum(rd, roots)[1]
+
+
+def _half_coroot_sum(rd: RootDatum, roots):
+    """(lambda, lambda/2 in X^vee ⊗ Q/Z) for lambda the coroot sum of roots."""
+    lam = (Fraction(0),) * rd.rank
+    for a in roots:
+        lam = tuple(x + y for x, y in zip(lam, rd.coroot(a)))
+    return lam, QV(rd.coroot_coords(tuple(x / 2 for x in lam)))

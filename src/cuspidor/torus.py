@@ -148,13 +148,16 @@ class FrobeniusTorus:
             m for m in self.rd.weyl_group() if self.commutes(m))))
 
     def inverse_action(self, m: Mat) -> Mat:
-        """m^-1 on X^vee coordinates, for m commuting with the twist."""
+        """cochar(m)^-1 = cochar(m^-1) on X^vee, for m commuting with the twist.
+
+        InvalidLattice for an m not preserving X^vee comes before InvalidWeylSet.
+        """
         def build():
-            mc = self.rd.cochar_coord_matrix(m)
+            self.rd.cochar_coord_matrix(m)
             if not self.commutes(m):
                 raise InvalidWeylSet(
                     "weyl element does not commute with the twist")
-            return mc.inverse().to_int()
+            return self.rd.cochar_coord_matrix(self.rd.inverse(m))
         return self._memo(("inverse", m), build)
 
     def inverse_on_points(self, m: Mat) -> tuple:

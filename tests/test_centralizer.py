@@ -1,5 +1,7 @@
+import collections
 import functools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +154,33 @@ def test_d4_sc_fixture():
     assert rep.mult_one is True
     verdict = mult_one_check_suite(datum, tag="simply-connected")
     assert verdict["consistent"]
+
+
+@pytest.mark.parametrize("build", [build_spin9, build_biquadratic,
+                                   build_d4_sc])
+def test_root_datum_inverse_of_the_fixture_outer_parts(build):
+    datum = build()
+    one = Mat.identity(datum.rd.rank)
+    for g in datum.generators:
+        assert g.outer * datum.rd.inverse(g.outer) == one
+
+
+def test_centralizer_inverts_each_matrix_at_most_once(monkeypatch):
+    # qz_kernel inverts the SNF transform V of each Q/Z system it solves,
+    # which is not a Weyl or outer matrix; every other inverse is counted.
+    # The JSON round trip gives a datum whose caches are cold.
+    datum = datum_from_json(datum_to_json(build_d4_sc()))
+    calls = collections.Counter()
+    inverse = Mat.inverse
+
+    def counting(self):
+        if sys._getframe(1).f_code.co_name != "qz_kernel":
+            calls[self] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", counting)
+    assert centralizer(datum).mult_one
+    assert calls and max(calls.values()) == 1
 
 
 def test_induced_matrices_on_the_fixture_fixed_tori():

@@ -470,14 +470,14 @@ SAMPLE = settings(derandomize=True, max_examples=60, deadline=None)
 
 def check_closed_form_commutators(ext):
     grp = ConcreteGroup(ext)
-    t = _shift(ext)
     for c1 in ext.C.elements():
         for c2 in ext.C.elements():
             word, shifted = _commutator_words(ext, c1, c2)
             assert word == _group_law_commutator(grp, grp.section(c1),
                                                  grp.section(c2))
-            assert shifted == _group_law_commutator(grp, (t, c1),
-                                                    grp.section(c2))
+            assert shifted == [
+                _group_law_commutator(grp, (t, c1), grp.section(c2))
+                for t in ext.A.standard_basis()]
             quot, cls = commutator_function(ext, c1, c2)
             assert cls == quot.project(word)
 
@@ -603,6 +603,20 @@ def test_orbit_pass_keeps_the_section_check(monkeypatch):
                         lambda c, a: ext.A.neg(a) if any(c) else a)
     with pytest.raises(ArithmeticError, match="section"):
         has_multiplicity_one(ext)
+
+
+@pytest.mark.parametrize("check", [
+    has_multiplicity_one,
+    lambda ext: commutator_function(ext, (0, 0), (1, 0))])
+def test_section_check_shifts_by_every_generator(monkeypatch, check):
+    # on A = Z/2 x Z/4 with trivial action the single shift (1, 2) has order
+    # 2, so inverting A off c = 0 moves none of its images; the generator
+    # (0, 1) is moved to (0, 3)
+    ext = bilinear_z2xz4_descriptor()
+    monkeypatch.setattr(ext, "act",
+                        lambda c, a: ext.A.neg(a) if any(c) else a)
+    with pytest.raises(ArithmeticError, match="section"):
+        check(ext)
 
 
 # -- the generator-cost cocycle check against the full |C|^3 sweep ------------

@@ -419,13 +419,22 @@ def test_no_private_copies_of_the_helpers():
               "_least_prime_factor", "generating_sequence", "_mat_order",
               "_twist_order", "_is_irreducible", "_coords", "_coord_matrix",
               "_solver", "_gens", "_unit", "_span_table", "_combine",
-              "_solve_mod", "_exceptional_stats", "_section_commutator"}
+              "_solve_mod", "_exceptional_stats", "_section_commutator",
+              "_int_inverse"}
     found = []
     for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name in banned:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
+            # a Weyl or outer inverse goes through RootDatum.inverse
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "to_int" \
+                    and isinstance(node.func.value, ast.Call) \
+                    and isinstance(node.func.value.func, ast.Attribute) \
+                    and node.func.value.func.attr == "inverse":
+                found.append(f"{path.name}:{node.lineno} .inverse().to_int()")
     assert found == []
 
 

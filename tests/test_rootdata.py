@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,121 @@ def test_weyl_element_of_the_wrong_size_is_rejected():
     for m in (Mat.identity(2), Mat([[1, 0]]), Mat([[1], [0]])):
         with pytest.raises(InvalidWeylElement, match="1 x 1"):
             WeylElement(rd, m)
+
+
+# -- inversion sets against a frozen copy of the inverse-based formulas -------
+
+def _ref_tits_cocycle(rd, u_mat, v_mat):
+    """tits_cocycle as computed from the inverses of u and uv."""
+    ui = u_mat.inverse().to_int()
+    uvi = (u_mat * v_mat).inverse().to_int()
+    pos = set(rd.positive_roots())
+    lam = tuple(Fraction(0) for _ in range(rd.rank))
+    for a in rd.positive_roots():
+        if tuple(ui.apply(a)) in pos:
+            continue
+        if tuple(uvi.apply(a)) not in pos:
+            continue
+        av = rd.coroot(a)
+        lam = tuple(x + y for x, y in zip(lam, av))
+    half = tuple(Fraction(x, 2) for x in lam)
+    return QV(rd.coroot_coords(half))
+
+
+def _ref_lambda_pair(rd, u, v):
+    """lambda_pair as computed from the inverses of u, v and uv, as a tuple."""
+    ui = u.matrix.inverse().to_int()
+    vi = v.matrix.inverse().to_int()
+    uvi = (u.matrix * v.matrix).inverse().to_int()
+    chosen = []
+    pos = set(rd.positive_roots())
+    lam = tuple(Fraction(0) for _ in range(rd.rank))
+    for a in rd.positive_roots():
+        if tuple(uvi.apply(a)) not in pos:
+            continue
+        nu = tuple(ui.apply(a)) not in pos
+        nv = tuple(vi.apply(a)) not in pos
+        if nu != nv:
+            chosen.append(a)
+            av = rd.coroot(a)
+            lam = tuple(x + y for x, y in zip(lam, av))
+    half = tuple(Fraction(x, 2) for x in lam)
+    coords = QV(rd.coroot_coords(half))
+    return tuple(chosen), lam, coords, coords.is_zero()
+
+
+def _lambda_tuple(res):
+    assert all(isinstance(x, Fraction) for x in res.lam)
+    return res.roots, res.lam, res.half_class_coords, res.trivial
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+def test_inversion_set_formulas_match_the_inverse_ones_on_all_of_w(kind,
+                                                                   lattice):
+    rd = build_classical(kind, 3, lattice)
+    elements = [WeylElement(rd, m) for m in rd.weyl_group()]
+    for u in elements:
+        for v in elements:
+            assert tits_cocycle(rd, u.matrix, v.matrix) == \
+                _ref_tits_cocycle(rd, u.matrix, v.matrix)
+            if u.commutes_with(v):
+                assert _lambda_tuple(lambda_pair(rd, u, v)) == \
+                    _ref_lambda_pair(rd, u, v)
+
+
+def _biquadratic_rd():
+    from cuspidor.fixture_gen import build_biquadratic
+    return build_biquadratic().rd
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_classical("D", 4, "sc"),
+    lambda: build_classical("D", 4, "ad"),
+    _biquadratic_rd], ids=["D4-sc", "D4-ad", "biquadratic"])
+def test_inversion_set_cocycle_matches_the_inverse_one_on_sampled_pairs(build):
+    rd = build()
+    rng = random.Random(15)
+    w = rd.weyl_group()
+    for _ in range(300):
+        u, v = rng.choice(w), rng.choice(w)
+        assert tits_cocycle(rd, u, v) == _ref_tits_cocycle(rd, u, v)
+
+
+def test_inversion_set_formulas_make_no_inverse(monkeypatch):
+    rd, w1, w2 = d4_w1_w2()
+
+    def banned(self):
+        raise AssertionError("Mat.inverse called")
+
+    monkeypatch.setattr(Mat, "inverse", banned)
+    assert not tits_cocycle(rd, w1.matrix, w2.matrix).is_zero()
+    assert lambda_pair(rd, w1, w2).lam == (2, 0, 0, 2)
+
+
+def test_inversion_set_is_read_by_applying_m():
+    rd = build_classical("B", 3, "sc")
+    pos = rd.positive_root_set()
+    assert rd.positive_root_set() is pos
+    for m in rd.weyl_group():
+        mi = m.inverse()
+        assert rd.inversion_set(m) == {
+            a for a in pos if tuple(mi.apply(a)) not in pos}
+
+
+@pytest.mark.parametrize("kind,n", [("B", 3), ("D", 4)])
+def test_root_datum_inverse_is_memoized(kind, n):
+    rd = build_classical(kind, n, "sc")
+    one = Mat.identity(n)
+    for m in rd.weyl_group():
+        inv = rd.inverse(m)
+        assert m * inv == one
+        assert all(type(x) is int for row in inv.rows for x in row)
+        assert rd.inverse(m) is inv
+
+
+def test_root_datum_inverse_of_a_singular_matrix_is_not_cached():
+    rd = build_classical("B", 3, "sc")
+    with pytest.raises(ValueError):
+        rd.inverse(Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+    assert rd._inverse_cache == {}
