@@ -24,8 +24,6 @@ from .exactcore import (
     coinvariants,
     prime_power,
     simultaneous_fixed_points,
-    solve_affine,
-    solve_linear_qz,
     twisted_fixed_points,
 )
 from .rootdata import RootDatum, WeylElement, build_classical, lambda_pair, tits_cocycle
@@ -89,8 +87,12 @@ class NormalizerElement:
         if k < 0:
             base = self.inverse()
             k = -k
-        for _ in range(k):
-            out = out.mul(base)
+        while k:
+            if k & 1:
+                out = out.mul(base)
+            k >>= 1
+            if k:
+                base = base.mul(base)
         return out
 
 
@@ -98,7 +100,7 @@ class ParameterDatum:
     """Finite-order generators (torus, Weyl, outer) plus declared relations.
 
     Relations are tuples ("conj_power", i, j, q): g_i g_j g_i^{-1} = g_j^q,
-    validated in the model on construction.
+    validated in the model on construction as g_i g_j = g_j^q g_i.
     """
 
     def __init__(self, rd: RootDatum, generators, relations=(), label=""):
@@ -118,9 +120,8 @@ class ParameterDatum:
             kind = rel[0]
             if kind == "conj_power":
                 _, i, j, q = rel
-                lhs = self.generators[i].conj(self.generators[j])
-                rhs = self.generators[j].power(q)
-                if not lhs.mul(rhs.inverse()).is_identity():
+                gi, gj = self.generators[i], self.generators[j]
+                if gi.mul(gj) != gj.power(q).mul(gi):
                     raise ValueError(f"relation {rel} fails in the model")
             else:
                 raise ValueError(f"unknown relation kind {kind!r}")
@@ -188,15 +189,16 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
     lifts = {}
     omega = []
     ident = Mat.identity(rd.rank)
+    totals = [g.total() for g in gens]
     for m in rd.weyl_group():
-        if not all(m * g.total() == g.total() * m for g in gens):
+        if not all(m * t == t * m for t in totals):
             continue
-        tau = _solve_lift(rd, m, gens)
+        tau = _solve_lift(rd, m, gens, fixed)
         if tau is None:
             continue
         x = NormalizerElement(rd, tau, m)
         for g in gens:
-            if not x.conj(g).mul(g.inverse()).is_identity():
+            if x.mul(g) != g.mul(x):
                 raise ArithmeticError("solved lift fails to centralize")
         omega.append(m)
         lifts[m] = x
@@ -215,28 +217,20 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
                              witness, fixed.order * len(omega), notes, lifts)
 
 
-def _solve_lift(rd: RootDatum, m: Mat, gens):
+def _solve_lift(rd: RootDatum, m: Mat, gens, fixed: FinAb):
     """tau with (tau, m) centralizing all generators, or None.
 
     For each generator g = (tau_g, v): (v - 1) tau = (m - 1) tau_g + C(m; v)
     where C collects the Tits cocycle corrections of x g x^{-1} g^{-1}.
+    ``fixed`` is the kernel of the (v - 1) blocks stacked in generator
+    order, so it solves the stacked system.
     """
-    n = rd.rank
     mc = rd.cochar_coord_matrix(m)
-    stacked = None
-    rhs_parts = []
+    rhs = []
     for g in gens:
-        vc = g.cochar()
-        block = vc - Mat.identity(n)
-        c_corr = _c_correction(rd, m, g)
-        rhs = QV(mc.apply(g.tau.coords)) - g.tau + c_corr
-        stacked = block if stacked is None else stacked.stack(block)
-        rhs_parts.append(rhs)
-    rhs_all = QV([c for part in rhs_parts for c in part.coords])
-    sol = solve_linear_qz(stacked, rhs_all)
-    if sol is None:
-        return None
-    return sol.particular
+        part = QV(mc.apply(g.tau.coords)) - g.tau + _c_correction(rd, m, g)
+        rhs += part.coords
+    return fixed.solve(QV(rhs))
 
 
 def _c_correction(rd: RootDatum, m: Mat, g: NormalizerElement) -> QV:
@@ -268,10 +262,11 @@ def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
         for c2 in c_group.elements():
             x2 = lifts[_action_matrix(basis, rd.rank, c2)]
             x12 = lifts[_action_matrix(basis, rd.rank, c_group.add(c1, c2))]
-            word = x1.mul(x2).mul(x12.inverse())
-            if word.weyl != Mat.identity(rd.rank):
+            # x1 x2 x12^{-1} is the torus point (x1 x2).tau - x12.tau
+            prod = x1.mul(x2)
+            if (prod.weyl, prod.outer) != (x12.weyl, x12.outer):
                 raise ArithmeticError("cocycle word has a Weyl part")
-            cocycle[(c1, c2)] = fixed.project(word.tau)
+            cocycle[(c1, c2)] = fixed.project(prod.tau - x12.tau)
     return ExtensionDescriptor(fixed.factors, factors, action, cocycle)
 
 
@@ -403,12 +398,9 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     target = QV(rd.coroot_coords(half))
     img = QV((f_coords - Mat.identity(rank)).apply(mu_coords.coords))
     lift_w2_found = (img == target)
-    sol = solve_affine(f_coords, target)
-    solve_affine_used = sol is not None
-    if sol is not None:
-        resid = mu_coords - sol.particular
-        if not isinstance(sol.kernel, RankReport):
-            solve_affine_used = sol.kernel.contains(resid)
+    fixed = twisted_fixed_points(f_coords)
+    sol = fixed.solve(target)
+    solve_affine_used = sol is not None and fixed.contains(mu_coords - sol)
 
     b = _b_value(n, lens)
     lam_ok = (pair20.lam[0] == b and pair20.lam[rank - 1] == b)
@@ -425,7 +417,6 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     if not fixed_check.is_zero():
         raise ArithmeticError("commutator is not Frobenius-fixed")
 
-    fixed = twisted_fixed_points(f_coords)
     acts = [fixed.induced(rd.cochar_coord_matrix(w.matrix)) for w in (w1, w2)]
     quot = coinvariants(fixed, acts)
     cls = quot.project(fixed.project(comm))

@@ -3,10 +3,11 @@
 Everything here is immutable and pure: integer number theory (prime
 factors, primality, prime powers, multiplicative orders), integer matrices,
 Gauss–Jordan elimination over Q, Smith normal form, coordinates on a lattice
-basis, subgroups of (Q/Z)^n cut out by integer matrices with the maps a
-matrix induces on them, coinvariants, affine solving of (M-1)x = c over Q/Z,
-and linear congruences mod n.  This is the substrate for every lattice
-quotient in the package; gcd, lcm and isqrt come from ``math``.
+basis, subgroups ker m of (Q/Z)^n cut out by integer matrices m, with the
+maps a matrix induces on them and m's Smith form to solve m·x ≡ c over Q/Z,
+coinvariants, and linear congruences mod n.  This is the substrate for
+every lattice quotient in the package; gcd, lcm and isqrt come from
+``math``.
 
 Lattice-basis coordinates: a lattice is a matrix S whose rows are basis
 vectors of a subspace of an ambient space; the coordinates of an ambient
@@ -416,12 +417,14 @@ class FinAb:
     order ``factors[i]`` and the group is the internal direct sum of the
     cyclic subgroups they generate.  Elements are coordinate tuples
     (a_i mod d_i); ``project`` maps an ambient QV back to coordinates and
-    raises if the vector is not in the group.
+    raises if the vector is not in the group.  A group that ``qz_kernel``
+    built as ker m keeps m's Smith form, and ``solve`` solves m·x ≡ c.
     """
 
-    __slots__ = ("factors", "gens", "ambient", "_vinv", "_dfull")
+    __slots__ = ("factors", "gens", "ambient", "_vinv", "_dfull", "_u", "_v")
 
-    def __init__(self, factors, gens, vinv=None, dfull=None, ambient=None):
+    def __init__(self, factors, gens, vinv=None, dfull=None, ambient=None,
+                 u=None, v=None):
         self.factors = tuple(int(d) for d in factors)
         self.gens = tuple(gens)
         if ambient is None:
@@ -429,6 +432,8 @@ class FinAb:
         self.ambient = ambient
         self._vinv = vinv      # Mat mapping ambient coords to SNF coords
         self._dfull = dfull    # full diagonal, aligned with vinv rows
+        self._u = u            # U and V with U m V = D, when built from m
+        self._v = v
         for d in self.factors:
             if d < 2:
                 raise ValueError("cyclic factors must be >= 2")
@@ -531,6 +536,27 @@ class FinAb:
         except ValueError:
             return False
 
+    def solve(self, c: QV):
+        """One x with m·x ≡ c mod Z for the m this group is ker of, or None.
+
+        With U m V = D, y = V^{-1} x solves d_i y_i ≡ (U c)_i; a row with a
+        zero or missing d_i must vanish (Cohen, GTM 138, §2.4).
+        """
+        if self._u is None:
+            raise ValueError("group carries no system to solve")
+        if len(c.coords) != self._u.ncols:
+            raise ValueError("shape mismatch")
+        den = math.lcm(*(t.denominator for t in c.coords))
+        nums = [t.numerator * (den // t.denominator) for t in c.coords]
+        y = [0] * self._v.nrows
+        for i, r in enumerate(self._u.apply(nums)):
+            d = self._dfull[i] if i < len(y) else 0
+            if d:
+                y[i] = Fraction(r % den, den * d)
+            elif r % den:
+                return None
+        return QV(self._v.apply(y))
+
     def characters(self):
         """All characters as coordinate tuples x; pair with char_value."""
         return self.elements()
@@ -593,7 +619,8 @@ class RankReport:
 def qz_kernel(m: Mat):
     """Subgroup {v in (Q/Z)^n : m·v ≡ 0 mod Z} for an integer matrix m.
 
-    Returns a FinAb when the kernel is finite, else a RankReport.
+    Returns a FinAb when the kernel is finite, else a RankReport; either
+    way the FinAb keeps m's Smith form, and its ``solve`` solves m·x ≡ c.
     """
     u, d, v = smith_normal_form(m)
     n = m.ncols
@@ -608,7 +635,7 @@ def qz_kernel(m: Mat):
             col = [Fraction(v.rows[i][j], dj) for i in range(n)]
             gens.append(QV(col))
             factors.append(dj)
-    grp = FinAb(factors, gens, vinv, diag, ambient=n)
+    grp = FinAb(factors, gens, vinv, diag, ambient=n, u=u, v=v)
     if free:
         return RankReport(free, grp)
     return grp
@@ -682,45 +709,6 @@ def coinvariants(group: FinAb, actions):
         delta = m - Mat.identity(k)
         elems += [group.apply_matrix(delta, e) for e in group.standard_basis()]
     return quotient_by(group, elems)
-
-
-class AffineSolutions:
-    """Solution set of a linear equation over Q/Z: particular + kernel."""
-
-    __slots__ = ("particular", "kernel")
-
-    def __init__(self, particular: QV, kernel):
-        self.particular = particular
-        self.kernel = kernel
-
-    def all(self):
-        """Every solution (finite kernel only)."""
-        if isinstance(self.kernel, RankReport):
-            raise ValueError("infinitely many solutions")
-        return [self.particular + self.kernel.lift(c) for c in self.kernel.elements()]
-
-
-def solve_linear_qz(m: Mat, c: QV):
-    """All x in (Q/Z)^ncols with m·x ≡ c mod Z, or None if unsolvable."""
-    u, d, v = smith_normal_form(m)
-    rhs = [_frac(t) for t in u.apply(c.coords)]
-    n = m.ncols
-    y = [Fraction(0)] * n
-    for i in range(m.nrows):
-        di = int(d.rows[i][i]) if i < min(m.nrows, n) else 0
-        ri = rhs[i] % 1
-        if i >= n or di == 0:
-            if ri != 0:
-                return None
-        else:
-            y[i] = ri / di
-    x0 = QV(v.apply(y))
-    return AffineSolutions(x0, qz_kernel(m))
-
-
-def solve_affine(m: Mat, c: QV):
-    """Solutions of (m - 1)x = c over Q/Z; None when the orbit is empty."""
-    return solve_linear_qz(m - Mat.identity(m.nrows), c)
 
 
 def solve_mod(a: Mat, b, n: int):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidor import centralizer as centralizer_module
+from cuspidor import exactcore
 from cuspidor.centralizer import (
     NormalizerElement,
     ParameterDatum,
@@ -181,6 +183,56 @@ def test_centralizer_inverts_each_matrix_at_most_once(monkeypatch):
     monkeypatch.setattr(Mat, "inverse", counting)
     assert centralizer(datum).mult_one
     assert calls and max(calls.values()) == 1
+
+
+def _count_snf(monkeypatch):
+    calls = collections.Counter()
+    snf = exactcore.smith_normal_form
+
+    def counting(m):
+        calls[m] += 1
+        return snf(m)
+
+    monkeypatch.setattr(exactcore, "smith_normal_form", counting)
+    return calls
+
+
+def test_centralizer_factors_its_stacked_system_once(monkeypatch):
+    datum = datum_from_json(datum_to_json(build_d4_sc()))
+    one = Mat.identity(datum.rd.rank)
+    stacked = Mat([row for g in datum.generators
+                   for row in (g.cochar() - one).rows])
+    calls = _count_snf(monkeypatch)
+    assert centralizer(datum).mult_one
+    assert calls[stacked] == 1
+
+
+def test_d2n_verify_factors_f_minus_one_once(monkeypatch):
+    rd, w0, _, _ = d2n_w_elements(3, (1, 2))
+    f_minus_one = 5 * rd.cochar_coord_matrix(w0.matrix) - Mat.identity(6)
+    calls = _count_snf(monkeypatch)
+    assert d2n_verify(3, 5, (1, 2)).ok
+    assert calls[f_minus_one] == 1
+
+
+def test_a_false_relation_fails_in_the_model():
+    datum = build_spin9()
+    gens = [(g.tau.coords, g.weyl, g.outer) for g in datum.generators]
+    with pytest.raises(ValueError, match="relation .* fails in the model"):
+        ParameterDatum(datum.rd, gens, [("conj_power", 1, 0, 7)])
+
+
+def test_a_wrong_lift_fails_to_centralize(monkeypatch):
+    solve = centralizer_module._solve_lift
+    shift = QV([Fraction(1, 3), 0, 0, 0])
+
+    def shifted(*args):
+        tau = solve(*args)
+        return None if tau is None else tau + shift
+
+    monkeypatch.setattr(centralizer_module, "_solve_lift", shifted)
+    with pytest.raises(ArithmeticError, match="solved lift fails to centralize"):
+        centralizer(build_d4_sc())
 
 
 def test_induced_matrices_on_the_fixture_fixed_tori():

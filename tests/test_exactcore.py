@@ -24,7 +24,6 @@ from cuspidor.exactcore import (
     prime_power,
     qz_kernel,
     smith_normal_form,
-    solve_affine,
     solve_mod,
     twisted_fixed_points,
 )
@@ -188,23 +187,33 @@ def test_coinvariants_projection_is_homomorphism():
             assert q.project(diff) == q.group.zero
 
 
+# (m - 1)x = c over Q/Z, solved by the kernel of m - 1
+
 def test_solve_affine_homogeneous():
-    sol = solve_affine(Mat([[-3]]), QV([0]))
+    kernel = twisted_fixed_points(Mat([[-3]]))
+    sol = kernel.solve(QV([0]))
     assert sol is not None
-    assert sol.particular.is_zero()
-    assert sol.kernel.order == 4
-    assert len(sol.all()) == 4
+    assert sol.is_zero()
+    assert kernel.order == 4
+    assert len({sol + kernel.lift(c) for c in kernel.elements()}) == 4
 
 
 def test_solve_affine_spec_example():
-    sol = solve_affine(Mat([[-3]]), QV([Fraction(1, 2)]))
+    sol = twisted_fixed_points(Mat([[-3]])).solve(QV([Fraction(1, 2)]))
     assert sol is not None
-    x = sol.particular.coords[0]
+    x = sol.coords[0]
     assert (-4 * x) % 1 == Fraction(1, 2)
 
 
 def test_solve_affine_no_solution():
-    assert solve_affine(Mat.identity(1), QV([Fraction(1, 3)])) is None
+    kernel = twisted_fixed_points(Mat.identity(1))
+    assert isinstance(kernel, RankReport)
+    assert kernel.torsion.solve(QV([Fraction(1, 3)])) is None
+
+
+def test_solve_needs_the_system_that_built_the_group():
+    with pytest.raises(ValueError):
+        FinAb.abstract([2, 4]).solve(QV([0, 0]))
 
 
 def test_abelian_basis_klein():
@@ -413,6 +422,32 @@ def test_solve_mod_matches_brute_force(n, nrows, ncols, data):
         assert len(x) == ncols and solves(x)
 
 
+@PROPERTY
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(1, 4), st.data())
+def test_kernel_solve_matches_brute_force(ncols, extra, n, data):
+    # a nonsingular square block, then extra rows: the kernel is finite and
+    # every solution of m·x ≡ c, c in ((1/n)Z/Z)^rows, lies in (1/(n·det))Z
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    top = Mat(data.draw(st.lists(row, min_size=ncols, max_size=ncols)
+                        .filter(lambda r: Mat(r).det() != 0)))
+    m = Mat(list(top.rows)
+            + data.draw(st.lists(row, min_size=extra, max_size=extra)))
+    kernel = qz_kernel(m)
+    assert isinstance(kernel, FinAb)
+    big = n * abs(top.det())
+    images = {tuple(sum(a * x for a, x in zip(r, xs)) * n // big % n
+                    for r in m.rows)
+              for xs in itertools.product(range(big), repeat=ncols)
+              if all(sum(a * x for a, x in zip(r, xs)) * n % big == 0
+                     for r in m.rows)}
+    for b in itertools.product(range(n), repeat=m.nrows):
+        c = QV([Fraction(bi, n) for bi in b])
+        x = kernel.solve(c)
+        assert (x is not None) == (b in images)
+        if x is not None:
+            assert QV(m.apply(x.coords)) == c
+
+
 def test_no_private_copies_of_the_helpers():
     banned = {"_gcd", "_lcm", "_is_prime", "_prime_factors", "_mult_order",
               "_order_mod", "_prime_power", "_prime_of", "_is_prime_power",
@@ -420,12 +455,16 @@ def test_no_private_copies_of_the_helpers():
               "_twist_order", "_is_irreducible", "_coords", "_coord_matrix",
               "_solver", "_gens", "_unit", "_span_table", "_combine",
               "_solve_mod", "_exceptional_stats", "_section_commutator",
-              "_int_inverse"}
+              "_int_inverse", "solve_linear_qz", "solve_affine"}
+    # m·x ≡ c over Q/Z is solved by the kernel of m
+    banned_classes = {"AffineSolutions"}
     found = []
     for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and node.name in banned:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef) and node.name in banned_classes:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
             # a Weyl or outer inverse goes through RootDatum.inverse
             if isinstance(node, ast.Call) \
