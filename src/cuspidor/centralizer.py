@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import ExtensionDescriptor, _action_matrix, has_multiplicity_one
-from .errors import InvalidCycleType, InvalidPrimePower, TooLarge
+from .errors import FailedCheck, InvalidCycleType, InvalidPrimePower, TooLarge
 from .exactcore import (
     FinAb,
     Mat,
@@ -75,7 +75,7 @@ class NormalizerElement:
         shift = (-resid.tau).act(cand.cochar())
         out = NormalizerElement(rd, cand.tau + shift, winv, oinv)
         if not self.mul(out).is_identity():
-            raise ArithmeticError("inverse construction failed")
+            raise FailedCheck("inverse construction failed")
         return out
 
     def conj(self, other: "NormalizerElement") -> "NormalizerElement":
@@ -199,7 +199,7 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
         x = NormalizerElement(rd, tau, m)
         for g in gens:
             if x.mul(g) != g.mul(x):
-                raise ArithmeticError("solved lift fails to centralize")
+                raise FailedCheck("solved lift fails to centralize")
         omega.append(m)
         lifts[m] = x
 
@@ -220,30 +220,20 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
 def _solve_lift(rd: RootDatum, m: Mat, gens, fixed: FinAb):
     """tau with (tau, m) centralizing all generators, or None.
 
-    For each generator g = (tau_g, v): (v - 1) tau = (m - 1) tau_g + C(m; v)
-    where C collects the Tits cocycle corrections of x g x^{-1} g^{-1}.
-    ``fixed`` is the kernel of the (v - 1) blocks stacked in generator
-    order, so it solves the stacked system.
+    With x0 = (0, m) and v = g.cochar(), x g = g x exactly when
+    (v - 1) tau = (x0 g).tau - (g x0).tau.  ``fixed`` is the kernel of the
+    (v - 1) blocks stacked in generator order, so it solves the system; a
+    zero block (v = 1) with a non-zero right side has no solution.
     """
-    mc = rd.cochar_coord_matrix(m)
+    x0 = NormalizerElement(rd, QV.zero(rd.rank), m)
+    one = Mat.identity(rd.rank)
     rhs = []
     for g in gens:
-        part = QV(mc.apply(g.tau.coords)) - g.tau + _c_correction(rd, m, g)
+        part = x0.mul(g).tau - g.mul(x0).tau
+        if not part.is_zero() and g.cochar() == one:
+            return None
         rhs += part.coords
     return fixed.solve(QV(rhs))
-
-
-def _c_correction(rd: RootDatum, m: Mat, g: NormalizerElement) -> QV:
-    """C(m; v) = z(m, v) - v.z(m, m^{-1}) + z(m v, m^{-1}) for x = (tau, m)."""
-    # z-twists with x's outer part trivial
-    minv = rd.inverse(m)
-    z1 = tits_cocycle(rd, m, g.weyl)
-    z2 = tits_cocycle(rd, m, minv)
-    mv_weyl = m * g.weyl
-    # z((mv_weyl, o_v), (m^{-1}, 1)) = z_LS(mv_weyl, o_v m^{-1} o_v^{-1})
-    conj_minv = g.outer * minv * rd.inverse(g.outer)
-    z3 = tits_cocycle(rd, mv_weyl, conj_minv)
-    return z1 - z2.act(g.cochar()) + z3
 
 
 def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
@@ -265,7 +255,7 @@ def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
             # x1 x2 x12^{-1} is the torus point (x1 x2).tau - x12.tau
             prod = x1.mul(x2)
             if (prod.weyl, prod.outer) != (x12.weyl, x12.outer):
-                raise ArithmeticError("cocycle word has a Weyl part")
+                raise FailedCheck("cocycle word has a Weyl part")
             cocycle[(c1, c2)] = fixed.project(prod.tau - x12.tau)
     return ExtensionDescriptor(fixed.factors, factors, action, cocycle)
 
@@ -373,7 +363,7 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     rank = 2 * n
     for u, v in ((w0, w1), (w0, w2), (w1, w2)):
         if not u.commutes_with(v):
-            raise ArithmeticError("w0, w1, w2 must commute")
+            raise FailedCheck("w0, w1, w2 must commute")
     f_ambient = q * rd.dual_matrix(w0.matrix)
     f_coords = q * rd.cochar_coord_matrix(w0.matrix)
 
@@ -389,10 +379,10 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     for i, den in enumerate(mu_dens):
         cyc = _cycle_of(i, lens, n)
         if (2 * (q ** cyc + 1)) % den:
-            raise ArithmeticError("mu denominator outside q^l + 1 shape")
+            raise FailedCheck("mu denominator outside q^l + 1 shape")
     mu_coords = QV(rd.coroot_coords(mu))
     if q != 1 and mu_coords.order() % p == 0:
-        raise ArithmeticError("mu class order is divisible by p")
+        raise FailedCheck("mu class order is divisible by p")
 
     # f-fixedness: the w2 lift corrected by mu satisfies (F-1)mu = lambda/2
     target = QV(rd.coroot_coords(half))
@@ -402,12 +392,12 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
     sol = fixed.solve(target)
     solve_affine_used = sol is not None and fixed.contains(mu_coords - sol)
 
-    b = _b_value(n, lens)
+    b = 2 * n - 2 * len(lens)
     lam_ok = (pair20.lam[0] == b and pair20.lam[rank - 1] == b)
     if not lam_ok:
-        raise ArithmeticError("edge coordinates of lambda disagree with b")
+        raise FailedCheck("edge coordinates of lambda disagree with b")
     if b % 2:
-        raise ArithmeticError("b must be even")
+        raise FailedCheck("b must be even")
 
     # commutator of the fixed lifts: (w1 - 1) mu + lambda_{w1,w2}/2
     w1c = rd.cochar_coord_matrix(w1.matrix)
@@ -415,7 +405,7 @@ def d2n_verify(n: int, q: int, cycle_lengths) -> D2nReport:
             + pair12.half_class_coords)
     fixed_check = QV((f_coords - Mat.identity(rank)).apply(comm.coords))
     if not fixed_check.is_zero():
-        raise ArithmeticError("commutator is not Frobenius-fixed")
+        raise FailedCheck("commutator is not Frobenius-fixed")
 
     acts = [fixed.induced(rd.cochar_coord_matrix(w.matrix)) for w in (w1, w2)]
     quot = coinvariants(fixed, acts)
@@ -448,10 +438,6 @@ def _cycle_of(i: int, lens, n: int) -> int:
             return l
         start += l
     raise IndexError
-
-
-def _b_value(n: int, lens) -> int:
-    return 2 * n - 2 * len(lens)
 
 
 def admissible_cycle_types(n: int):

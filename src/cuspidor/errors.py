@@ -102,3 +102,7 @@ class InvalidDegree(CuspidorError, ValueError):
 
 class InvalidFixture(CuspidorError, ValueError):
     """A fixture path that cannot be read, parsed or validated."""
+
+
+class FailedCheck(CuspidorError, ArithmeticError):
+    """A self-check of a computed result failed; also an ArithmeticError."""

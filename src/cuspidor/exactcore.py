@@ -217,6 +217,13 @@ class Mat:
         return Mat(self.rows + other.rows)
 
 
+def clear_denominators(m: Mat):
+    """(den·m, den) for den the lcm of the denominators of m's entries."""
+    den = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return Mat([[x.numerator * (den // x.denominator) for x in row]
+                for row in m.rows]), den
+
+
 def smith_normal_form(m: Mat):
     """Return (U, D, V) with U*m*V = D diagonal, U and V unimodular.
 

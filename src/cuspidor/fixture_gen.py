@@ -13,13 +13,12 @@ emitted.  Run ``python -m cuspidor.fixture_gen`` to regenerate the JSON.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from .centralizer import ParameterDatum
 from .clifford import _block_diag
-from .exactcore import (Mat, QV, coord_matrix, coords_of, lattice_solver,
-                        smith_normal_form)
+from .exactcore import (Mat, QV, clear_denominators, coord_matrix, coords_of,
+                        lattice_solver, smith_normal_form)
 from .rootdata import RootDatum, build_classical
 
 
@@ -240,8 +239,8 @@ def biquadratic_lattice():
     u_c = [0, 0, 0, 0, 0, q, 0, 0, 0, 0, 2 * q]
     gen_rows = rows + [u_a, u_b, u_c]
     m = Mat(gen_rows)
-    u, d, v = smith_normal_form(_clear_denominators(m)[0])
-    scale = _clear_denominators(m)[1]
+    num, scale = clear_denominators(m)
+    u, d, v = smith_normal_form(num)
     vinv = v.inverse()
     basis_rows = []
     for i in range(min(d.nrows, d.ncols)):
@@ -252,11 +251,6 @@ def biquadratic_lattice():
     if len(basis_rows) != 9:
         raise ArithmeticError("lattice rank is not 9")
     return Mat(basis_rows)
-
-
-def _clear_denominators(m: Mat):
-    den = math.lcm(*(Fraction(x).denominator for row in m.rows for x in row))
-    return Mat([[int(Fraction(x) * den) for x in row] for row in m.rows]), den
 
 
 def _rev(n):

@@ -13,11 +13,12 @@ which keeps every lattice of full rank in an ambient Q^rank.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidLattice, InvalidWeylElement, NotCommuting, Reducible
-from .exactcore import (Mat, QV, coord_convert, coords_of, is_prime,
-                        lattice_solver, prime_factors)
+from .exactcore import (Mat, QV, clear_denominators, coord_convert, coords_of,
+                        is_prime, lattice_solver, prime_factors)
 
 CARTAN = {
     "E6": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
@@ -66,6 +67,9 @@ class RootDatum:
         self._root_index = {r: i for i, r in enumerate(self.roots)}
         self.basis_inv = basis.inverse()
         self.xv_rows = self.basis_inv.transpose()   # rows span X^vee in V*
+        # B = B_num / b and B^-1 = Binv_num / c, for cochar_coord_matrix
+        self._basis_num, self._basis_den = clear_denominators(basis)
+        self._inv_num, self._inv_den = clear_denominators(self.basis_inv)
         # the simple system need not span the ambient space (central torus
         # directions), so its solver may be a pseudo-inverse
         self._simple_mat = Mat([self.roots[i] for i in self.simple_idx])
@@ -75,19 +79,26 @@ class RootDatum:
         self._pos_frozen = None
         self._cochar_cache = {}
         self._inverse_cache = {}
-        self._pair_cache = {}
         self._validate()
 
     # -- structure ----------------------------------------------------------
 
     def _validate(self):
+        """Check the pairing; keep each root's X and its coroot's X^vee row."""
         for a, av in zip(self.roots, self.coroots):
             if sum(x * y for x, y in zip(a, av)) != 2:
                 raise ValueError("pairing <a, a_vee> != 2")
-        for a in self.roots:
-            coords = self.xv_rows.apply(a)
-            if any(Fraction(c).denominator != 1 for c in coords):
-                raise InvalidLattice("root outside the character lattice")
+        self._root_rows = self._integer_rows(
+            self.xv_rows, self.roots, "root outside the character lattice")
+        self._coroot_rows = self._integer_rows(
+            self.basis, self.coroots, "coroot outside the cocharacter lattice")
+
+    def _integer_rows(self, m: Mat, vectors, message):
+        """{root: m v} for the vectors v listed root by root, as integers."""
+        rows = [m.apply(v) for v in vectors]
+        if any(c.denominator != 1 for row in rows for c in row):
+            raise InvalidLattice(message)
+        return {a: tuple(map(int, row)) for a, row in zip(self.roots, rows)}
 
     @property
     def simple_roots(self):
@@ -138,13 +149,8 @@ class RootDatum:
         """s_alpha acting on V (character side)."""
         av = self._coroot_of[tuple(root)]
         n = self.rank
-        cols = []
-        for j in range(n):
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            img = [e[i] - av[j] * Fraction(root[i]) for i in range(n)]
-            cols.append(img)
-        m = Mat(list(zip(*cols)))
+        m = Mat([[Fraction(i == j) - av[j] * root[i] for j in range(n)]
+                 for i in range(n)])
         return m.to_int() if m.is_integral() else m
 
     def weyl_group(self):
@@ -206,26 +212,25 @@ class RootDatum:
         return self.inverse(m).transpose()
 
     def cochar_coord_matrix(self, m: Mat) -> Mat:
-        """Action of the V-side matrix m on X^vee, in dual-basis coordinates."""
+        """Action of the V-side matrix m on X^vee, in dual-basis coordinates.
+
+        B m^-T B^-1, as an integer product of numerators divided exactly.
+        """
         out = self._cochar_cache.get(m)
         if out is None:
-            raw = self.basis * self.dual_matrix(m) * self.basis_inv
-            if not raw.is_integral():
+            dual_num, dual_den = clear_denominators(self.dual_matrix(m))
+            raw = self._basis_num * dual_num * self._inv_num
+            den = self._basis_den * dual_den * self._inv_den
+            if any(x % den for row in raw.rows for x in row):
                 raise InvalidLattice(
                     "matrix does not preserve the cocharacter lattice")
-            out = raw.to_int()
+            out = Mat([[x // den for x in row] for row in raw.rows])
             self._cochar_cache[m] = out
         return out
 
     def pairing_row(self, root):
         """Integer row pairing the root against X^vee-basis coordinates."""
-        key = tuple(root)
-        out = self._pair_cache.get(key)
-        if out is None:
-            row = self.xv_rows.apply(key)
-            out = tuple(int(x) for x in row)
-            self._pair_cache[key] = out
-        return out
+        return self._root_rows[tuple(root)]
 
     def coroot_coords(self, coroot) -> tuple:
         """Coordinates of a cocharacter-space vector on the X^vee basis."""
@@ -485,8 +490,7 @@ def highest_root_marks(rd: RootDatum):
 
 
 def connection_index(rd: RootDatum) -> int:
-    d = rd.cartan_matrix().det()
-    return abs(int(d))
+    return abs(int(rd.cartan_matrix().det()))
 
 
 def bad_prime_data(rd: RootDatum):
@@ -503,15 +507,8 @@ def bad_prime_data(rd: RootDatum):
 
 def weyl_order_formula(rd: RootDatum) -> int:
     """|W| = f * n! * prod(marks) from the marks of the highest root."""
-    marks = highest_root_marks(rd)
-    f = connection_index(rd)
-    prod = 1
-    for c in marks:
-        prod *= c
-    fact = 1
-    for k in range(2, len(rd.simple_idx) + 1):
-        fact *= k
-    return f * fact * prod
+    return (connection_index(rd) * math.factorial(len(rd.simple_idx))
+            * math.prod(highest_root_marks(rd)))
 
 
 def _exceptional_datum(label: str) -> RootDatum:
@@ -588,7 +585,9 @@ def lambda_pair(rd: RootDatum, u: WeylElement, v: WeylElement) -> LambdaPairResu
     lam_set = ((rd.inversion_set(u.matrix) ^ rd.inversion_set(v.matrix))
                - rd.inversion_set(u.matrix * v.matrix))
     chosen = tuple(a for a in rd.positive_roots() if a in lam_set)
-    lam, coords = _half_coroot_sum(rd, chosen)
+    lam = tuple(map(sum, zip((Fraction(0),) * rd.rank,
+                             *map(rd.coroot, chosen))))
+    coords = _half_coroot_sum(rd, chosen)
     return LambdaPairResult(chosen, lam, coords, coords.is_zero())
 
 
@@ -600,12 +599,10 @@ def tits_cocycle(rd: RootDatum, u_mat: Mat, v_mat: Mat) -> QV:
     concrete monomial Tits lifts, and its antisymmetrization is lambda_pair.
     """
     roots = rd.inversion_set(u_mat) - rd.inversion_set(u_mat * v_mat)
-    return _half_coroot_sum(rd, roots)[1]
+    return _half_coroot_sum(rd, roots)
 
 
-def _half_coroot_sum(rd: RootDatum, roots):
-    """(lambda, lambda/2 in X^vee ⊗ Q/Z) for lambda the coroot sum of roots."""
-    lam = (Fraction(0),) * rd.rank
-    for a in roots:
-        lam = tuple(x + y for x, y in zip(lam, rd.coroot(a)))
-    return lam, QV(rd.coroot_coords(tuple(x / 2 for x in lam)))
+def _half_coroot_sum(rd: RootDatum, roots) -> QV:
+    """lambda/2 in X^vee ⊗ Q/Z, lambda the sum of the roots' integer coroot rows."""
+    rows = [rd._coroot_rows[a] for a in roots]
+    return QV([Fraction(sum(col), 2) for col in zip((0,) * rd.rank, *rows)])

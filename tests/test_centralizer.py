@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cuspidor import centralizer as centralizer_module
-from cuspidor import exactcore
+from cuspidor import cli, exactcore
 from cuspidor.centralizer import (
     NormalizerElement,
     ParameterDatum,
@@ -26,7 +26,7 @@ from cuspidor.fixture_gen import (
     datum_from_json,
     datum_to_json,
 )
-from cuspidor.rootdata import build_classical, lambda_pair
+from cuspidor.rootdata import build_classical, lambda_pair, tits_cocycle
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +233,74 @@ def test_a_wrong_lift_fails_to_centralize(monkeypatch):
     monkeypatch.setattr(centralizer_module, "_solve_lift", shifted)
     with pytest.raises(ArithmeticError, match="solved lift fails to centralize"):
         centralizer(build_d4_sc())
+
+
+def test_a_wrong_lift_is_a_domain_error_in_the_cli(monkeypatch, capsys):
+    solve = centralizer_module._solve_lift
+    shift = QV([Fraction(1, 3), 0, 0, 0])
+
+    def shifted(*args):
+        tau = solve(*args)
+        return None if tau is None else tau + shift
+
+    monkeypatch.setattr(centralizer_module, "_solve_lift", shifted)
+    assert cli.main(["centralizer", "--fixture", "d4_sc"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert "FailedCheck: solved lift fails to centralize" in doc["error"]
+
+
+def _frozen_c_correction(rd, m, g):
+    """C(m; v) = z(m, v) - v.z(m, m^-1) + z(m v, m^-1), from x g x^-1."""
+    minv = rd.inverse(m)
+    z1 = tits_cocycle(rd, m, g.weyl)
+    z2 = tits_cocycle(rd, m, minv)
+    conj_minv = g.outer * minv * rd.inverse(g.outer)
+    z3 = tits_cocycle(rd, m * g.weyl, conj_minv)
+    return z1 - z2.act(g.cochar()) + z3
+
+
+@pytest.mark.parametrize("build", [
+    build_spin9, build_biquadratic, build_d4_sc,
+    lambda: build_spin9().conjugate(build_spin9().rd.weyl_group()[7])],
+    ids=["spin9", "biquadratic", "d4_sc", "spin9-conjugated"])
+def test_lift_equation_read_off_the_product_matches_the_tits_correction(
+        build):
+    # the block (x0 g).tau - (g x0).tau of the lift equation, against the
+    # hand-derived right side (m - 1) tau_g + C(m; v) of x g x^-1 g^-1
+    datum = build()
+    rd = datum.rd
+    totals = [g.total() for g in datum.generators]
+    pairs = 0
+    for m in rd.weyl_group():
+        if not all(m * t == t * m for t in totals):
+            continue
+        x0 = NormalizerElement(rd, QV.zero(rd.rank), m)
+        mc = rd.cochar_coord_matrix(m)
+        for g in datum.generators:
+            block = x0.mul(g).tau - g.mul(x0).tau
+            ref = (QV(mc.apply(g.tau.coords)) - g.tau
+                   + _frozen_c_correction(rd, m, g))
+            assert block == ref
+            pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("build,calls", [(build_spin9, 2), (build_d4_sc, 4)])
+def test_a_zero_block_rejects_a_candidate_before_solving(monkeypatch, build,
+                                                         calls):
+    # the torus generator's block is zero, so (m - 1)s != 0 rejects m at once
+    datum = datum_from_json(datum_to_json(build()))
+    count = collections.Counter()
+    solve = exactcore.FinAb.solve
+
+    def counting(self, c):
+        count["solve"] += 1
+        return solve(self, c)
+
+    monkeypatch.setattr(exactcore.FinAb, "solve", counting)
+    assert centralizer(datum).mult_one
+    assert count["solve"] == calls
 
 
 def test_induced_matrices_on_the_fixture_fixed_tori():

@@ -222,6 +222,22 @@ def test_unreadable_fixture_is_domain_error(tmp_path, command, flag, content):
     _domain_error(run_cli(command, flag, str(path)), "InvalidFixture")
 
 
+def test_centralizer_coroot_outside_the_cocharacter_lattice(tmp_path):
+    # X = (1/2)Z holds the roots ±2, but X^vee = 2Z does not hold ±1
+    datum = {"root_datum": {"type": "A1", "rank": 1,
+                            "lattice": {"basis": [["1/2"]]},
+                            "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                            "simple": [0]},
+             "generators": [{"torus": ["1/2"], "weyl": [[1]],
+                             "outer": [[1]]}],
+             "relations": [], "label": "half-lattice"}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    proc = run_cli("centralizer", "--fixture", str(path))
+    _domain_error(proc, "InvalidLattice")
+    assert "coroot outside the cocharacter lattice" in payload(proc)["error"]
+
+
 def _family(elements, table, points, action, eta=()):
     return {"group": {"elements": elements, "table": table},
             "set": {"elements": points, "action": action}, "eta": list(eta)}

@@ -455,7 +455,8 @@ def test_no_private_copies_of_the_helpers():
               "_twist_order", "_is_irreducible", "_coords", "_coord_matrix",
               "_solver", "_gens", "_unit", "_span_table", "_combine",
               "_solve_mod", "_exceptional_stats", "_section_commutator",
-              "_int_inverse", "solve_linear_qz", "solve_affine"}
+              "_int_inverse", "solve_linear_qz", "solve_affine",
+              "_c_correction", "_clear_denominators"}
     # m·x ≡ c over Q/Z is solved by the kernel of m
     banned_classes = {"AffineSolutions"}
     found = []

@@ -101,6 +101,46 @@ def test_intermediate_lattice_validation():
         build_classical("D", 4, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
 
 
+def _biquadratic_rd():
+    from cuspidor.fixture_gen import build_biquadratic
+    return build_biquadratic().rd
+
+
+def test_coroot_outside_the_cocharacter_lattice_is_rejected():
+    # X = (1/2)Z holds the roots ±2, but X^vee = 2Z does not hold ±1
+    with pytest.raises(InvalidLattice,
+                       match="coroot outside the cocharacter lattice"):
+        RootDatum("A1", Mat([[Fraction(1, 2)]]), [(2,), (-2,)], [(1,), (-1,)],
+                  [0])
+    with pytest.raises(InvalidLattice,
+                       match="root outside the character lattice"):
+        RootDatum("A1", Mat([[2]]), [(1,), (-1,)], [(2,), (-2,)], [0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_classical("B", 3, "ad"),
+    lambda: build_classical("D", 4, "sc"),
+    _biquadratic_rd], ids=["B3-ad", "D4-sc", "biquadratic"])
+def test_integer_coordinates_match_the_rational_products(build):
+    rd = build()
+    for a, av in zip(rd.roots, rd.coroots):
+        assert rd.pairing_row(a) == rd.xv_rows.apply(a)
+        assert rd._coroot_rows[a] == rd.basis.apply(av)
+    for m in rd.weyl_group():
+        ref = rd.basis * rd.inverse(m).transpose() * rd.basis_inv
+        assert rd.cochar_coord_matrix(m) == ref
+        assert all(type(x) is int
+                   for row in rd.cochar_coord_matrix(m).rows for x in row)
+
+
+def test_a_matrix_off_the_cocharacter_lattice_is_rejected():
+    rd = build_classical("A", 1, "sc")
+    assert rd.cochar_coord_matrix(Mat([[-1]])) == Mat([[-1]])
+    with pytest.raises(InvalidLattice,
+                       match="does not preserve the cocharacter lattice"):
+        rd.cochar_coord_matrix(Mat([[2]]))
+
+
 def d4_w1_w2():
     rd = build_classical("D", 4, "sc")
     w1 = signed_perm_element(rd, [0, 1, 2, 3], [-1, 1, 1, -1])   # eps_1 eps_{2n}
@@ -281,11 +321,6 @@ def test_inversion_set_formulas_match_the_inverse_ones_on_all_of_w(kind,
             if u.commutes_with(v):
                 assert _lambda_tuple(lambda_pair(rd, u, v)) == \
                     _ref_lambda_pair(rd, u, v)
-
-
-def _biquadratic_rd():
-    from cuspidor.fixture_gen import build_biquadratic
-    return build_biquadratic().rd
 
 
 @pytest.mark.parametrize("build", [
