@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import ExtensionDescriptor, _action_matrix, has_multiplicity_one
-from .errors import FailedCheck, InvalidCycleType, InvalidPrimePower, TooLarge
+from .errors import FailedCheck, InvalidCycleType, InvalidPrimePower
 from .exactcore import (
     FinAb,
     Mat,
@@ -27,9 +27,6 @@ from .exactcore import (
     twisted_fixed_points,
 )
 from .rootdata import RootDatum, WeylElement, build_classical, lambda_pair, tits_cocycle
-
-# the largest Weyl group `centralizer` enumerates
-WEYL_BOUND = 10 ** 7
 
 
 class NormalizerElement:
@@ -176,8 +173,7 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
     directly in the model before reading off the extension cocycle.
     """
     rd = datum.rd
-    if rd.weyl_order() > WEYL_BOUND:
-        raise TooLarge("Weyl group too large to enumerate")
+    weyl = rd.weyl_group()    # TooLarge before any torus work
     notes = []
     gens = datum.generators
     fixed = simultaneous_fixed_points([g.cochar() for g in gens])
@@ -190,7 +186,7 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
     omega = []
     ident = Mat.identity(rd.rank)
     totals = [g.total() for g in gens]
-    for m in rd.weyl_group():
+    for m in weyl:
         if not all(m * t == t * m for t in totals):
             continue
         tau = _solve_lift(rd, m, gens, fixed)

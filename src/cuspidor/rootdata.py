@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidLattice, InvalidWeylElement, NotCommuting, Reducible
+from .errors import (InvalidLattice, InvalidWeylElement, NotCommuting, Reducible,
+                     TooLarge)
 from .exactcore import (Mat, QV, clear_denominators, coord_convert, coords_of,
                         is_prime, lattice_solver, prime_factors)
 
@@ -47,6 +48,10 @@ PAPER_TABLE = {
     "F4": ({2, 3}, {2, 3}),
     "G2": ({2, 3}, {2, 3}),
 }
+
+
+# the largest Weyl group the package enumerates
+WEYL_BOUND = 10 ** 5
 
 
 def prime_support(n: int):
@@ -154,47 +159,44 @@ class RootDatum:
         return m.to_int() if m.is_integral() else m
 
     def weyl_group(self):
-        """All Weyl elements as matrices on V, by closure of the generators."""
+        """All Weyl elements as matrices on V, sorted by rows.
+
+        One closure of the simple reflections on integer rows: s_a m is the
+        rank-one update m - a (a_vee^T m), which touches only the rows where
+        a is non-zero.  TooLarge once more than WEYL_BOUND elements are seen;
+        nothing is memoized then.
+        """
         if self._weyl is None:
-            gens = [self.reflection(a) for a in self.simple_roots]
-            seen = {Mat.identity(self.rank)}
-            frontier = [Mat.identity(self.rank)]
+            # each simple reflection as the supports of a_vee and a
+            gens = [[[(i, c) for i, c in enumerate(v) if c]
+                     for v in (self._coroot_of[a], a)] for a in self.simple_roots]
+            cols = range(self.rank)
+            ident = Mat.identity(self.rank).rows
+            seen = {ident}
+            frontier = [ident]
             while frontier:
                 nxt = []
                 for m in frontier:
-                    for g in gens:
-                        x = g * m
+                    for av_nz, a_nz in gens:
+                        r = [sum(c * m[i][j] for i, c in av_nz) for j in cols]
+                        x = list(m)
+                        for i, c in a_nz:
+                            x[i] = tuple(y - c * z for y, z in zip(m[i], r))
+                        x = tuple(x)
                         if x not in seen:
                             seen.add(x)
                             nxt.append(x)
+                            if len(seen) > WEYL_BOUND:
+                                raise TooLarge(
+                                    f"Weyl group of {self.label} has more "
+                                    f"than {WEYL_BOUND} elements")
                 frontier = nxt
-            self._weyl = sorted(seen, key=lambda m: m.rows)
+            self._weyl = [Mat(rows) for rows in sorted(seen)]
         return self._weyl
 
     def weyl_order(self) -> int:
-        """|W| via the orbit of a regular vector (simply transitive on chambers)."""
-        v = self._regular_vector()
-        seen = {v}
-        gens = [self.reflection(a) for a in self.simple_roots]
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = tuple(g.apply(x))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen)
-
-    def _regular_vector(self):
-        n = self.rank
-        for attempt in range(1, 20):
-            v = tuple(attempt * 977 + 31 * i * i + i + 1 for i in range(n))
-            if all(sum(x * y for x, y in zip(v, av)) != 0 for av in self.coroots):
-                return v
-        raise ArithmeticError("no regular vector found")
+        """|W|, the number of chambers W permutes simply transitively."""
+        return len(self.weyl_group())
 
     def inverse(self, m: Mat) -> Mat:
         """m^-1 for a Weyl or outer matrix m, the one Gauss–Jordan on them.
@@ -238,8 +240,7 @@ class RootDatum:
         return tuple(out)
 
     def root_permutation_ok(self, m: Mat) -> bool:
-        rootset = set(self.roots)
-        return all(tuple(m.apply(r)) in rootset for r in self.roots)
+        return all(tuple(m.apply(r)) in self._root_index for r in self.roots)
 
     def to_json(self):
         return {
@@ -543,7 +544,7 @@ def table_check(classical_ranks=None):
         for n in ranks:
             rd = build_classical(kind, n, "sc")
             row1, row2, order = _table_rows(rd)
-            if order <= 10 ** 5:
+            if order <= WEYL_BOUND:
                 assert order == rd.weyl_order()
             want1 = prime_support(n + 1) if rule1 == "p|n+1" else {2}
             bound = (n + 1) if rule2 == "p<=n+1" else n

@@ -1,13 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from cuspidor.errors import InvalidLattice, NotCommuting, Reducible
+from cuspidor.errors import InvalidLattice, NotCommuting, Reducible, TooLarge
 from cuspidor.exactcore import Mat, QV
 from cuspidor.rootdata import (
     RootDatum,
     WeylElement,
+    _exceptional_datum,
     bad_prime_data,
     build_classical,
     connection_index,
@@ -373,3 +375,85 @@ def test_root_datum_inverse_of_a_singular_matrix_is_not_cached():
     with pytest.raises(ValueError):
         rd.inverse(Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
     assert rd._inverse_cache == {}
+
+
+# -- one enumeration of W ------------------------------------------------------
+
+def _frozen_mat_closure(rd):
+    """W as the full Mat-product closure of the simple reflections, sorted."""
+    gens = [rd.reflection(a) for a in rd.simple_roots]
+    seen = {Mat.identity(rd.rank)}
+    frontier = [Mat.identity(rd.rank)]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                x = g * m
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return sorted(seen, key=lambda m: m.rows)
+
+
+def _fixture_rd(name):
+    from importlib import resources
+
+    from cuspidor.fixture_gen import datum_from_json
+    text = (resources.files("cuspidor") / "fixtures" / f"{name}.json").read_text()
+    return datum_from_json(json.loads(text)).rd
+
+
+_IRREDUCIBLE = ([(k, n, lat) for k, ns in [("A", range(1, 5)), ("B", range(2, 5)),
+                                           ("C", range(2, 5))]
+                 for n in ns for lat in ("sc", "ad")]
+                + [("D", 4, "sc"), ("D", 5, "sc")])
+
+
+def _irreducible_builds():
+    builds = [(f"{k}{n}-{lat}", lambda k=k, n=n, lat=lat: build_classical(k, n, lat))
+              for k, n, lat in _IRREDUCIBLE]
+    builds += [(label, lambda label=label: _exceptional_datum(label))
+               for label in ("G2", "F4")]
+    return builds
+
+
+_WEYL_BUILDS = _irreducible_builds() + [
+    (name, lambda name=name: _fixture_rd(name))
+    for name in ("spin9", "biquadratic", "d4_sc")]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _WEYL_BUILDS],
+                         ids=[name for name, _ in _WEYL_BUILDS])
+def test_weyl_group_matches_the_mat_product_closure(build):
+    rd = build()
+    got = rd.weyl_group()
+    assert got == _frozen_mat_closure(rd)
+    assert all(type(x) is int for m in got for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("build", [b for _, b in _irreducible_builds()],
+                         ids=[name for name, _ in _irreducible_builds()])
+def test_weyl_order_is_the_length_of_the_enumeration(build):
+    rd = build()
+    assert rd.weyl_order() == len(rd.weyl_group()) == weyl_order_formula(rd)
+
+
+def test_a_weyl_group_over_the_bound_is_refused(monkeypatch, capsys):
+    from cuspidor import cli, rootdata
+    from cuspidor.centralizer import centralizer
+    from cuspidor.fixture_gen import build_spin9
+
+    monkeypatch.setattr(rootdata, "WEYL_BOUND", 100)
+    rd = build_classical("B", 4, "sc")
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            rd.weyl_group()
+    assert rd._weyl is None
+    with pytest.raises(TooLarge):
+        centralizer(build_spin9())
+    assert cli.main(["torus", "--type", "B", "--rank", "4", "--q", "3",
+                     "--weyl", "coxeter"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["error"].startswith("TooLarge:")
