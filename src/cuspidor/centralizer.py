@@ -1,10 +1,10 @@
 """Parameter centralizers in a dual-group model, and the D_{2n} calculus.
 
 Elements of the normalizer N(T,G) (extended by pinned outer automorphisms)
-are modeled as triples (torus torsion point, Weyl part, outer part); products
-go through the Tits section cocycle, so commutators of lifts carry exactly
-the lambda_{u,v}(-1) corrections of the classical Tits-lift calculus.  The
-centralizer of a parameter datum is computed by enumerating the Weyl
+are modeled as pairs (torus torsion point, matrix of the image in W ⋊ Out);
+products go through the Tits section cocycle, so commutators of lifts carry
+exactly the lambda_{u,v}(-1) corrections of the classical Tits-lift calculus.
+The centralizer of a parameter datum is computed by enumerating the Weyl
 candidates and solving the torus equations over Q/Z; the resulting extension
 1 -> fixed torus -> S_phi -> Omega -> 1 is handed to the Clifford machinery.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import ExtensionDescriptor, _action_matrix, has_multiplicity_one
+from .clifford import ExtensionDescriptor, has_multiplicity_one
 from .errors import FailedCheck, InvalidCycleType, InvalidPrimePower
 from .exactcore import (
     FinAb,
@@ -30,47 +30,52 @@ from .rootdata import RootDatum, WeylElement, build_classical, lambda_pair, tits
 
 
 class NormalizerElement:
-    """(torus part, Weyl part, outer part) in the Tits model of N(T,G)."""
+    """(torus part, image in W ⋊ Out) in the Tits model of N(T,G).
 
-    __slots__ = ("rd", "tau", "weyl", "outer")
+    ``m`` is the V-side matrix of the element's image: a Weyl element times
+    a pinned outer automorphism.
+    """
 
-    def __init__(self, rd: RootDatum, tau: QV, weyl: Mat = None, outer: Mat = None):
+    __slots__ = ("rd", "tau", "m")
+
+    def __init__(self, rd: RootDatum, tau: QV, m: Mat = None):
         self.rd = rd
         self.tau = tau
-        self.weyl = weyl if weyl is not None else Mat.identity(rd.rank)
-        self.outer = outer if outer is not None else Mat.identity(rd.rank)
-
-    def total(self) -> Mat:
-        return self.weyl * self.outer
+        self.m = m if m is not None else Mat.identity(rd.rank)
 
     def cochar(self) -> Mat:
-        return self.rd.cochar_coord_matrix(self.total())
+        return self.rd.cochar_coord_matrix(self.m)
 
     def __eq__(self, other):
-        return (self.tau, self.weyl, self.outer) == (other.tau, other.weyl,
-                                                     other.outer)
+        return (self.tau, self.m) == (other.tau, other.m)
 
     def is_identity(self) -> bool:
-        ident = Mat.identity(self.rd.rank)
-        return self.tau.is_zero() and self.weyl == ident and self.outer == ident
+        return self.tau.is_zero() and self.m == Mat.identity(self.rd.rank)
 
     def mul(self, other: "NormalizerElement") -> "NormalizerElement":
-        rd = self.rd
-        # n(w1)o1 n(w2)o2 = z(w1, o1 w2 o1^-1) n(w1 o1(w2)) o1 o2
-        w2c = self.outer * other.weyl * rd.inverse(self.outer)
-        z = tits_cocycle(rd, self.weyl, w2c)
-        tau = self.tau + other.tau.act(self.cochar()) + z
-        return NormalizerElement(rd, tau, self.weyl * w2c, self.outer * other.outer)
+        """(tau1 + m1.tau2 + z(m1, m2), m1 m2), z the Tits section cocycle.
+
+        This is the product n(w1)o1 n(w2)o2 = z(w1, o1 w2 o1^-1)
+        n(w1 o1 w2 o1^-1) o1 o2 of the Weyl/outer split, read off the totals
+        m = w o.  A pinned o maps the positive roots onto themselves (Tits,
+        J. Algebra 4 (1966); Humphreys, Reflection Groups and Coxeter Groups,
+        §1.8), so b -> o b permutes them and N(w o) = N(w) for every w.  Hence
+        z(w1, o1 w2 o1^-1) = z(m1, m2), because N(m1) = N(w1) and
+        N(m1 m2) = N(w1 o1 w2 o1^-1), and the product's Weyl and outer parts
+        multiply to m1 m2.  The split of m into W times a pinned part is
+        unique, since W ∩ Stab(Φ⁺) = 1, so comparing m is comparing both
+        parts.
+        """
+        tau = (self.tau + other.tau.act(self.cochar())
+               + tits_cocycle(self.rd, self.m, other.m))
+        return NormalizerElement(self.rd, tau, self.m * other.m)
 
     def inverse(self) -> "NormalizerElement":
         rd = self.rd
-        oinv = rd.inverse(self.outer)
-        winv = oinv * rd.inverse(self.weyl) * self.outer
-        cand = NormalizerElement(rd, QV.zero(rd.rank), winv, oinv)
-        resid = self.mul(cand)
-        # self * cand = (resid.tau, 1, 1), and cand.total() = total^{-1}
-        shift = (-resid.tau).act(cand.cochar())
-        out = NormalizerElement(rd, cand.tau + shift, winv, oinv)
+        cand = NormalizerElement(rd, QV.zero(rd.rank), rd.inverse(self.m))
+        # self * cand is a torus point, and cand.m = m^-1
+        shift = (-self.mul(cand).tau).act(cand.cochar())
+        out = NormalizerElement(rd, shift, cand.m)
         if not self.mul(out).is_identity():
             raise FailedCheck("inverse construction failed")
         return out
@@ -96,40 +101,53 @@ class NormalizerElement:
 class ParameterDatum:
     """Finite-order generators (torus, Weyl, outer) plus declared relations.
 
+    ``triples`` keeps each generator as given, None read as the identity,
+    for the JSON form; ``generators`` holds (torus, Weyl times outer).  Each
+    outer part must be pinned: it maps the positive roots onto themselves.
     Relations are tuples ("conj_power", i, j, q): g_i g_j g_i^{-1} = g_j^q,
     validated in the model on construction as g_i g_j = g_j^q g_i.
     """
 
     def __init__(self, rd: RootDatum, generators, relations=(), label=""):
         self.rd = rd
-        self.generators = [NormalizerElement(rd, QV(t), w, o)
-                           for (t, w, o) in generators]
+        one = Mat.identity(rd.rank)
+        self.triples = [(QV(t), one if w is None else w,
+                         one if o is None else o) for (t, w, o) in generators]
+        self.generators = [NormalizerElement(rd, t, w * o)
+                           for (t, w, o) in self.triples]
         self.relations = tuple(relations)
         self.label = label
         self._validate()
 
     def _validate(self):
-        for g in self.generators:
-            if not self.rd.root_permutation_ok(g.total()):
+        if not self.generators:
+            raise ValueError("a parameter datum needs at least one generator")
+        for g, (_, _, o) in zip(self.generators, self.triples):
+            if not self.rd.root_permutation_ok(g.m):
                 raise ValueError("generator does not permute the roots")
             g.cochar()  # must preserve the cocharacter lattice
+            if self.rd.inversion_set(o):
+                raise ValueError("outer part is not pinned")
         for rel in self.relations:
-            kind = rel[0]
-            if kind == "conj_power":
-                _, i, j, q = rel
-                gi, gj = self.generators[i], self.generators[j]
-                if gi.mul(gj) != gj.power(q).mul(gi):
-                    raise ValueError(f"relation {rel} fails in the model")
-            else:
-                raise ValueError(f"unknown relation kind {kind!r}")
+            if not rel or rel[0] != "conj_power":
+                raise ValueError(f"relation {rel} is not of a known kind")
+            _, i, j, q = rel
+            if not {i, j} <= set(range(len(self.generators))):
+                raise ValueError(f"relation {rel} names a missing generator")
+            gi, gj = self.generators[i], self.generators[j]
+            if gi.mul(gj) != gj.power(q).mul(gi):
+                raise ValueError(f"relation {rel} fails in the model")
 
     def conjugate(self, weyl_mat: Mat) -> "ParameterDatum":
-        """The datum conjugated by a (lifted) Weyl element."""
+        """The datum conjugated by a (lifted) Weyl element.
+
+        x g x^-1 keeps g's outer part o, so its Weyl part is m' o^-1.
+        """
         x = NormalizerElement(self.rd, QV.zero(self.rd.rank), weyl_mat)
         gens = []
-        for g in self.generators:
+        for g, (_, _, o) in zip(self.generators, self.triples):
             h = x.conj(g)
-            gens.append((h.tau.coords, h.weyl, h.outer))
+            gens.append((h.tau.coords, h.m * self.rd.inverse(o), o))
         return ParameterDatum(self.rd, gens, self.relations,
                               label=self.label + "+conj")
 
@@ -168,9 +186,9 @@ class CentralizerReport:
 def centralizer(datum: ParameterDatum) -> CentralizerReport:
     """Cent of the datum's image in the dual group, as an extension report.
 
-    Enumerates Weyl candidates commuting with every generator's Weyl/outer
-    part, solves the torus equations by SNF over Q/Z, and verifies each lift
-    directly in the model before reading off the extension cocycle.
+    Enumerates Weyl candidates commuting with every generator's image in
+    W ⋊ Out, solves the torus equations by SNF over Q/Z, and verifies each
+    lift directly in the model before reading off the extension cocycle.
     """
     rd = datum.rd
     weyl = rd.weyl_group()    # TooLarge before any torus work
@@ -185,9 +203,8 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
     lifts = {}
     omega = []
     ident = Mat.identity(rd.rank)
-    totals = [g.total() for g in gens]
     for m in weyl:
-        if not all(m * t == t * m for t in totals):
+        if not all(m * g.m == g.m * m for g in gens):
             continue
         tau = _solve_lift(rd, m, gens, fixed)
         if tau is None:
@@ -205,7 +222,7 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
         return CentralizerReport(fixed, omega, None, None, None, None,
                                  fixed.order * len(omega), notes, lifts)
     factors, basis, coords = abelian_basis(omega, lambda a, b: a * b, ident)
-    ext = _extension_from_lifts(rd, fixed, factors, basis, lifts)
+    ext = _extension_from_lifts(rd, fixed, factors, basis, coords, lifts)
     mult_one, witness = (True, None)
     if ext is not None:
         mult_one, witness = has_multiplicity_one(ext)
@@ -232,7 +249,7 @@ def _solve_lift(rd: RootDatum, m: Mat, gens, fixed: FinAb):
     return fixed.solve(QV(rhs))
 
 
-def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
+def _extension_from_lifts(rd, fixed: FinAb, factors, basis, coords, lifts):
     if not lifts:
         return None
     # action matrices of the chosen C-generators on the fixed torus
@@ -241,16 +258,17 @@ def _extension_from_lifts(rd, fixed: FinAb, factors, basis, lifts):
         return ExtensionDescriptor(fixed.factors, [], [], {})
 
     c_group = FinAb.abstract(factors)
+    lift_at = {coords[m]: x for m, x in lifts.items()}
 
     cocycle = {}
     for c1 in c_group.elements():
-        x1 = lifts[_action_matrix(basis, rd.rank, c1)]
+        x1 = lift_at[c1]
         for c2 in c_group.elements():
-            x2 = lifts[_action_matrix(basis, rd.rank, c2)]
-            x12 = lifts[_action_matrix(basis, rd.rank, c_group.add(c1, c2))]
+            x2 = lift_at[c2]
+            x12 = lift_at[c_group.add(c1, c2)]
             # x1 x2 x12^{-1} is the torus point (x1 x2).tau - x12.tau
             prod = x1.mul(x2)
-            if (prod.weyl, prod.outer) != (x12.weyl, x12.outer):
+            if prod.m != x12.m:
                 raise FailedCheck("cocycle word has a Weyl part")
             cocycle[(c1, c2)] = fixed.project(prod.tau - x12.tau)
     return ExtensionDescriptor(fixed.factors, factors, action, cocycle)

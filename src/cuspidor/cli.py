@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -122,11 +123,9 @@ def _weyl(text):
 def _load_torus(args) -> FrobeniusTorus:
     rd = build_classical(args.type, args.rank, args.lattice)
     if args.weyl == "coxeter":
-        elliptic = [w for w in (WeylElement(rd, m) for m in rd.weyl_group())
-                    if w.is_elliptic()]
-        if not elliptic:
-            raise CuspidorError("no elliptic element found")
-        w = max(elliptic, key=lambda e: e.order)
+        # the product of the simple reflections, in simple_idx order
+        w = WeylElement(rd, math.prod(map(rd.reflection, rd.simple_roots),
+                                      start=Mat.identity(rd.rank)))
     elif args.weyl == "minus-one":
         w = WeylElement(rd, -Mat.identity(rd.rank))
     else:

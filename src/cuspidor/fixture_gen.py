@@ -386,10 +386,10 @@ def datum_to_json(datum: ParameterDatum, meta=None):
     out = {
         "root_datum": datum.rd.to_json(),
         "generators": [{
-            "torus": [str(x) for x in g.tau.coords],
-            "weyl": [list(r) for r in g.weyl.rows],
-            "outer": [list(r) for r in g.outer.rows],
-        } for g in datum.generators],
+            "torus": [str(x) for x in tau.coords],
+            "weyl": [list(r) for r in weyl.rows],
+            "outer": [list(r) for r in outer.rows],
+        } for tau, weyl, outer in datum.triples],
         "relations": [list(r) for r in datum.relations],
         "label": datum.label,
     }

@@ -1,6 +1,7 @@
 import collections
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -63,8 +64,106 @@ def test_tits_commutator_matches_lambda_pair():
         x = NormalizerElement(rd, QV.zero(4), u.matrix)
         y = NormalizerElement(rd, QV.zero(4), v.matrix)
         comm = x.mul(y).mul(x.inverse()).mul(y.inverse())
-        assert comm.weyl == Mat.identity(4)
+        assert comm.m == Mat.identity(4)
         assert comm.tau == lambda_pair(rd, u, v).half_class_coords
+
+
+class _SplitElement:
+    """The (tau, Weyl part, outer part) product law, as the model had it."""
+
+    def __init__(self, rd, tau, weyl, outer):
+        self.rd, self.tau, self.weyl, self.outer = rd, tau, weyl, outer
+
+    def mul(self, other):
+        rd = self.rd
+        # n(w1)o1 n(w2)o2 = z(w1, o1 w2 o1^-1) n(w1 o1(w2)) o1 o2
+        w2c = self.outer * other.weyl * rd.inverse(self.outer)
+        z = tits_cocycle(rd, self.weyl, w2c)
+        cochar = rd.cochar_coord_matrix(self.weyl * self.outer)
+        tau = self.tau + other.tau.act(cochar) + z
+        return _SplitElement(rd, tau, self.weyl * w2c, self.outer * other.outer)
+
+    def inverse(self):
+        rd = self.rd
+        oinv = rd.inverse(self.outer)
+        winv = oinv * rd.inverse(self.weyl) * self.outer
+        cand = _SplitElement(rd, QV.zero(rd.rank), winv, oinv)
+        shift = (-self.mul(cand).tau).act(
+            rd.cochar_coord_matrix(winv * oinv))
+        return _SplitElement(rd, cand.tau + shift, winv, oinv)
+
+    def power(self, k):
+        one = Mat.identity(self.rd.rank)
+        out = _SplitElement(self.rd, QV.zero(self.rd.rank), one, one)
+        base = self.inverse() if k < 0 else self
+        for _ in range(abs(k)):
+            out = out.mul(base)
+        return out
+
+    def agrees(self, x):
+        return (self.tau, self.weyl * self.outer) == (x.tau, x.m)
+
+
+def _split_and_model_elements(datum):
+    """Generator words of length <= 2 and W elements with seeded torus parts."""
+    rd = datum.rd
+    one = Mat.identity(rd.rank)
+    pairs = [(_SplitElement(rd, t, w, o), g)
+             for (t, w, o), g in zip(datum.triples, datum.generators)]
+    pairs += [(a.inverse(), x.inverse()) for a, x in pairs]
+    pairs += [(a.mul(b), x.mul(y)) for a, x in pairs for b, y in pairs]
+    rng = random.Random(19)
+    for m in rng.sample(rd.weyl_group(), 6):
+        tau = QV([Fraction(rng.randrange(12), 12) for _ in range(rd.rank)])
+        pairs.append((_SplitElement(rd, tau, m, one),
+                      NormalizerElement(rd, tau, m)))
+    return pairs
+
+
+@pytest.mark.parametrize("build", [build_biquadratic, build_spin9])
+def test_the_product_law_on_totals_matches_the_weyl_outer_split(build):
+    datum = build()
+    q = datum.relations[0][3]
+    pairs = _split_and_model_elements(datum)
+    assert all(a.agrees(x) for a, x in pairs)
+    for a, x in pairs:
+        assert a.inverse().agrees(x.inverse())
+        assert a.power(q).agrees(x.power(q))
+        assert a.power(-2).agrees(x.power(-2))
+    for a, x in pairs[::3]:
+        for b, y in pairs:
+            assert a.mul(b).agrees(x.mul(y))
+
+
+def _unpinned_spin9():
+    # the torus generator written as (s, -1, -1): the total is still s,
+    # but -1 maps every positive root to a negative one
+    datum = build_spin9()
+    minus = -Mat.identity(datum.rd.rank)
+    gens = [(t.coords, w, o) for t, w, o in datum.triples]
+    gens[0] = (gens[0][0], minus, minus)
+    return datum, gens
+
+
+def test_an_outer_part_that_is_not_pinned_is_refused():
+    datum, gens = _unpinned_spin9()
+    with pytest.raises(ValueError, match="outer part is not pinned"):
+        ParameterDatum(datum.rd, gens, datum.relations)
+
+
+def test_an_outer_part_that_is_not_pinned_is_invalid_in_the_cli(tmp_path,
+                                                                capsys):
+    datum, gens = _unpinned_spin9()
+    doc = datum_to_json(datum)
+    for entry in ("weyl", "outer"):
+        doc["generators"][0][entry] = [list(r) for r in gens[0][2].rows]
+    path = tmp_path / "unpinned.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["centralizer", "--fixture", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"].startswith("InvalidFixture:")
+    assert "outer part is not pinned" in out["error"]
 
 
 def test_spin9_fixture():
@@ -163,8 +262,8 @@ def test_d4_sc_fixture():
 def test_root_datum_inverse_of_the_fixture_outer_parts(build):
     datum = build()
     one = Mat.identity(datum.rd.rank)
-    for g in datum.generators:
-        assert g.outer * datum.rd.inverse(g.outer) == one
+    for _, _, outer in datum.triples:
+        assert outer * datum.rd.inverse(outer) == one
 
 
 def test_centralizer_inverts_each_matrix_at_most_once(monkeypatch):
@@ -217,7 +316,7 @@ def test_d2n_verify_factors_f_minus_one_once(monkeypatch):
 
 def test_a_false_relation_fails_in_the_model():
     datum = build_spin9()
-    gens = [(g.tau.coords, g.weyl, g.outer) for g in datum.generators]
+    gens = [(tau.coords, w, o) for tau, w, o in datum.triples]
     with pytest.raises(ValueError, match="relation .* fails in the model"):
         ParameterDatum(datum.rd, gens, [("conj_power", 1, 0, 7)])
 
@@ -250,13 +349,13 @@ def test_a_wrong_lift_is_a_domain_error_in_the_cli(monkeypatch, capsys):
     assert "FailedCheck: solved lift fails to centralize" in doc["error"]
 
 
-def _frozen_c_correction(rd, m, g):
+def _frozen_c_correction(rd, m, g, weyl, outer):
     """C(m; v) = z(m, v) - v.z(m, m^-1) + z(m v, m^-1), from x g x^-1."""
     minv = rd.inverse(m)
-    z1 = tits_cocycle(rd, m, g.weyl)
+    z1 = tits_cocycle(rd, m, weyl)
     z2 = tits_cocycle(rd, m, minv)
-    conj_minv = g.outer * minv * rd.inverse(g.outer)
-    z3 = tits_cocycle(rd, m * g.weyl, conj_minv)
+    conj_minv = outer * minv * rd.inverse(outer)
+    z3 = tits_cocycle(rd, m * weyl, conj_minv)
     return z1 - z2.act(g.cochar()) + z3
 
 
@@ -270,17 +369,17 @@ def test_lift_equation_read_off_the_product_matches_the_tits_correction(
     # hand-derived right side (m - 1) tau_g + C(m; v) of x g x^-1 g^-1
     datum = build()
     rd = datum.rd
-    totals = [g.total() for g in datum.generators]
+    totals = [g.m for g in datum.generators]
     pairs = 0
     for m in rd.weyl_group():
         if not all(m * t == t * m for t in totals):
             continue
         x0 = NormalizerElement(rd, QV.zero(rd.rank), m)
         mc = rd.cochar_coord_matrix(m)
-        for g in datum.generators:
+        for g, (_, weyl, outer) in zip(datum.generators, datum.triples):
             block = x0.mul(g).tau - g.mul(x0).tau
             ref = (QV(mc.apply(g.tau.coords)) - g.tau
-                   + _frozen_c_correction(rd, m, g))
+                   + _frozen_c_correction(rd, m, g, weyl, outer))
             assert block == ref
             pairs += 1
     assert pairs

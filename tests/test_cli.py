@@ -238,6 +238,26 @@ def test_centralizer_coroot_outside_the_cocharacter_lattice(tmp_path):
     assert "coroot outside the cocharacter lattice" in payload(proc)["error"]
 
 
+def _spin9_json():
+    import importlib.resources as res
+    return json.loads(
+        (res.files("cuspidor") / "fixtures" / "spin9.json").read_text())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("generators", []),
+    ("relations", [["conj_power", 1, 2, 11]]),
+    ("relations", [[]])],
+    ids=["no-generators", "relation-past-the-generators", "empty-relation"])
+def test_centralizer_malformed_datum_is_domain_error(tmp_path, field, value):
+    datum = _spin9_json()
+    datum[field] = value
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    _domain_error(run_cli("centralizer", "--fixture", str(path)),
+                  "InvalidFixture")
+
+
 def _family(elements, table, points, action, eta=()):
     return {"group": {"elements": elements, "table": table},
             "set": {"elements": points, "action": action}, "eta": list(eta)}
@@ -331,3 +351,18 @@ def test_gamma_outside_rational_points_is_domain_error(command):
 def test_nonpositive_degree_is_usage_error(degree):
     _usage_error(run_cli("torus", "--type", "A", "--rank", "1", "--q", "3",
                          f"--degree={degree}"), "--degree")
+
+
+@pytest.mark.parametrize("kind,rank,h", [
+    ("A", 1, 2), ("A", 2, 3), ("A", 3, 4), ("A", 4, 5), ("B", 2, 4),
+    ("B", 3, 6), ("B", 4, 8), ("B", 5, 10), ("B", 6, 12), ("C", 2, 4),
+    ("C", 3, 6), ("C", 4, 8), ("C", 5, 10), ("D", 4, 6), ("D", 5, 8)])
+def test_weyl_coxeter_is_an_elliptic_element_of_order_h(kind, rank, h):
+    from types import SimpleNamespace
+
+    from cuspidor import cli
+    args = SimpleNamespace(type=kind, rank=rank, lattice="sc", weyl="coxeter",
+                           q=3)
+    w = cli._load_torus(args).w
+    assert w.order == h
+    assert w.is_elliptic()

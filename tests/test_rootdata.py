@@ -452,8 +452,8 @@ def test_a_weyl_group_over_the_bound_is_refused(monkeypatch, capsys):
     assert rd._weyl is None
     with pytest.raises(TooLarge):
         centralizer(build_spin9())
-    assert cli.main(["torus", "--type", "B", "--rank", "4", "--q", "3",
-                     "--weyl", "coxeter"]) == 1
+    assert cli.main(["stabilizer", "--type", "B", "--rank", "4", "--q", "3",
+                     "--theta", "1/4", "1/4", "1/4", "1/4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "error"
     assert doc["error"].startswith("TooLarge:")
