@@ -34,7 +34,7 @@ from .cyclotomic import Cyc
 from .dixon import restriction_multiplicities
 from .errors import CuspidorError, InvalidFixture
 from .exactcore import Mat, QV, RankReport
-from .ffield import FiniteField, gauss_sum, normalized_gauss_value
+from .ffield import finite_field, gauss_sum, normalized_gauss_value
 from .fixture_gen import datum_from_json
 from .rootdata import WeylElement, build_classical, table_check
 from .torus import (
@@ -191,7 +191,7 @@ def cmd_packet_count(args):
 
 
 def cmd_gauss(args):
-    f = FiniteField(args.p, args.m)
+    f = finite_field(args.p, args.m)
     res = gauss_sum(f)
     return _emit({"q": f.q, "sum": res.sum,
                   "sum_times_conjugate": res.normalized_square,

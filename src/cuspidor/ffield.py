@@ -347,6 +347,7 @@ class GaussSumResult:
         self.alternate_agrees = alternate_agrees
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_sum(ell: FiniteField) -> GaussSumResult:
     """Unnormalized quadratic Gauss sum g = sum sgn(x) Lambda0(tr x).
 
@@ -354,7 +355,8 @@ def gauss_sum(ell: FiniteField) -> GaussSumResult:
     alternate expression are summed as one count per trace value.  Returns g
     together with the verified payload: g * conj(g) = q exactly (so q^{-1/2} g
     has absolute value 1), and the alternate expression
-    sum_x Lambda0(tr(x^2)) agrees with g.
+    sum_x Lambda0(tr(x^2)) agrees with g.  Kept once per field, as
+    ``finite_field`` keeps the field: fields compare by (p, m).
     """
     p = ell.p
     signed = [0] * p             # sum of sgn(x) over the units of trace t

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (InvalidLattice, InvalidWeylElement, NotCommuting, Reducible,
-                     TooLarge)
+from .errors import (FailedCheck, InvalidLattice, InvalidWeylElement, NotCommuting,
+                     Reducible, TooLarge)
 from .exactcore import (Mat, QV, clear_denominators, coord_convert, coords_of,
                         is_prime, lattice_solver, prime_factors)
 
@@ -163,10 +163,16 @@ class RootDatum:
 
         One closure of the simple reflections on integer rows: s_a m is the
         rank-one update m - a (a_vee^T m), which touches only the rows where
-        a is non-zero.  TooLarge once more than WEYL_BOUND elements are seen;
-        nothing is memoized then.
+        a is non-zero.  TooLarge before any enumeration when |W| (the
+        product formula) exceeds WEYL_BOUND; FailedCheck when the closure's
+        length is not |W|, found at the first level past |W| for data whose
+        reflections generate more.  Nothing is memoized on either error.
         """
         if self._weyl is None:
+            order = self.weyl_order()
+            if order > WEYL_BOUND:
+                raise TooLarge(f"Weyl group of {self.label} has {order} "
+                               f"elements, more than {WEYL_BOUND}")
             # each simple reflection as the supports of a_vee and a
             gens = [[[(i, c) for i, c in enumerate(v) if c]
                      for v in (self._coroot_of[a], a)] for a in self.simple_roots]
@@ -174,7 +180,7 @@ class RootDatum:
             ident = Mat.identity(self.rank).rows
             seen = {ident}
             frontier = [ident]
-            while frontier:
+            while frontier and len(seen) <= order:
                 nxt = []
                 for m in frontier:
                     for av_nz, a_nz in gens:
@@ -186,17 +192,16 @@ class RootDatum:
                         if x not in seen:
                             seen.add(x)
                             nxt.append(x)
-                            if len(seen) > WEYL_BOUND:
-                                raise TooLarge(
-                                    f"Weyl group of {self.label} has more "
-                                    f"than {WEYL_BOUND} elements")
                 frontier = nxt
+            if len(seen) != order:
+                raise FailedCheck(f"Weyl group of {self.label} has {len(seen)} "
+                                  f"elements, the formula gives {order}")
             self._weyl = [Mat(rows) for rows in sorted(seen)]
         return self._weyl
 
     def weyl_order(self) -> int:
-        """|W|, the number of chambers W permutes simply transitively."""
-        return len(self.weyl_group())
+        """|W| from the marks of the highest roots (``weyl_order_formula``)."""
+        return weyl_order_formula(self)
 
     def inverse(self, m: Mat) -> Mat:
         """m^-1 for a Weyl or outer matrix m, the one Gauss–Jordan on them.
@@ -460,34 +465,22 @@ def weyl_order_primes(rd: RootDatum):
     return order, prime_support(order)
 
 
-def _irreducible(rd: RootDatum) -> bool:
-    n = len(rd.simple_idx)
-    simples = rd.simple_roots
-    cosimples = rd.simple_coroots
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and sum(x * y for x, y in zip(simples[i], cosimples[j])) != 0:
-                adj[i].add(j)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
 def highest_root_marks(rd: RootDatum):
-    """Coefficients of the highest root on the simple system."""
-    best, best_h = None, None
-    for r in rd.positive_roots():
-        coeffs = rd.simple_coefficients(r)
-        h = sum(coeffs)
-        if best_h is None or h > best_h:
-            best, best_h = coeffs, h
-    return [int(c) for c in best]
+    """Coefficients of the highest root of each Dynkin component.
+
+    A root's support is connected, so it lies in one component, and the
+    highest root of a component is supported on all of it: taken from the
+    highest down, a root whose support meets none taken so far is the
+    highest root of a new component.
+    """
+    marks, used = [], set()
+    for coeffs in sorted(map(rd.simple_coefficients, rd.positive_roots()),
+                         key=sum, reverse=True):
+        support = [i for i, c in enumerate(coeffs) if c]
+        if used.isdisjoint(support):
+            used.update(support)
+            marks.append([int(coeffs[i]) for i in support])
+    return marks
 
 
 def connection_index(rd: RootDatum) -> int:
@@ -496,20 +489,25 @@ def connection_index(rd: RootDatum) -> int:
 
 def bad_prime_data(rd: RootDatum):
     """(bad primes, connection index); bad = primes dividing a mark."""
-    if not _irreducible(rd):
-        raise Reducible("bad primes need an irreducible datum")
     marks = highest_root_marks(rd)
+    if len(marks) != 1:
+        raise Reducible("bad primes need an irreducible datum")
     bad = set()
-    for m in marks:
+    for m in marks[0]:
         bad |= prime_support(m)
     bad.discard(1)
     return bad, connection_index(rd)
 
 
 def weyl_order_formula(rd: RootDatum) -> int:
-    """|W| = f * n! * prod(marks) from the marks of the highest root."""
-    return (connection_index(rd) * math.factorial(len(rd.simple_idx))
-            * math.prod(highest_root_marks(rd)))
+    """|W| = prod over components of f * n! * prod(marks).
+
+    The connection indices f multiply to that of rd, the Cartan matrix
+    being block diagonal over the components.
+    """
+    marks = highest_root_marks(rd)
+    return connection_index(rd) * math.prod(
+        math.factorial(len(m)) * math.prod(m) for m in marks)
 
 
 def _exceptional_datum(label: str) -> RootDatum:
@@ -545,7 +543,7 @@ def table_check(classical_ranks=None):
             rd = build_classical(kind, n, "sc")
             row1, row2, order = _table_rows(rd)
             if order <= WEYL_BOUND:
-                assert order == rd.weyl_order()
+                assert order == len(rd.weyl_group())
             want1 = prime_support(n + 1) if rule1 == "p|n+1" else {2}
             bound = (n + 1) if rule2 == "p<=n+1" else n
             want2 = {p for p in range(2, bound + 1) if is_prime(p)}

@@ -52,7 +52,6 @@ from .exactcore import (
     coord_convert,
     coord_matrix,
     coords_of,
-    lattice_solver,
     prime_power,
     quotient_by,
     twisted_fixed_points,
@@ -351,10 +350,9 @@ def is_regular(theta: TorusCharacter) -> bool:
 class AdjointModel:
     """The adjoint and simply connected tori with the same twist.
 
-    S_ad lives on the coweight lattice P^vee (fundamental coweights), S_sc on
-    the coroot lattice Q^vee; the cokernel of S(k) -> S_ad(k) is computed from
-    the inclusion X^vee <= P^vee.  The solver of the Q^vee basis and each
-    Weyl element's matrix on Q^vee coordinates are built once per model.
+    S_ad lives on the coweight lattice P^vee (fundamental coweights); the
+    cokernel of S(k) -> S_ad(k) is computed from the inclusion X^vee <= P^vee.
+    Each Weyl element's commutator matrix is built once per model.
     """
 
     def __init__(self, torus: FrobeniusTorus):
@@ -362,14 +360,11 @@ class AdjointModel:
         self.torus = torus
         self.rd = rd
         self.pv_rows = Mat(rd.simple_roots).inverse().transpose()
-        self.qv_rows = Mat([rd.coroot(a) for a in rd.simple_roots])
         wm = rd.dual_matrix(torus.w.matrix)
         self.f_ad = torus.q * coord_matrix(self.pv_rows, wm)
         self.points_ad = twisted_fixed_points(self.f_ad)
         self.x_to_ad = coord_convert(rd.xv_rows, self.pv_rows)
-        self.sc_to_x = coord_convert(self.qv_rows, rd.xv_rows)
-        self.qv_solver = lattice_solver(self.qv_rows)
-        self._sc_mats = {}
+        self._commutators = {}
 
     def cokernel(self):
         """cok(S(k) -> S_ad(k)) as a quotient of S_ad(k)."""
@@ -378,11 +373,23 @@ class AdjointModel:
                   for g in sk.gens]
         return quotient_by(self.points_ad, images)
 
-    def sc_coord_matrix(self, weyl_mat: Mat) -> Mat:
-        out = self._sc_mats.get(weyl_mat)
+    def commutator_matrix(self, weyl_mat: Mat) -> Mat:
+        """B (w - 1) P^vee^T: P^vee coordinates of s to X^vee ones of (w - 1)s.
+
+        For w in W, (w - 1)P^vee lies in Q^vee <= X^vee, so the matrix is
+        integral.  Integrality is what makes w s_sc w^{-1} s_sc^{-1} in S(k)
+        independent of the lift s_sc of s_ad: every integral shift of the
+        lift moves (w - 1)s_sc by an integral vector.  A non-integral matrix
+        raises ArithmeticError and is not cached.
+        """
+        out = self._commutators.get(weyl_mat)
         if out is None:
-            out = self._sc_mats[weyl_mat] = coord_matrix(
-                self.qv_rows, self.rd.dual_matrix(weyl_mat), self.qv_solver)
+            rd = self.rd
+            m = (rd.basis * (rd.dual_matrix(weyl_mat) - Mat.identity(rd.rank))
+                 * self.pv_rows.transpose())
+            if not m.is_integral():
+                raise ArithmeticError("bicharacter depends on the chosen lift")
+            out = self._commutators[weyl_mat] = m.to_int()
         return out
 
 
@@ -390,11 +397,10 @@ def bicharacter(theta: TorusCharacter, weyl_mat: Mat, s_ad_coords,
                 _rep: StabilizerReport = None, _model: AdjointModel = None) -> Cyc:
     """theta(w s_sc w^{-1} s_sc^{-1}) for w stabilizing theta, s_ad in S_ad(k).
 
-    The lift s_sc is the ambient rational vector of s_ad read modulo the
-    coroot lattice; the commutator is (w-1)s_sc pushed into S(k) through
-    Q^vee <= X^vee.  Independence of the lift is asserted by re-evaluating
-    with a center-shifted second lift.  ``_rep``/``_model`` short-circuit
-    recomputation inside sweeps.
+    The commutator (w - 1)s_sc, read in X^vee coordinates, is the integer
+    ``commutator_matrix`` of w applied to the P^vee coordinates of s_ad; its
+    integrality, checked once per model and w, is the independence of the
+    lift.  ``_rep``/``_model`` short-circuit recomputation inside sweeps.
     """
     rep = _rep if _rep is not None else weyl_stabilizer(theta)
     if weyl_mat not in rep.matrices:
@@ -403,24 +409,8 @@ def bicharacter(theta: TorusCharacter, weyl_mat: Mat, s_ad_coords,
     s_ad = QV(s_ad_coords)
     if not model.points_ad.contains(s_ad):
         raise ValueError("s_ad is not a rational point of the adjoint torus")
-    val = _bichar_value(theta, model, weyl_mat, s_ad, shift=False)
-    shifted = _bichar_value(theta, model, weyl_mat, s_ad, shift=True)
-    if val != shifted:
-        raise ArithmeticError("bicharacter depends on the chosen lift")
-    return Cyc.from_qz(val)
-
-
-def _bichar_value(theta, model, weyl_mat, s_ad: QV, shift: bool) -> Fraction:
-    amb = list(ambient_of(model.pv_rows, s_ad.coords))
-    if shift:
-        # another lift of the same s_ad: shift by an integral coweight,
-        # which is a (generally nontrivial) central class modulo Q^vee
-        amb = [a + w for a, w in zip(amb, model.pv_rows.rows[0])]
-    sc = QV(coords_of(model.qv_rows, amb, model.qv_solver))
-    wc = model.sc_coord_matrix(weyl_mat)
-    delta = QV(wc.apply(sc.coords)) - sc
-    x_coords = QV(model.sc_to_x.apply(delta.coords))
-    return theta.on_vector(x_coords)
+    m = model.commutator_matrix(weyl_mat)
+    return Cyc.from_qz(theta.on_vector(QV(m.apply(s_ad.coords))))
 
 
 def packet_counts(theta: TorusCharacter):

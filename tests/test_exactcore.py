@@ -456,7 +456,8 @@ def test_no_private_copies_of_the_helpers():
               "_solver", "_gens", "_unit", "_span_table", "_combine",
               "_solve_mod", "_exceptional_stats", "_section_commutator",
               "_int_inverse", "solve_linear_qz", "solve_affine",
-              "_c_correction", "_clear_denominators", "_regular_vector"}
+              "_c_correction", "_clear_denominators", "_regular_vector",
+              "_bichar_value", "sc_coord_matrix"}
     # m·x ≡ c over Q/Z is solved by the kernel of m
     banned_classes = {"AffineSolutions"}
     found = []

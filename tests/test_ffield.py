@@ -100,6 +100,20 @@ def test_gauss_sum_gf5():
     assert normalized_gauss_value(f) == Cyc.rational(1)
 
 
+def test_cmd_gauss_walks_the_units_once(monkeypatch, capsys):
+    # the sum in cmd_gauss, and the two inside normalized_gauss_value (the
+    # field itself and its prime field, the same field for m = 1), are one
+    from cuspidor import cli
+    walks = []
+    units = FiniteField.units
+    monkeypatch.setattr(FiniteField, "units",
+                        lambda self: walks.append(self.q) or units(self))
+    gauss_sum.cache_clear()
+    assert cli.main(["gauss", "--p", "13"]) == 0
+    assert walks == [13]
+    assert '"normalized_value"' in capsys.readouterr().out
+
+
 def test_gauss_sum_modulus_all_small_q():
     for q in odd_prime_powers(121):
         n = q

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidor.errors import InvalidLattice, NotCommuting, Reducible, TooLarge
+from cuspidor.errors import (FailedCheck, InvalidLattice, NotCommuting, Reducible,
+                             TooLarge)
 from cuspidor.exactcore import Mat, QV
 from cuspidor.rootdata import (
     RootDatum,
@@ -432,11 +433,26 @@ def test_weyl_group_matches_the_mat_product_closure(build):
     assert all(type(x) is int for m in got for row in m.rows for x in row)
 
 
-@pytest.mark.parametrize("build", [b for _, b in _irreducible_builds()],
-                         ids=[name for name, _ in _irreducible_builds()])
+# D2 = A1 x A1 and biquadratic = A3 x A3 are reducible: the formula takes
+# one highest root per component
+_ORDER_BUILDS = _WEYL_BUILDS + [("D2-sc", lambda: build_classical("D", 2, "sc"))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _ORDER_BUILDS],
+                         ids=[name for name, _ in _ORDER_BUILDS])
 def test_weyl_order_is_the_length_of_the_enumeration(build):
     rd = build()
     assert rd.weyl_order() == len(rd.weyl_group()) == weyl_order_formula(rd)
+
+
+def test_an_infinite_reflection_group_ends_in_a_failed_check():
+    # <a1, a2_vee> = <a2, a1_vee> = -3: a hyperbolic Cartan matrix, whose
+    # reflections generate an infinite group
+    rd = RootDatum("H2", Mat.identity(2), [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                   [(2, -3), (-3, 2), (-2, 3), (3, -2)], [0, 1])
+    with pytest.raises(FailedCheck):
+        rd.weyl_group()
+    assert rd._weyl is None
 
 
 def test_a_weyl_group_over_the_bound_is_refused(monkeypatch, capsys):
@@ -444,6 +460,9 @@ def test_a_weyl_group_over_the_bound_is_refused(monkeypatch, capsys):
     from cuspidor.centralizer import centralizer
     from cuspidor.fixture_gen import build_spin9
 
+    # refused from the formula, before the closure starts
+    with pytest.raises(TooLarge, match="92897280"):
+        build_classical("D", 9, "sc").weyl_group()
     monkeypatch.setattr(rootdata, "WEYL_BOUND", 100)
     rd = build_classical("B", 4, "sc")
     for _ in range(2):

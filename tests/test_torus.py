@@ -4,7 +4,8 @@ import pytest
 
 from cuspidor.cyclotomic import Cyc
 from cuspidor.errors import NotRealizable, NotStabilizing, SingularCharacter
-from cuspidor.exactcore import Mat, QV, RankReport
+from cuspidor.exactcore import (Mat, QV, RankReport, ambient_of, coord_convert,
+                                coord_matrix, coords_of, lattice_solver)
 from cuspidor.ffield import FiniteField
 from cuspidor.rootdata import WeylElement, build_classical, signed_perm_element
 from cuspidor.torus import (
@@ -189,6 +190,79 @@ def test_bicharacter_left_kernel_small_sweep():
                                 for c in ad_reps.values()]
                         assert any(not (v == 1) for v in vals)
                 break  # one elliptic class per (rd, q) keeps this quick
+
+
+def _bichar_by_lift(model):
+    """The bicharacter through an explicit lift s_sc on Q^vee, as a reference.
+
+    s_ad goes to V* through P^vee and back to Q^vee coordinates; w acts there,
+    and (w - 1)s_sc is pushed into X^vee.  Each value is taken on two lifts:
+    the one read modulo Q^vee, and that one shifted by the first fundamental
+    coweight.
+    """
+    rd = model.rd
+    qv_rows = Mat([rd.coroot(a) for a in rd.simple_roots])
+    solver = lattice_solver(qv_rows)
+    sc_to_x = coord_convert(qv_rows, rd.xv_rows)
+    on_qv = {}
+
+    def value(theta, weyl_mat, s_ad_coords, shift):
+        amb = list(ambient_of(model.pv_rows, QV(s_ad_coords).coords))
+        if shift:
+            amb = [a + w for a, w in zip(amb, model.pv_rows.rows[0])]
+        sc = QV(coords_of(qv_rows, amb, solver))
+        if weyl_mat not in on_qv:
+            on_qv[weyl_mat] = coord_matrix(qv_rows, rd.dual_matrix(weyl_mat),
+                                           solver)
+        delta = QV(on_qv[weyl_mat].apply(sc.coords)) - sc
+        return theta.on_vector(QV(sc_to_x.apply(delta.coords)))
+
+    return value
+
+
+def test_bicharacter_matches_the_lift_route_over_criterion_8():
+    from cuspidor.acceptance import _elliptic_classes
+    tori = nonsingular = evaluations = 0
+    for kind, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                    ("C", 3), ("D", 3)]:
+        rd = build_classical(kind, n, "sc")
+        for w in _elliptic_classes(rd):
+            for q in (3, 5, 7):
+                t = FrobeniusTorus(rd, w, q)
+                tori += 1
+                model = AdjointModel(t)
+                reference = _bichar_by_lift(model)
+                cok = model.cokernel()
+                ad_reps = {}
+                for coords in model.points_ad.elements():
+                    ad_reps.setdefault(cok.project(coords),
+                                       model.points_ad.lift(coords).coords)
+                for th in all_characters(t):
+                    if not is_nonsingular(th):
+                        continue
+                    nonsingular += 1
+                    rep = weyl_stabilizer(th)
+                    for m in rep.matrices:
+                        for s in ad_reps.values():
+                            got = bicharacter(th, m, s, _rep=rep, _model=model)
+                            for shift in (False, True):
+                                assert got == Cyc.from_qz(
+                                    reference(th, m, s, shift))
+                            evaluations += 1
+    assert (tori, nonsingular, evaluations) == (36, 3613, 8482)
+
+
+def test_a_non_integral_commutator_matrix_is_refused(monkeypatch):
+    t = sl2_coxeter(3)
+    th2 = theta_of_order(t, 2)
+    rep = weyl_stabilizer(th2)
+    model = AdjointModel(t)
+    pt = model.points_ad.gens[0].coords
+    # (w - 1) with w = 1/2 moves the coweight 1/2 to -1/4, off X^vee
+    monkeypatch.setattr(model.rd, "dual_matrix", lambda m: Mat([[Fraction(1, 2)]]))
+    with pytest.raises(ArithmeticError, match="depends on the chosen lift"):
+        bicharacter(th2, -Mat.identity(1), pt, _rep=rep, _model=model)
+    assert model._commutators == {}
 
 
 def test_fct_regns_shadow_rank1():
