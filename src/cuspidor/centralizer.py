@@ -11,6 +11,7 @@ candidates and solving the torus equations over Q/Z; the resulting extension
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .clifford import ExtensionDescriptor, has_multiplicity_one
@@ -201,10 +202,10 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
                                  notes, {})
 
     lifts = {}
-    omega = []
+    omega = []    # m = 1 lifts with tau = 0, so omega is never empty
     ident = Mat.identity(rd.rank)
     for m in weyl:
-        if not all(m * g.m == g.m * m for g in gens):
+        if not all(m.commutes_with(g.m) for g in gens):
             continue
         tau = _solve_lift(rd, m, gens, fixed)
         if tau is None:
@@ -216,12 +217,11 @@ def centralizer(datum: ParameterDatum) -> CentralizerReport:
         omega.append(m)
         lifts[m] = x
 
-    abelian = all(a * b == b * a for a in omega for b in omega)
-    if not abelian:
+    factors, basis, coords = abelian_basis(omega, Mat.__mul__, ident)
+    if math.prod(factors) != len(omega):
         notes.append("omega part is non-abelian; extension omitted")
         return CentralizerReport(fixed, omega, None, None, None, None,
                                  fixed.order * len(omega), notes, lifts)
-    factors, basis, coords = abelian_basis(omega, lambda a, b: a * b, ident)
     ext = _extension_from_lifts(rd, fixed, factors, basis, coords, lifts)
     mult_one, witness = (True, None)
     if ext is not None:

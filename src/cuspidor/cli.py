@@ -158,8 +158,8 @@ def cmd_torus(args):
 def cmd_stabilizer(args):
     t = _load_torus(args)
     th = TorusCharacter(t, args.theta)
-    rep = weyl_stabilizer(th)
-    return _emit(rep.to_json())
+    return _emit({**weyl_stabilizer(th).to_json(),
+                  "nonsingular": is_nonsingular(th)})
 
 
 def cmd_bicharacter(args):
@@ -185,9 +185,9 @@ def cmd_bicharacter(args):
 def cmd_packet_count(args):
     t = _load_torus(args)
     th = TorusCharacter(t, args.theta)
-    size, exts = packet_counts(th)
+    size, exts = packet_counts(th)    # SingularCharacter unless non-singular
     return _emit({"packet_size": size, "extension_count": exts,
-                  "nonsingular": is_nonsingular(th)})
+                  "nonsingular": True})
 
 
 def cmd_gauss(args):

@@ -170,6 +170,14 @@ class Mat:
             k >>= 1
         return out
 
+    def commutes_with(self, other: "Mat") -> bool:
+        """self·other == other·self, for square matrices of one size."""
+        a_cols, b_cols = list(zip(*self.rows)), list(zip(*other.rows))
+        return all(sum(x * y for x, y in zip(a_row, b_col))
+                   == sum(x * y for x, y in zip(b_row, a_col))
+                   for a_row, b_row in zip(self.rows, other.rows)
+                   for b_col, a_col in zip(b_cols, a_cols))
+
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows))) if self.rows else Mat([])
 

@@ -309,7 +309,7 @@ class WeylElement:
         return (self.matrix - Mat.identity(self.rd.rank)).det() != 0
 
     def commutes_with(self, other: "WeylElement") -> bool:
-        return self.matrix * other.matrix == other.matrix * self.matrix
+        return self.matrix.commutes_with(other.matrix)
 
     def signed_permutation(self):
         """(perm, signs) for B/C/D standard coordinates; None otherwise.

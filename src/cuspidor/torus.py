@@ -9,11 +9,11 @@ lattice-basis coordinates.
 A ``FrobeniusTorus`` computes each of its invariants once and keeps it in a
 per-instance dict: F^d, the norm matrix N_d and S(k_d) per degree d, the
 S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w) by
-one integer commutation test on V (``commutes``), per m in C_W(w) the matrix
-of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``, the one
-route from a Weyl element to S(k); the stabilizer reads its columns, kept
-once per torus as ``centralizer_columns``), and per root the integer row
-alpha(gens[i]) e with e = exp S(k) (``root_row``).
+one integer commutation test on V (``Mat.commutes_with``), per m in C_W(w)
+the matrix of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``,
+the one route from a Weyl element to S(k); the stabilizer reads its columns,
+kept once per torus as ``centralizer_columns``), and per root the integer
+row alpha(gens[i]) e with e = exp S(k) (``root_row``).
 Characters, non-singularity, Weyl stabilizers and the character sums of
 ``charformula`` then read these tables instead of rebuilding matrix powers
 or projecting per character.  The caches are safe because a torus never
@@ -131,20 +131,15 @@ class FrobeniusTorus:
         coords = self.rd.coroot_coords(coroot)
         return QV([Fraction(c) * x for c in coords])
 
-    def commutes(self, m: Mat) -> bool:
-        """Does the V-side matrix m commute with the twist?
+    def weyl_centralizer(self):
+        """Elements of W commuting with the twist (the rational Weyl group).
 
         m -> cochar(m) = B m^-T B^-1 is an injective group homomorphism, so
-        mw = wm exactly when cochar(m) and cochar(w) commute on X^vee; the
-        test on V is one integer product each way.
+        the integer test on V decides commutation on X^vee.
         """
         w = self.w.matrix
-        return m * w == w * m
-
-    def weyl_centralizer(self):
-        """Elements of W commuting with the twist (the rational Weyl group)."""
         return list(self._memo("centralizer", lambda: tuple(
-            m for m in self.rd.weyl_group() if self.commutes(m))))
+            m for m in self.rd.weyl_group() if m.commutes_with(w))))
 
     def inverse_action(self, m: Mat) -> Mat:
         """cochar(m)^-1 = cochar(m^-1) on X^vee, for m commuting with the twist.
@@ -153,7 +148,7 @@ class FrobeniusTorus:
         """
         def build():
             self.rd.cochar_coord_matrix(m)
-            if not self.commutes(m):
+            if not m.commutes_with(self.w.matrix):
                 raise InvalidWeylSet(
                     "weyl element does not commute with the twist")
             return self.rd.cochar_coord_matrix(self.rd.inverse(m))
@@ -304,43 +299,40 @@ def is_nonsingular(theta: TorusCharacter) -> bool:
 
 
 class StabilizerReport:
-    __slots__ = ("matrices", "order", "abelian", "cyclic", "nonsingular",
-                 "split_d2n", "invariant_factors")
+    __slots__ = ("matrices", "order", "abelian", "cyclic", "split_d2n",
+                 "invariant_factors")
 
-    def __init__(self, matrices, order, abelian, cyclic, nonsingular, split_d2n,
+    def __init__(self, matrices, order, abelian, cyclic, split_d2n,
                  invariant_factors):
         self.matrices = matrices
         self.order = order
         self.abelian = abelian
         self.cyclic = cyclic
-        self.nonsingular = nonsingular
         self.split_d2n = split_d2n
         self.invariant_factors = invariant_factors
 
     def to_json(self):
         return {"order": self.order, "abelian": self.abelian,
-                "cyclic": self.cyclic, "nonsingular": self.nonsingular,
-                "split_d2n": self.split_d2n,
+                "cyclic": self.cyclic, "split_d2n": self.split_d2n,
                 "invariant_factors": list(self.invariant_factors or ())}
 
 
 def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
-    """Omega(S,G)(k)_theta: w-commuting Weyl elements fixing theta on S(k)."""
+    """Omega(S,G)(k)_theta: w-commuting Weyl elements fixing theta on S(k).
+
+    Abelian exactly when the ``abelian_basis`` factors of its abelianization
+    multiply to its order; theta's non-singularity is not tested here.
+    """
     t = theta.torus
-    n = t.rd.rank
     stab = [m for m, cols in t.centralizer_columns()
             if all(theta.scaled(col) == r for col, r in zip(cols, theta.row))]
-    order = len(stab)
-    abelian = all(a * b == b * a for a in stab for b in stab)
+    factors, _, _ = abelian_basis(stab, Mat.__mul__, Mat.identity(t.rd.rank))
+    abelian = math.prod(factors) == len(stab)
+    inv = tuple(factors) if abelian else None
+    cyclic = abelian and len(inv) <= 1
     kind = t.rd.label
     split_d2n = kind.startswith("D") and int(kind[1:]) % 2 == 0
-    inv = None
-    if abelian:
-        factors, _, _ = abelian_basis(stab, lambda a, b: a * b, Mat.identity(n))
-        inv = tuple(factors)
-    cyclic = abelian and len(inv) <= 1
-    return StabilizerReport(stab, order, abelian, cyclic,
-                            is_nonsingular(theta), split_d2n, inv)
+    return StabilizerReport(stab, len(stab), abelian, cyclic, split_d2n, inv)
 
 
 def is_regular(theta: TorusCharacter) -> bool:

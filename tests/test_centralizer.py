@@ -557,3 +557,16 @@ def test_positive_rank_fixed_torus_reported():
     assert rep.fixed_torus.free_rank == 1
     assert rep.extension is None
     assert "positive rank" in rep.notes[0]
+
+
+def test_a_non_abelian_omega_omits_the_extension():
+    # -1 in W(B2) is central, so every m ∈ W centralizes it: Ω = W(B2), D_8
+    datum = ParameterDatum(build_classical("B", 2, "sc"),
+                           [((0, 0), -Mat.identity(2), None)])
+    rep = centralizer(datum)
+    assert rep.to_json() == {
+        "fixed_torus": {"free_rank": 0, "torsion": [2, 2]},
+        "omega_order": 8, "omega_factors": [], "s_phi_order": 32,
+        "mult_one": None,
+        "notes": ["omega part is non-abelian; extension omitted"]}
+    assert rep.extension is None and len(rep.lifts) == 8

@@ -45,6 +45,20 @@ def test_stabilizer_and_packet_count():
     assert data["payload"]["packet_size"] == 1
 
 
+@pytest.mark.parametrize("theta, want", [
+    (["0", "0"], {"order": 8, "abelian": False, "cyclic": False,
+                  "invariant_factors": [], "nonsingular": False}),
+    (["1/4", "1/4"], {"order": 2, "abelian": True, "cyclic": True,
+                      "invariant_factors": [2], "nonsingular": True}),
+])
+def test_stabilizer_payload_on_b2_minus_one(theta, want):
+    proc = run_cli("stabilizer", "--type", "B", "--rank", "2",
+                   "--weyl", "minus-one", "--q", "3", "--theta", *theta)
+    assert proc.returncode == 0
+    got = payload(proc)["payload"]
+    assert {k: got[k] for k in want} == want
+
+
 def test_packet_count_singular_is_domain_error():
     proc = run_cli("packet-count", "--type", "A", "--rank", "1", "--q", "3",
                    "--theta", "0")

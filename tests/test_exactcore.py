@@ -300,6 +300,31 @@ def test_abelian_basis_presents_the_abelianization():
         _check_presentation(elems, mul, identity, factors, basis, coords)
 
 
+def test_the_presentation_decides_abelianness_as_the_pairwise_test_does():
+    from cuspidor.acceptance import _elliptic_classes
+    from cuspidor.rootdata import build_classical
+    from cuspidor.torus import FrobeniusTorus
+    groups = []
+    for kind, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                    ("C", 3), ("D", 3), ("D", 4)]:
+        for form in ("sc", "ad"):
+            rd = build_classical(kind, n, form)
+            groups.append(rd.weyl_group())
+            groups += [FrobeniusTorus(rd, w, 3).weyl_centralizer()
+                       for w in _elliptic_classes(rd)]
+    verdicts = []
+    for g in groups:
+        factors, _, _ = abelian_basis(g, Mat.__mul__, Mat.identity(g[0].nrows))
+        pairwise = all(a * b == b * a for a in g for b in g)
+        assert (math.prod(factors) == len(g)) == pairwise
+        verdicts.append(pairwise)
+    assert len(groups) == 46 and 0 < verdicts.count(False) < 46
+    w_b3 = build_classical("B", 3, "sc").weyl_group()
+    for a in w_b3:
+        for b in w_b3:
+            assert a.commutes_with(b) == (a * b == b * a)
+
+
 def test_qz_kernel_nonsquare():
     m = Mat([[2, 0], [0, 3], [2, 3]])
     g = qz_kernel(m)

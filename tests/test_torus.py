@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,41 @@ def test_weyl_stabilizer_sl2():
     assert rep.abelian and rep.cyclic
     assert is_regular(th4)
     assert not is_regular(th2)
+
+
+def test_weyl_stabilizer_does_not_test_nonsingularity(monkeypatch):
+    import cuspidor.torus as torus
+
+    def refuse(theta):
+        raise AssertionError("is_nonsingular called")
+
+    monkeypatch.setattr(torus, "is_nonsingular", refuse)
+    t = sl2_coxeter(3)
+    rep = weyl_stabilizer(TorusCharacter(t, [0]))
+    assert (rep.order, rep.abelian, rep.invariant_factors) == (2, True, (2,))
+
+
+@pytest.mark.parametrize("kind, n, twist", [
+    ("A", 2, 1), ("B", 2, -1), ("B", 3, 1), ("D", 4, -1)])
+def test_weyl_stabilizer_agrees_with_the_pairwise_test(kind, n, twist):
+    # the trivial theta of each is stabilized by all of W (S3, D8, W(B3),
+    # W(D4)): non-abelian, with one or two factors in its abelianization
+    rd = build_classical(kind, n, "sc")
+    t = FrobeniusTorus(rd, WeylElement(rd, twist * Mat.identity(n)), 3)
+    verdicts = set()
+    for th in all_characters(t):
+        rep = weyl_stabilizer(th)
+        g = [WeylElement(rd, m) for m in rep.matrices]
+        abelian = all(a.matrix * b.matrix == b.matrix * a.matrix
+                      for a in g for b in g)
+        cyclic = any(x.order == rep.order for x in g)
+        assert (rep.abelian, rep.cyclic) == (abelian, cyclic)
+        if abelian:
+            assert math.prod(rep.invariant_factors) == rep.order
+        else:
+            assert rep.invariant_factors is None
+        verdicts.add(abelian)
+    assert False in verdicts
 
 
 def test_packet_counts_sl2():
