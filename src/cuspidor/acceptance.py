@@ -275,12 +275,7 @@ def criterion_8_bicharacter():
 def _sweep_torus(t, stats):
     stats["tori"] += 1
     model = AdjointModel(t)
-    cok = model.cokernel()
-    ad_reps = {}
-    for coords in model.points_ad.elements():
-        cls = cok.project(coords)
-        if cls not in ad_reps:
-            ad_reps[cls] = model.points_ad.lift(coords).coords
+    ad_reps = model.cokernel_reps().values()
     ident = Mat.identity(t.rd.rank)
     for th in all_characters(t):
         if not is_nonsingular(th):
@@ -295,7 +290,7 @@ def _sweep_torus(t, stats):
             if m == ident:
                 continue
             vals = [bicharacter(th, m, coords, _rep=rep, _model=model)
-                    for coords in ad_reps.values()]
+                    for coords in ad_reps]
             assert any(not (v == 1) for v in vals), (t.rd.label, t.q)
 
 

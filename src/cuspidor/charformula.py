@@ -105,16 +105,6 @@ class ModAData:
         return {str(list(k)): v for k, v in self.classes.items()}
 
 
-def composite_character_qz(theta: TorusCharacter, coroot, degree: int):
-    """theta∘N∘alpha_vee on k_d^x as a Q/Z-valued function of the dlog."""
-    base = theta.composite_with_coroot(coroot, degree)
-
-    def psi(e: int) -> Fraction:
-        return (e * base) % 1
-
-    return base, psi
-
-
 def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
                validate_bound: int = 2500) -> ModAData:
     """Square classes of the depth-zero a-data.
@@ -136,12 +126,12 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
         if d % 2:
             raise ArithmeticError("symmetric orbit of odd size")
         coroot = rd.coroot(orbit.rep)
-        base, psi = composite_character_qz(theta, coroot, d)
+        base = theta.composite_with_coroot(coroot, d)
         if base == 0:
             raise SingularRoot("theta∘N∘alpha_vee is trivial on the orbit field")
         q_alpha = t.q ** d
         q_half = t.q ** (d // 2)
-        psi_minus_one = psi((q_alpha - 1) // 2)
+        psi_minus_one = base * ((q_alpha - 1) // 2) % 1
         if psi_minus_one not in (0, Fraction(1, 2)):
             raise ArithmeticError("psi(-1) is not a sign")
         s1 = 1 if psi_minus_one == 0 else -1

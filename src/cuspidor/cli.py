@@ -167,19 +167,15 @@ def cmd_bicharacter(args):
     th = TorusCharacter(t, args.theta)
     rep = weyl_stabilizer(th)
     model = AdjointModel(t)
-    cok = model.cokernel()
-    ad_reps = {}
-    for coords in model.points_ad.elements():
-        cls = cok.project(coords)
-        ad_reps.setdefault(cls, coords)
+    reps = sorted(model.cokernel_reps().items())
     table = {}
     for i, m in enumerate(rep.matrices):
-        for cls, coords in sorted(ad_reps.items()):
-            val = bicharacter(th, m, model.points_ad.lift(coords).coords,
-                              _rep=rep, _model=model)
-            table[f"w{i}@{list(cls)}"] = val
+        for cls, coords in reps:
+            table[f"w{i}@{list(cls)}"] = bicharacter(th, m, coords, _rep=rep,
+                                                     _model=model)
     return _emit({"stabilizer_order": rep.order,
-                  "cokernel": list(cok.group.factors), "table": table})
+                  "cokernel": list(model.cokernel().group.factors),
+                  "table": table})
 
 
 def cmd_packet_count(args):

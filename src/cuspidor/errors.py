@@ -33,10 +33,6 @@ class NotStabilizing(CuspidorError):
     pass
 
 
-class IncompatibleCharacters(CuspidorError):
-    pass
-
-
 class SingularCharacter(CuspidorError):
     pass
 

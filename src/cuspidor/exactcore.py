@@ -344,10 +344,6 @@ def coords_of(basis_rows: Mat, ambient, solver: Mat = None):
     return coords
 
 
-def ambient_of(basis_rows: Mat, coords):
-    return basis_rows.transpose().apply(coords)
-
-
 def coord_matrix(basis_rows: Mat, vstar_mat: Mat, solver: Mat = None) -> Mat:
     """An ambient endomorphism in the coordinates of the given lattice basis."""
     if solver is None:

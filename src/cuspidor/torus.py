@@ -23,19 +23,18 @@ values are immutable; the tables are bounded by the degrees asked for,
 rk S(k) x rk S(k) integer matrix per element of C_W(w) (per distinct Weyl
 element a caller passes).
 
-Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee, the lattice
-of a connected part) are handled in the lattice-basis coordinates of
-``exactcore``.
+Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee) are handled
+in the lattice-basis coordinates of ``exactcore``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cyclotomic import Cyc
 from .errors import (
-    IncompatibleCharacters,
     InvalidCharacter,
     InvalidDegree,
     InvalidPrimePower,
@@ -48,10 +47,8 @@ from .exactcore import (
     Mat,
     QV,
     abelian_basis,
-    ambient_of,
     coord_convert,
     coord_matrix,
-    coords_of,
     prime_power,
     quotient_by,
     twisted_fixed_points,
@@ -322,6 +319,8 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
 
     Abelian exactly when the ``abelian_basis`` factors of its abelianization
     multiply to its order; theta's non-singularity is not tested here.
+    ``split_d2n`` holds exactly for a label "D<n>" with n even, so not for
+    a dual's "D4^".
     """
     t = theta.torus
     stab = [m for m, cols in t.centralizer_columns()
@@ -330,13 +329,9 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
     abelian = math.prod(factors) == len(stab)
     inv = tuple(factors) if abelian else None
     cyclic = abelian and len(inv) <= 1
-    kind = t.rd.label
-    split_d2n = kind.startswith("D") and int(kind[1:]) % 2 == 0
+    kind, n = t.rd.label[:1], t.rd.label[1:]
+    split_d2n = kind == "D" and n.isdecimal() and int(n) % 2 == 0
     return StabilizerReport(stab, len(stab), abelian, cyclic, split_d2n, inv)
-
-
-def is_regular(theta: TorusCharacter) -> bool:
-    return weyl_stabilizer(theta).order == 1
 
 
 class AdjointModel:
@@ -344,7 +339,8 @@ class AdjointModel:
 
     S_ad lives on the coweight lattice P^vee (fundamental coweights); the
     cokernel of S(k) -> S_ad(k) is computed from the inclusion X^vee <= P^vee.
-    Each Weyl element's commutator matrix is built once per model.
+    The cokernel, its table of class representatives and each Weyl element's
+    commutator matrix are built once per model.
     """
 
     def __init__(self, torus: FrobeniusTorus):
@@ -356,14 +352,35 @@ class AdjointModel:
         self.f_ad = torus.q * coord_matrix(self.pv_rows, wm)
         self.points_ad = twisted_fixed_points(self.f_ad)
         self.x_to_ad = coord_convert(rd.xv_rows, self.pv_rows)
+        self._cokernel = None
+        self._cokernel_reps = None
         self._commutators = {}
 
     def cokernel(self):
         """cok(S(k) -> S_ad(k)) as a quotient of S_ad(k)."""
-        sk = self.torus.rational_points(1)
-        images = [self.points_ad.project(QV(self.x_to_ad.apply(g.coords)))
-                  for g in sk.gens]
-        return quotient_by(self.points_ad, images)
+        if self._cokernel is None:
+            sk = self.torus.rational_points(1)
+            images = [self.points_ad.project(QV(self.x_to_ad.apply(g.coords)))
+                      for g in sk.gens]
+            self._cokernel = quotient_by(self.points_ad, images)
+        return self._cokernel
+
+    def cokernel_reps(self) -> MappingProxyType:
+        """{cokernel class: P^vee coordinates of one point of S_ad(k) in it}.
+
+        Each class is represented by its first point in
+        ``points_ad.elements()``, lifted to (Q/Z)^rank; a read-only view,
+        since every caller shares the one table.
+        """
+        if self._cokernel_reps is None:
+            cok = self.cokernel()
+            reps = {}
+            for coords in self.points_ad.elements():
+                cls = cok.project(coords)
+                if cls not in reps:
+                    reps[cls] = self.points_ad.lift(coords).coords
+            self._cokernel_reps = MappingProxyType(reps)
+        return self._cokernel_reps
 
     def commutator_matrix(self, weyl_mat: Mat) -> Mat:
         """B (w - 1) P^vee^T: P^vee coordinates of s to X^vee ones of (w - 1)s.
@@ -411,89 +428,3 @@ def packet_counts(theta: TorusCharacter):
         raise SingularCharacter("packet counts require a non-singular character")
     rep = weyl_stabilizer(theta)
     return rep.order, rep.order
-
-
-class DisconnectedPairing:
-    __slots__ = ("omega_cosets", "point_classes", "table", "left_kernel_trivial",
-                 "omega_theta0", "omega_theta")
-
-    def __init__(self, omega_cosets, point_classes, table, left_kernel_trivial,
-                 omega_theta0, omega_theta):
-        self.omega_cosets = omega_cosets
-        self.point_classes = point_classes
-        self.table = table
-        self.left_kernel_trivial = left_kernel_trivial
-        self.omega_theta0 = omega_theta0
-        self.omega_theta = omega_theta
-
-
-def disconnected_bicharacter(theta_full: TorusCharacter, sub_rows: Mat,
-                             theta0_values) -> DisconnectedPairing:
-    """Pairing (w, s) -> theta0(w s w^{-1} s^{-1}) on Omega_{theta0}/Omega_theta
-    x S(k)/S^0(k).
-
-    ``sub_rows`` spans the cocharacter lattice of the connected part S^0 inside
-    the ambient cocharacter space; theta0 is given on the normal form of
-    S^0(k) and must agree with the restriction of theta_full.
-    """
-    t = theta_full.torus
-    rd = t.rd
-    wm = rd.dual_matrix(t.w.matrix)
-    f_sub = t.q * coord_matrix(sub_rows, wm)
-    s0 = twisted_fixed_points(f_sub)
-    theta0 = tuple(Fraction(v) % 1 for v in theta0_values)
-
-    def theta0_of(coords0):
-        return sum((Fraction(a) * v for a, v in zip(coords0, theta0)),
-                   Fraction(0)) % 1
-
-    incl = coord_convert(sub_rows, rd.xv_rows)
-    sk = theta_full.group
-
-    units = s0.standard_basis()
-    for g, e in zip(s0.gens, units):
-        if theta_full.on_vector(QV(incl.apply(g.coords))) != theta0_of(e):
-            raise IncompatibleCharacters("theta_full does not restrict to theta0")
-
-    stab_full = set(weyl_stabilizer(theta_full).matrices)
-    stab0 = []
-    for m in t.weyl_centralizer():
-        md = rd.dual_matrix(m)
-        try:
-            mc0 = coord_matrix(sub_rows, md)
-        except ValueError:
-            continue
-        if all(theta0_of(s0.project(g.act(mc0))) == theta0_of(e)
-               for g, e in zip(s0.gens, units)):
-            stab0.append(m)
-    stab_full = [m for m in stab0 if m in stab_full]
-
-    coset_reps, seen = [], set()
-    for m in stab0:
-        if m in seen:
-            continue
-        coset_reps.append(m)
-        for h in stab_full:
-            seen.add(m * h)
-
-    images = [sk.project(QV(incl.apply(g.coords))) for g in s0.gens]
-    quot = quotient_by(sk, images)
-    point_reps = {}
-    for coords in sk.elements():
-        cls = quot.project(coords)
-        if cls not in point_reps:
-            point_reps[cls] = coords
-
-    table = {}
-    for i, m in enumerate(coset_reps):
-        md = rd.dual_matrix(m)
-        for cls, coords in point_reps.items():
-            amb = ambient_of(rd.xv_rows, sk.lift(coords).coords)
-            delta = [a - b for a, b in zip(md.apply(amb), amb)]
-            c0 = QV(coords_of(sub_rows, delta))
-            table[(i, cls)] = Cyc.from_qz(theta0_of(s0.project(c0)))
-    left_kernel_trivial = all(
-        any(not (table[(i, cls)] == 1) for cls in point_reps)
-        for i, m in enumerate(coset_reps) if m not in stab_full)
-    return DisconnectedPairing(coset_reps, sorted(point_reps), table,
-                               left_kernel_trivial, stab0, list(stab_full))

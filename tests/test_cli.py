@@ -59,6 +59,24 @@ def test_stabilizer_payload_on_b2_minus_one(theta, want):
     assert {k: got[k] for k in want} == want
 
 
+def _cyc(n):
+    return {"coeffs": [str(n)], "conductor": 1}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--type", "A", "--rank", "1", "--q", "3", "--theta", "1/2"],
+    ["--type", "B", "--rank", "2", "--q", "3", "--theta", "1/4", "1/4"],
+], ids=["A1", "B2"])
+def test_bicharacter_payload(flags):
+    # w0 = -1 pairs to -1 with the nontrivial cokernel class; w1 = 1 to 1
+    proc = run_cli("bicharacter", *flags)
+    assert proc.returncode == 0
+    assert payload(proc) == {"schema": 1, "status": "ok", "payload": {
+        "cokernel": [2], "stabilizer_order": 2,
+        "table": {"w0@[0]": _cyc(1), "w0@[1]": _cyc(-1),
+                  "w1@[0]": _cyc(1), "w1@[1]": _cyc(1)}}}
+
+
 def test_packet_count_singular_is_domain_error():
     proc = run_cli("packet-count", "--type", "A", "--rank", "1", "--q", "3",
                    "--theta", "0")

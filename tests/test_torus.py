@@ -5,8 +5,8 @@ import pytest
 
 from cuspidor.cyclotomic import Cyc
 from cuspidor.errors import NotRealizable, NotStabilizing, SingularCharacter
-from cuspidor.exactcore import (Mat, QV, RankReport, ambient_of, coord_convert,
-                                coord_matrix, coords_of, lattice_solver)
+from cuspidor.exactcore import (Mat, QV, coord_convert, coord_matrix, coords_of,
+                                lattice_solver)
 from cuspidor.ffield import FiniteField
 from cuspidor.rootdata import WeylElement, build_classical, signed_perm_element
 from cuspidor.torus import (
@@ -15,9 +15,7 @@ from cuspidor.torus import (
     TorusCharacter,
     all_characters,
     bicharacter,
-    disconnected_bicharacter,
     is_nonsingular,
-    is_regular,
     packet_counts,
     weyl_stabilizer,
 )
@@ -104,8 +102,19 @@ def test_weyl_stabilizer_sl2():
     rep = weyl_stabilizer(th2)
     assert rep.order == 2
     assert rep.abelian and rep.cyclic
-    assert is_regular(th4)
-    assert not is_regular(th2)
+
+
+@pytest.mark.parametrize("kind, n, label, split", [
+    ("A", 3, None, False), ("B", 2, None, False), ("C", 3, None, False),
+    ("D", 3, None, False), ("D", 4, None, True), ("D", 4, "D4^", False)])
+def test_split_d2n_reads_a_whole_d_n_label(kind, n, label, split):
+    # "D4^" is the label a dual datum carries: no D<n> label, and no error
+    rd = build_classical(kind, n, "sc")
+    if label is not None:
+        rd.label = label
+    t = FrobeniusTorus(rd, WeylElement(rd, Mat.identity(n)), 5)
+    th = TorusCharacter(t, [0] * len(t.rational_points(1).factors))
+    assert weyl_stabilizer(th).split_d2n is split
 
 
 def test_weyl_stabilizer_does_not_test_nonsingularity(monkeypatch):
@@ -171,18 +180,18 @@ def test_bicharacter_sl2_forced_value():
     t = sl2_coxeter(3)
     th2 = theta_of_order(t, 2)
     model = AdjointModel(t)
-    cok = model.cokernel()
-    assert cok.group.order == 2
-    # find an adjoint point generating the cokernel
-    gen = None
-    for coords in model.points_ad.elements():
-        if cok.project(coords) != cok.group.zero:
-            gen = coords
-            break
-    val = bicharacter(th2, -Mat.identity(1), model.points_ad.lift(gen).coords)
+    reps = model.cokernel_reps()
+    assert len(reps) == model.cokernel().group.order == 2
+    # one table per model, shared read-only
+    assert model.cokernel_reps() is reps
+    with pytest.raises(TypeError):
+        reps[(0,)] = ()
+    # an adjoint point generating the cokernel
+    gen = next(s for cls, s in reps.items() if any(cls))
+    val = bicharacter(th2, -Mat.identity(1), gen)
     assert val == Cyc.rational(-1)
     # identity weyl element pairs to 1
-    assert bicharacter(th2, Mat.identity(1), model.points_ad.lift(gen).coords) == 1
+    assert bicharacter(th2, Mat.identity(1), gen) == 1
     # points in the image of S(k) pair to 1
     img = model.x_to_ad.apply(th2.group.gens[0].coords)
     assert bicharacter(th2, -Mat.identity(1), img) == 1
@@ -208,11 +217,6 @@ def test_bicharacter_left_kernel_small_sweep():
                     continue
                 t = FrobeniusTorus(rd, w, q)
                 model = AdjointModel(t)
-                cok = model.cokernel()
-                ad_reps = {}
-                for coords in model.points_ad.elements():
-                    cls = cok.project(coords)
-                    ad_reps.setdefault(cls, coords)
                 for th in all_characters(t):
                     if th.is_trivial() or not is_nonsingular(th):
                         continue
@@ -222,8 +226,8 @@ def test_bicharacter_left_kernel_small_sweep():
                     for m in rep.matrices:
                         if m == Mat.identity(rd.rank):
                             continue
-                        vals = [bicharacter(th, m, model.points_ad.lift(c).coords)
-                                for c in ad_reps.values()]
+                        vals = [bicharacter(th, m, s)
+                                for s in model.cokernel_reps().values()]
                         assert any(not (v == 1) for v in vals)
                 break  # one elliptic class per (rd, q) keeps this quick
 
@@ -243,7 +247,7 @@ def _bichar_by_lift(model):
     on_qv = {}
 
     def value(theta, weyl_mat, s_ad_coords, shift):
-        amb = list(ambient_of(model.pv_rows, QV(s_ad_coords).coords))
+        amb = list(model.pv_rows.transpose().apply(QV(s_ad_coords).coords))
         if shift:
             amb = [a + w for a, w in zip(amb, model.pv_rows.rows[0])]
         sc = QV(coords_of(qv_rows, amb, solver))
@@ -268,18 +272,13 @@ def test_bicharacter_matches_the_lift_route_over_criterion_8():
                 tori += 1
                 model = AdjointModel(t)
                 reference = _bichar_by_lift(model)
-                cok = model.cokernel()
-                ad_reps = {}
-                for coords in model.points_ad.elements():
-                    ad_reps.setdefault(cok.project(coords),
-                                       model.points_ad.lift(coords).coords)
                 for th in all_characters(t):
                     if not is_nonsingular(th):
                         continue
                     nonsingular += 1
                     rep = weyl_stabilizer(th)
                     for m in rep.matrices:
-                        for s in ad_reps.values():
+                        for s in model.cokernel_reps().values():
                             got = bicharacter(th, m, s, _rep=rep, _model=model)
                             for shift in (False, True):
                                 assert got == Cyc.from_qz(
@@ -338,124 +337,6 @@ def test_nonsingularity_weyl_invariance():
                 for m in weyl_stabilizer(th).matrices:
                     assert is_nonsingular(th.twist_by(m)) == ns
             break
-
-
-def test_disconnected_bicharacter_gl2():
-    # GL2-style: X^vee = Z^2 with the swap twist; S^0 = the SL2 coroot line
-    from cuspidor.rootdata import RootDatum
-    rd = RootDatum("GL2", Mat.identity(2), [(1, -1), (-1, 1)], [(1, -1), (-1, 1)],
-                   [0])
-    swap = Mat([[0, 1], [1, 0]])
-    w = WeylElement(rd, swap)
-    t = FrobeniusTorus(rd, w, 3)
-    sk = t.rational_points(1)
-    assert sk.order == 8  # norm-one torus of GL2 over GF(3): q^2 - 1
-    sub = Mat([[1, -1]])
-    # theta_full of order 8 restricting to theta0 of order 4 on S^0(k)=Z/4
-    full = TorusCharacter(t, [Fraction(1, 8)])
-    # compute theta0 values from the restriction
-    from cuspidor.torus import coord_convert
-    xv_rows = rd.basis.inverse().transpose()
-    incl = coord_convert(sub, xv_rows).to_int()
-    from cuspidor.exactcore import twisted_fixed_points
-    from cuspidor.torus import coord_matrix
-    f_sub = 3 * coord_matrix(sub, rd.dual_matrix(w.matrix))
-    s0 = twisted_fixed_points(f_sub)
-    theta0_vals = [full.on_vector(QV(incl.apply(g.coords))) for g in s0.gens]
-    pairing = disconnected_bicharacter(full, sub, theta0_vals)
-    assert len(pairing.point_classes) == sk.order // s0.order
-    # trivial cosets pair to 1
-    for (i, cls), v in pairing.table.items():
-        if pairing.omega_cosets[i] in pairing.omega_theta:
-            assert v == 1
-    assert pairing.left_kernel_trivial or len(pairing.omega_cosets) == 1
-
-
-def test_disconnected_pairing_depends_only_on_theta0():
-    # all extensions of a fixed theta0 compute the same Omega_theta
-    from cuspidor.rootdata import RootDatum
-    rd = RootDatum("GL2", Mat.identity(2), [(1, -1), (-1, 1)], [(1, -1), (-1, 1)],
-                   [0])
-    w = WeylElement(rd, Mat([[0, 1], [1, 0]]))
-    t = FrobeniusTorus(rd, w, 3)
-    sub = Mat([[1, -1]])
-    from cuspidor.torus import coord_convert, coord_matrix
-    from cuspidor.exactcore import twisted_fixed_points
-    xv_rows = rd.basis.inverse().transpose()
-    incl = coord_convert(sub, xv_rows).to_int()
-    f_sub = 3 * coord_matrix(sub, rd.dual_matrix(w.matrix))
-    s0 = twisted_fixed_points(f_sub)
-    by_theta0 = {}
-    for th in all_characters(t):
-        vals = tuple(th.on_vector(QV(incl.apply(g.coords))) for g in s0.gens)
-        pairing = disconnected_bicharacter(th, sub, vals)
-        key = vals
-        omega = frozenset(pairing.omega_theta)
-        by_theta0.setdefault(key, set()).add(omega)
-    for key, omegas in by_theta0.items():
-        assert len(omegas) == 1, f"Omega_theta varies over extensions of {key}"
-
-
-def test_cor_bichar_compatibility_square():
-    # both routes of the compatibility square agree on the GL2 fixture:
-    # pairing the class of s against omega equals the rank-1 bicharacter of
-    # the SL2 part at the image of s in the adjoint torus of S^0
-    from cuspidor.rootdata import RootDatum
-    from cuspidor.torus import coord_matrix, coord_convert
-    from cuspidor.exactcore import twisted_fixed_points
-    rd = RootDatum("GL2", Mat.identity(2), [(1, -1), (-1, 1)], [(1, -1), (-1, 1)],
-                   [0])
-    w = WeylElement(rd, Mat([[0, 1], [1, 0]]))
-    t = FrobeniusTorus(rd, w, 3)
-    sub = Mat([[1, -1]])
-    xv_rows = rd.basis.inverse().transpose()
-    incl = coord_convert(sub, xv_rows).to_int()
-    f_sub = 3 * coord_matrix(sub, rd.dual_matrix(w.matrix))
-    s0 = twisted_fixed_points(f_sub)
-
-    # the SL2-part torus on the A1 datum, with the same q and w = -1
-    rd1 = build_classical("A", 1, "sc")
-    t1 = FrobeniusTorus(rd1, WeylElement(rd1, -Mat.identity(1)), 3)
-    model1 = AdjointModel(t1)
-
-    for full in all_characters(t):
-        vals0 = [full.on_vector(QV(incl.apply(g.coords))) for g in s0.gens]
-        pairing = disconnected_bicharacter(full, sub, vals0)
-        # theta0 as a character of the A1 torus: S^0(k) sub-coords match the
-        # A1 cocharacter coordinates (both are multiples of the coroot)
-        th1 = TorusCharacter(t1, vals0)
-        from cuspidor.torus import weyl_stabilizer as stab1
-        rep1 = stab1(th1)
-        for i, m in enumerate(pairing.omega_cosets):
-            # the A1-side image of the coset: swap restricts to -1, id to 1
-            m1 = Mat([[1]]) if m == Mat.identity(2) else -Mat.identity(1)
-            if m1 not in rep1.matrices:
-                continue  # omega_theta0 element not stabilizing theta1: skip
-            for cls in pairing.point_classes:
-                coords = next(c for c in full.group.elements()
-                              if _quot_cls(pairing, full, sub, incl, c) == cls)
-                top = pairing.table[(i, cls)]
-                # bottom route: image of s in the adjoint A1 torus is
-                # (v1 - v2) in fundamental-coweight coordinates
-                v = full.group.lift(coords)
-                img = QV([v.coords[0] - v.coords[1]])
-                bottom = bicharacter(th1, m1, img.coords, _rep=rep1,
-                                     _model=model1)
-                assert top == bottom, (cls, m.rows)
-
-
-def _quot_cls(pairing, full, sub, incl, coords):
-    from cuspidor.exactcore import quotient_by
-    sk = full.group
-    # recompute the class of coords in S(k)/S^0(k) the same way the pairing did
-    from cuspidor.torus import coord_matrix
-    from cuspidor.exactcore import twisted_fixed_points
-    t = full.torus
-    f_sub = t.q * coord_matrix(sub, t.rd.dual_matrix(t.w.matrix))
-    s0 = twisted_fixed_points(f_sub)
-    images = [sk.project(QV(incl.apply(g.coords))) for g in s0.gens]
-    quot = quotient_by(sk, images)
-    return quot.project(coords)
 
 
 # -- the cached invariants against their definitions ---------------------------
