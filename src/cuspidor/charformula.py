@@ -171,14 +171,9 @@ class DeltaResult:
         self.factors = factors
 
     def to_json(self):
-        return {"value": _cyc_json(self.value),
+        return {"value": self.value.to_json(),
                 "skipped": [list(r) for r in self.skipped_orbits],
                 "factors": {str(list(k)): v for k, v in self.factors.items()}}
-
-
-def _cyc_json(c: Cyc):
-    r = c.reduce()
-    return {"conductor": r.n, "coeffs": [str(x) for x in r.coeffs]}
 
 
 def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,

@@ -70,8 +70,7 @@ def _json_default(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Cyc):
-        r = x.reduce()
-        return {"conductor": r.n, "coeffs": [str(c) for c in r.coeffs]}
+        return x.to_json()
     if isinstance(x, Mat):
         return [list(r) for r in x.rows]
     if isinstance(x, QV):

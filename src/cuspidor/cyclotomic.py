@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 
-from .exactcore import gauss_jordan, prime_factors
+from .exactcore import prime_factors
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,25 +46,11 @@ def _polydiv_exact(num, den):
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_rows(n: int):
-    """z^k for k in [phi(n), n) on the power basis, as integer tuples.
-
-    Phi_n is monic with integer coefficients, so every row is integral.
-    """
-    phi = len(cyclotomic_polynomial(n)) - 1
-    rows = {}
-    # z^phi = -(lower coefficients of Phi_n)
-    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
-    cur = base[:]
-    rows[phi] = tuple(cur)
-    for k in range(phi + 1, n):
-        shifted = [0] + cur[:-1]
-        top = cur[-1]
-        if top:
-            shifted = [s + top * b for s, b in zip(shifted, base)]
-        cur = shifted
-        rows[k] = tuple(cur)
-    return phi, rows
+def _division_terms(n: int):
+    """phi(n) and the non-zero (j, c) of Phi_n below its leading term."""
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
 
 
 class Cyc:
@@ -72,9 +59,10 @@ class Cyc:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        phi, _ = _reduction_rows(n) if n > 1 else (1, None)
+        if n < 1:
+            raise ValueError("conductor must be positive")
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) != phi:
+        if len(cs) != _division_terms(n)[0]:
             raise ValueError("coefficient vector has wrong length")
         self.n = n
         self.coeffs = tuple(cs)
@@ -88,10 +76,7 @@ class Cyc:
         """zeta_n^k."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        k %= n
-        if n == 1:
-            return Cyc(1, [1])
-        return Cyc(n, _monomial(n, k))
+        return Cyc.from_root_multiplicities(n, [0] * (k % n) + [1])
 
     @staticmethod
     def from_qz(x: Fraction) -> "Cyc":
@@ -105,14 +90,13 @@ class Cyc:
 
         The coefficients are folded mod n and the polynomial is divided by
         Phi_n from the top down, touching only the non-zero coefficients of
-        Phi_n; integer coefficients stay integers until the one Cyc.
+        Phi_n; integer coefficients stay integers until the one Cyc.  Every
+        Cyc that leaves the power basis is reduced here.
         """
         acc = [0] * n
         for s, c in enumerate(coeffs):
             if c:
                 acc[s % n] += c
-        if n == 1:
-            return Cyc.rational(acc[0])
         phi, low = _division_terms(n)
         for k in range(n - 1, phi - 1, -1):
             c = acc[k]
@@ -122,19 +106,20 @@ class Cyc:
                     acc[base + j] -= c * pj
         return Cyc(n, acc[:phi])
 
+    def _substitute(self, m: int, t: int) -> "Cyc":
+        """sum of coeffs[k] * zeta_m^(k t), reduced in Q(zeta_m)."""
+        raw = [0] * m
+        for k, c in enumerate(self.coeffs):
+            raw[k * t % m] += c
+        return Cyc.from_root_multiplicities(m, raw)
+
     def promote(self, m: int) -> "Cyc":
         """Rewrite in Q(zeta_m); requires n | m."""
         if m == self.n:
             return self
         if m % self.n:
             raise ValueError("can only promote to a multiple conductor")
-        step = m // self.n
-        acc = _zero_vec(m)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                mono = _monomial(m, (k * step) % m)
-                acc = [a + c * b for a, b in zip(acc, mono)]
-        return Cyc(m, acc)
+        return self._substitute(m, m // self.n)
 
     def _pair(self, other):
         other = other if isinstance(other, Cyc) else Cyc.rational(other)
@@ -160,24 +145,14 @@ class Cyc:
         if not isinstance(other, Cyc):
             return Cyc(self.n, [c * Fraction(other) for c in self.coeffs])
         a, b = self._pair(other)
-        n = a.n
-        if n == 1:
-            return Cyc(1, [a.coeffs[0] * b.coeffs[0]])
-        phi, _ = _reduction_rows(n)
-        raw = [Fraction(0)] * (2 * phi - 1)
+        raw = [0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if not x:
                 continue
             for j, y in enumerate(b.coeffs):
                 if y:
                     raw[i + j] += x * y
-        acc = list(raw[:phi])
-        for k in range(phi, len(raw)):
-            c = raw[k]
-            if c:
-                row = _monomial(n, k)
-                acc = [u + c * v for u, v in zip(acc, row)]
-        return Cyc(n, acc)
+        return Cyc.from_root_multiplicities(a.n, raw)
 
     __rmul__ = __mul__
 
@@ -190,6 +165,8 @@ class Cyc:
 
     def __eq__(self, other):
         if not isinstance(other, Cyc):
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
             other = Cyc.rational(other)
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
@@ -200,6 +177,11 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self.n}, {[str(c) for c in self.coeffs]})"
+
+    def to_json(self):
+        """JSON form: conductor and coefficient strings of ``reduce()``."""
+        r = self.reduce()
+        return {"conductor": r.n, "coeffs": [str(c) for c in r.coeffs]}
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -214,20 +196,13 @@ class Cyc:
 
     def galois(self, a: int) -> "Cyc":
         """Apply zeta -> zeta^a; a must be prime to the conductor."""
-        if math.gcd(a % self.n if self.n > 1 else 1, self.n) != 1:
+        if math.gcd(a, self.n) != 1:
             raise ValueError("galois exponent not coprime to conductor")
-        if self.n == 1:
-            return self
-        acc = _zero_vec(self.n)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                mono = _monomial(self.n, (k * a) % self.n)
-                acc = [x + c * y for x, y in zip(acc, mono)]
-        return Cyc(self.n, acc)
+        return self._substitute(self.n, a)
 
     def conj(self) -> "Cyc":
         """Complex conjugation, zeta -> zeta^{-1}."""
-        return self.galois(self.n - 1 if self.n > 1 else 1)
+        return self.galois(-1)
 
     def norm_square(self) -> "Cyc":
         """self * conj(self)."""
@@ -240,65 +215,36 @@ class Cyc:
         while changed and cur.n > 1:
             changed = False
             for p in prime_factors(cur.n):
-                m = cur.n // p
-                down = cur._try_descend(m)
+                down = cur._descend(p)
                 if down is not None:
                     cur = down
                     changed = True
                     break
         return cur
 
-    def _try_descend(self, m: int):
-        """Representative in Q(zeta_m) if self lies there, else None."""
-        if self.n % m:
-            return None
-        phi_m, _ = _reduction_rows(m) if m > 1 else (1, None)
-        # solve: candidate in Q(zeta_m) whose promotion equals self
-        # brute force via linear algebra on the promotion images of the basis
-        cols = []
-        for k in range(phi_m):
-            e = Cyc(m, _basis_row(phi_m, k)) if m > 1 else Cyc.rational(1)
-            cols.append(e.promote(self.n).coeffs)
-        # Gaussian solve cols * x = self.coeffs
-        a, pivots, _ = gauss_jordan(
-            [[cols[j][i] for j in range(phi_m)] + [self.coeffs[i]]
-             for i in range(len(self.coeffs))], phi_m)
-        if any(row[phi_m] != 0 for row in a[len(pivots):]):
-            return None
-        sol = [Fraction(0)] * phi_m
-        for row, c in zip(a, pivots):
-            sol[c] = row[phi_m]
-        cand = Cyc(m, sol)
-        if cand.promote(self.n).coeffs == self.coeffs:
-            return cand
-        return None
+    def _descend(self, p: int):
+        """Representative in Q(zeta_m), m = n/p, if self lies there, else None.
 
-
-def _zero_vec(n):
-    phi, _ = _reduction_rows(n) if n > 1 else (1, None)
-    return [0] * phi
-
-
-def _basis_row(phi, k):
-    return tuple(int(i == k) for i in range(phi))
-
-
-@functools.lru_cache(maxsize=None)
-def _division_terms(n: int):
-    """phi(n) and the non-zero (j, c) of Phi_n below its leading term."""
-    poly = cyclotomic_polynomial(n)
-    phi = len(poly) - 1
-    return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial(n: int, k: int):
-    """z^k reduced on the power basis of Q(zeta_n)."""
-    phi, rows = _reduction_rows(n)
-    k %= n
-    if k < phi:
-        return _basis_row(phi, k)
-    return rows[k]
+        The candidate is the average of self over Gal(Q(zeta_n)/Q(zeta_m)),
+        the units a = 1 mod m; it equals self exactly when self lies in
+        Q(zeta_m) (Washington, Introduction to Cyclotomic Fields, ch. 2).
+        On zeta_n^s with p | s the average is zeta_n^s = zeta_m^(s/p).  For
+        p not dividing s it is
+        - 0 when p | m: a = 1 + jm multiplies zeta_n^s by zeta_p^(js);
+        - -1/(p-1) * zeta_m^(s/p mod m) when p is prime to m: a runs over
+          every unit mod p, the p-th roots of unity other than 1 sum to -1,
+          and zeta_n^s = zeta_p^(s/m mod p) * zeta_m^(s/p mod m).
+        """
+        m = self.n // p
+        raw = [0] * m
+        inv = pow(p, -1, m) if m % p else None
+        for s, c in enumerate(self.coeffs):
+            if s % p == 0:
+                raw[s // p] += c
+            elif inv is not None:
+                raw[s * inv % m] -= c / (p - 1)
+        cand = Cyc.from_root_multiplicities(m, raw)
+        return cand if cand.promote(self.n).coeffs == self.coeffs else None
 
 
 def cyc_sum(terms) -> Cyc:

@@ -1,10 +1,14 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidor.cyclotomic import Cyc, cyclotomic_polynomial, cyc_sum
+from cuspidor.exactcore import gauss_jordan, prime_factors
 
 
 def test_cyclotomic_polynomials():
@@ -74,6 +78,7 @@ def test_reduce_descends():
     assert r == Cyc.zeta(3)
     assert Cyc.zeta(8, 2).reduce().n == 4
     assert Cyc.rational(7).promote(20).reduce().n == 1
+    assert z.to_json() == {"conductor": 3, "coeffs": ["0", "1"]}
 
 
 def test_galois_is_ring_hom():
@@ -111,3 +116,173 @@ def test_from_root_multiplicities_is_the_root_sum(n, hist, scale):
     want = cyc_sum(h * Cyc.zeta(n, s) for s, h in enumerate(hist))
     got = Cyc.from_root_multiplicities(n, hist)
     assert got.n == n and got == want
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_conductor_must_be_positive(n):
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        Cyc(n, [1])
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        Cyc.zeta(n)
+
+
+def test_equality_with_non_numbers():
+    z = Cyc.zeta(3)
+    assert z != None  # noqa: E711
+    assert z != "x"
+    assert z in [None, "x", Cyc.zeta(3)]
+    assert Cyc.rational(2) == 2
+    assert Cyc.rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert Cyc.zeta(12, 4) == z and hash(Cyc.zeta(12, 4)) == hash(z)
+    assert len({z, Cyc.zeta(6, 2), Cyc.zeta(3, 1).promote(30)}) == 1
+
+
+# -- frozen reference: reduction by a table of z^k rows, descent by a linear
+# solve on the promoted basis; independent of from_root_multiplicities -----
+
+@functools.lru_cache(maxsize=None)
+def _frozen_rows(n):
+    """z^k for k in [phi(n), n) on the power basis, as integer tuples."""
+    phi = len(cyclotomic_polynomial(n)) - 1
+    rows = {}
+    base = [-c for c in cyclotomic_polynomial(n)[:phi]]
+    cur = base[:]
+    rows[phi] = tuple(cur)
+    for k in range(phi + 1, n):
+        shifted = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            shifted = [s + top * b for s, b in zip(shifted, base)]
+        cur = shifted
+        rows[k] = tuple(cur)
+    return phi, rows
+
+
+def _frozen_monomial(n, k):
+    phi, rows = _frozen_rows(n)
+    k %= n
+    if k < phi:
+        return tuple(int(i == k) for i in range(phi))
+    return rows[k]
+
+
+def _frozen_zeta(n, k=1):
+    return Cyc(n, _frozen_monomial(n, k % n)) if n > 1 else Cyc(1, [1])
+
+
+def _frozen_promote(x, m):
+    if m == x.n:
+        return x
+    step = m // x.n
+    acc = [0] * _frozen_rows(m)[0]
+    for k, c in enumerate(x.coeffs):
+        if c:
+            mono = _frozen_monomial(m, (k * step) % m)
+            acc = [a + c * b for a, b in zip(acc, mono)]
+    return Cyc(m, acc)
+
+
+def _frozen_add(x, y):
+    m = math.lcm(x.n, y.n)
+    a, b = _frozen_promote(x, m), _frozen_promote(y, m)
+    return Cyc(m, [u + v for u, v in zip(a.coeffs, b.coeffs)])
+
+
+def _frozen_mul(x, y):
+    n = math.lcm(x.n, y.n)
+    a, b = _frozen_promote(x, n), _frozen_promote(y, n)
+    if n == 1:
+        return Cyc(1, [a.coeffs[0] * b.coeffs[0]])
+    phi, _ = _frozen_rows(n)
+    raw = [Fraction(0)] * (2 * phi - 1)
+    for i, u in enumerate(a.coeffs):
+        if not u:
+            continue
+        for j, v in enumerate(b.coeffs):
+            if v:
+                raw[i + j] += u * v
+    acc = list(raw[:phi])
+    for k in range(phi, len(raw)):
+        if raw[k]:
+            acc = [u + raw[k] * v for u, v in zip(acc, _frozen_monomial(n, k))]
+    return Cyc(n, acc)
+
+
+def _frozen_galois(x, a):
+    if x.n == 1:
+        return x
+    acc = [0] * _frozen_rows(x.n)[0]
+    for k, c in enumerate(x.coeffs):
+        if c:
+            mono = _frozen_monomial(x.n, (k * a) % x.n)
+            acc = [u + c * v for u, v in zip(acc, mono)]
+    return Cyc(x.n, acc)
+
+
+def _frozen_descend(x, m):
+    """Representative of x in Q(zeta_m), or None, by a Gauss-Jordan solve."""
+    phi_m = _frozen_rows(m)[0] if m > 1 else 1
+    cols = [_frozen_promote(Cyc(m, [int(i == k) for i in range(phi_m)]),
+                            x.n).coeffs for k in range(phi_m)]
+    a, pivots, _ = gauss_jordan(
+        [[cols[j][i] for j in range(phi_m)] + [x.coeffs[i]]
+         for i in range(len(x.coeffs))], phi_m)
+    if any(row[phi_m] != 0 for row in a[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * phi_m
+    for row, c in zip(a, pivots):
+        sol[c] = row[phi_m]
+    cand = Cyc(m, sol)
+    return cand if _frozen_promote(cand, x.n).coeffs == x.coeffs else None
+
+
+def _frozen_reduce(x):
+    changed = True
+    while changed and x.n > 1:
+        changed = False
+        for p in prime_factors(x.n):
+            down = _frozen_descend(x, x.n // p)
+            if down is not None:
+                x, changed = down, True
+                break
+    return x
+
+
+_CONDUCTORS = sorted(set(_DIVISORS_120) | {2, 3, 5, 7, 11, 13, 17, 19, 23,
+                                           25, 27, 28, 36, 42})
+
+
+def _frozen_root_sum(rng, n):
+    """A sum of roots of unity of conductors dividing n, in Q(zeta_n); a
+    third are made real, so they lie in no smaller cyclotomic field."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    x = _frozen_promote(Cyc(1, [0]), n)
+    for _ in range(rng.randint(0, 4)):
+        d = rng.choice(divisors)
+        c = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+        z = _frozen_promote(_frozen_zeta(d, rng.randrange(d)), n)
+        x = _frozen_add(x, Cyc(n, [c * v for v in z.coeffs]))
+    if rng.random() < 1 / 3:
+        x = _frozen_add(x, _frozen_galois(x, -1))
+    return x
+
+
+def _state(x):
+    return x.n, x.coeffs, [type(c) for c in x.coeffs]
+
+
+def test_one_reduction_matches_the_frozen_reference():
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.choice(_CONDUCTORS)
+        x = _frozen_root_sum(rng, n)
+        y = _frozen_root_sum(rng, rng.choice(
+            [d for d in _CONDUCTORS if math.lcm(n, d) <= 240]))
+        assert _state(x.reduce()) == _state(_frozen_reduce(x))
+        assert _state(x * y) == _state(_frozen_mul(x, y))
+        m = n * rng.choice([1, 2, 3, 5])
+        assert _state(x.promote(m)) == _state(_frozen_promote(x, m))
+        a = rng.choice([a for a in range(-n, n) if math.gcd(a, n) == 1])
+        assert _state(x.galois(a)) == _state(_frozen_galois(x, a))
+        k = rng.randrange(-n, 2 * n)
+        assert _state(Cyc.zeta(n, k)) == _state(_frozen_zeta(n, k))
