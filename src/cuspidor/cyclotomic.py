@@ -53,6 +53,29 @@ def _division_terms(n: int):
     return phi, tuple((j, c) for j, c in enumerate(poly[:phi]) if c)
 
 
+def power_basis(n: int, coeffs) -> list:
+    """The phi(n) coordinates of sum_s coeffs[s] zeta_n^s on 1, z, z^2, ...
+
+    The coefficients are folded mod n and the polynomial is divided by
+    Phi_n from the top down, touching only the non-zero coefficients of
+    Phi_n; integer coefficients give integer coordinates.  This is the one
+    reduction mod Phi_n: every Cyc and every exponent histogram goes through
+    it.
+    """
+    acc = [0] * n
+    for s, c in enumerate(coeffs):
+        if c:
+            acc[s % n] += c
+    phi, low = _division_terms(n)
+    for k in range(n - 1, phi - 1, -1):
+        c = acc[k]
+        if c:
+            base = k - phi
+            for j, pj in low:
+                acc[base + j] -= c * pj
+    return acc[:phi]
+
+
 class Cyc:
     """An exact element of Q(zeta_N)."""
 
@@ -88,23 +111,10 @@ class Cyc:
     def from_root_multiplicities(n: int, coeffs) -> "Cyc":
         """sum of coeffs[s] * zeta_n^s, built in one reduction pass.
 
-        The coefficients are folded mod n and the polynomial is divided by
-        Phi_n from the top down, touching only the non-zero coefficients of
-        Phi_n; integer coefficients stay integers until the one Cyc.  Every
-        Cyc that leaves the power basis is reduced here.
+        Every Cyc that leaves the power basis is reduced here, by
+        ``power_basis``.
         """
-        acc = [0] * n
-        for s, c in enumerate(coeffs):
-            if c:
-                acc[s % n] += c
-        phi, low = _division_terms(n)
-        for k in range(n - 1, phi - 1, -1):
-            c = acc[k]
-            if c:
-                base = k - phi
-                for j, pj in low:
-                    acc[base + j] -= c * pj
-        return Cyc(n, acc[:phi])
+        return Cyc(n, power_basis(n, coeffs))
 
     def _substitute(self, m: int, t: int) -> "Cyc":
         """sum of coeffs[k] * zeta_m^(k t), reduced in Q(zeta_m)."""
@@ -121,13 +131,27 @@ class Cyc:
             raise ValueError("can only promote to a multiple conductor")
         return self._substitute(m, m // self.n)
 
+    @staticmethod
+    def _coerce(x):
+        """x as a Cyc if it is one or a rational number, else NotImplemented."""
+        if isinstance(x, Cyc):
+            return x
+        return Cyc.rational(x) if isinstance(x, numbers.Rational) \
+            else NotImplemented
+
     def _pair(self, other):
-        other = other if isinstance(other, Cyc) else Cyc.rational(other)
+        """Both operands in Q(zeta_lcm), or NotImplemented for a non-number."""
+        other = Cyc._coerce(other)
+        if other is NotImplemented:
+            return other
         m = math.lcm(self.n, other.n)
         return self.promote(m), other.promote(m)
 
     def __add__(self, other):
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is NotImplemented:
+            return pair
+        a, b = pair
         return Cyc(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
@@ -136,13 +160,16 @@ class Cyc:
         return Cyc(self.n, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-(other if isinstance(other, Cyc) else Cyc.rational(other)))
+        other = Cyc._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Cyc):
+            if not isinstance(other, numbers.Rational):
+                return NotImplemented
             return Cyc(self.n, [c * Fraction(other) for c in self.coeffs])
         a, b = self._pair(other)
         raw = [0] * (2 * len(a.coeffs) - 1)
@@ -164,16 +191,16 @@ class Cyc:
         return Cyc(self.n, [c / Fraction(other) for c in self.coeffs])
 
     def __eq__(self, other):
-        if not isinstance(other, Cyc):
-            if not isinstance(other, numbers.Rational):
-                return NotImplemented
-            other = Cyc.rational(other)
-        a, b = self._pair(other)
+        pair = self._pair(other)
+        if pair is NotImplemented:
+            return pair
+        a, b = pair
         return a.coeffs == b.coeffs
 
     def __hash__(self):
+        """Equal elements hash equal, a rational one as its Fraction."""
         red = self.reduce()
-        return hash((red.n, red.coeffs))
+        return hash(red.coeffs[0]) if red.n == 1 else hash((red.n, red.coeffs))
 
     def __repr__(self):
         return f"Cyc({self.n}, {[str(c) for c in self.coeffs]})"

@@ -1,25 +1,31 @@
 """Independent character-table oracle (Dixon/Burnside class-algebra method).
 
-Eigenvector search runs over GF(l) for a prime l = 1 mod e = exp(B); each
-character value is then lifted exactly as the integer multiplicities of the
-e-th roots of unity among its eigenvalues.  Orthogonality and restriction
-sums are integer histograms of root exponents mod e, each turned into one
-exact element of Q(zeta_e); ``Cyc`` values of the table are built only on
-demand.  Abelian groups take a direct path: the dual of their SNF
-presentation (``exactcore.abelian_basis``).  This module never consults the
-Clifford machinery it checks.
+The class matrices are split into common eigenspaces over GF(l) for a prime
+l = 1 mod e = exp(B).  Each eigenspace carries its basis and a left inverse
+of it, so a class matrix restricts to it by one product, checked by one
+more, and a split needs only the kernel of the restriction minus an
+eigenvalue.  Every character value is then lifted exactly as the integer
+multiplicities of the e-th roots of unity among its eigenvalues: one gather
+of all rows over the power maps and one product with the e x e transform
+over the roots of unity mod l.  Orthogonality of every pair of rows is one
+integer Gram matrix over Z[C_e], and restriction sums are integer
+histograms of root exponents mod e; both are reduced mod Phi_e by
+``cyclotomic.power_basis``.  numpy holds every matrix of the split, the lift
+and the Gram check.  ``Cyc`` values of the table are built only on demand.
+Abelian groups take a direct path: the dual of their SNF presentation
+(``exactcore.abelian_basis``).  This module never consults the Clifford
+machinery it checks.  A failed self-check raises ``FailedCheck``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyc
-from .errors import TooLarge
+from .cyclotomic import Cyc, power_basis
+from .errors import FailedCheck, TooLarge
 from .exactcore import FinAb, abelian_basis, is_prime, mult_order
 from .clifford import ConcreteGroup, ExtensionDescriptor
 
@@ -73,22 +79,16 @@ class CharacterTable:
             rho = Fraction(a_char_fn(a))
             k, rest = divmod(rho.numerator * e, rho.denominator)
             if rest:
-                raise ArithmeticError("rho is not valued in the e-th roots of 1")
+                raise FailedCheck("rho is not valued in the e-th roots of 1")
             for s, m in row[self.class_of[(a, czero)]]:
                 hist[(s - k) % e] += m
-        total = _rational_sum(e, hist)
-        if total is None:
-            raise ArithmeticError("restriction multiplicity is not rational")
+        total, *irrational = power_basis(e, hist)
+        if any(irrational):
+            raise FailedCheck("restriction multiplicity is not rational")
         r, rest = divmod(total, len(a_elements))
         if rest or r < 0:
-            raise ArithmeticError("restriction multiplicity is not a count")
-        return int(r)
-
-
-def _rational_sum(e, hist):
-    """sum_s hist[s] zeta_e^s, built as one Cyc; None unless it is rational."""
-    total = Cyc.from_root_multiplicities(e, hist)
-    return total.rational_value() if total.is_rational() else None
+            raise FailedCheck("restriction multiplicity is not a count")
+        return r
 
 
 def brute_force_census(group: ConcreteGroup) -> CharacterTable:
@@ -138,7 +138,7 @@ def _validate_abelian_table(table, group):
     """
     order = len(group.elements)
     if len(table.mults) != order or len(table.classes) != order:
-        raise ArithmeticError("#irreducibles != |B|")
+        raise FailedCheck("#irreducibles != |B|")
     e = table.exponent
     cls = [table.class_of[x] for x in group.elements]
     rows = set()
@@ -146,43 +146,50 @@ def _validate_abelian_table(table, group):
     mul = group.table
     for row in table.terms:
         if any(len(t) != 1 or t[0][1] != 1 for t in row):
-            raise ArithmeticError("a character of an abelian group has "
-                                  "degree other than 1")
+            raise FailedCheck("a character of an abelian group has "
+                              "degree other than 1")
         chi = [row[k][0][0] for k in cls]       # exponent of chi at each x
         if any(chi[mul[g][h]] != (chi[g] + chi[h]) % e
                for g in gens for h in range(order)):
-            raise ArithmeticError("a character is not multiplicative")
+            raise FailedCheck("a character is not multiplicative")
         rows.add(tuple(chi))
     if len(rows) != order:
-        raise ArithmeticError("two characters are equal")
+        raise FailedCheck("two characters are equal")
 
 
 def _validate_orthogonality(table, group):
     """Degree count and row orthogonality on every pair of rows, exactly.
 
-    sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) = |B| [i == j] is one histogram
-    mod e per pair i <= j, h[s - t] += |C_k| m_ik[s] m_jk[t]; the pairs
-    j < i are the complex conjugates of these rational values.
+    sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) = |B| [i == j] for all i, j at
+    once: the coefficient of zeta_e^d on the left is
+    gram[d][i, j] = sum_{k,s} |C_k| m_ik[s] m_jk[s - d], one integer
+    product of the weighted rows with the rows rolled by d.  Reduced mod
+    Phi_e, the Gram matrix must be |B| times the identity.  Its entries are
+    at most |B| deg_i deg_j <= 512^3 when every multiplicity is at most its
+    degree, far inside int64.
     """
     n = len(table.classes)
     if len(table.mults) != n:
-        raise ArithmeticError("#irreducibles != #classes")
+        raise FailedCheck("#irreducibles != #classes")
     order = len(group.elements)
     if sum(d * d for d in table.degrees()) != order:
-        raise ArithmeticError("sum of squared degrees != |B|")
+        raise FailedCheck("sum of squared degrees != |B|")
     e = table.exponent
-    sizes = [len(c) for c in table.classes]
-    for i, row in enumerate(table.terms):
-        weighted = [[(s, size * m) for s, m in terms]
-                    for terms, size in zip(row, sizes)]
-        for j in range(i, n):
-            hist = [0] * e
-            for left, right in zip(weighted, table.terms[j]):
-                for s, a in left:
-                    for t, b in right:
-                        hist[(s - t) % e] += a * b
-            if _rational_sum(e, hist) != (order if i == j else 0):
-                raise ArithmeticError("row orthogonality fails")
+    mults = np.array(table.mults, dtype=np.int64)
+    sizes = np.array([len(c) for c in table.classes], dtype=np.int64)
+    weighted = (mults * sizes[:, None]).reshape(n, -1)
+    gram = np.empty((e, n, n), dtype=np.int64)
+    for d in range(e):
+        gram[d] = weighted @ np.roll(mults, d, axis=2).reshape(n, -1).T
+    coords = np.tensordot(_root_coordinates(e), gram, axes=(0, 0))
+    if coords[1:].any() or (coords[0] != order * np.eye(n, dtype=np.int64)).any():
+        raise FailedCheck("row orthogonality fails")
+
+
+def _root_coordinates(e):
+    """Row s: zeta_e^s on the power basis of Q(zeta_e), from ``power_basis``."""
+    return np.array([power_basis(e, [0] * s + [1]) for s in range(e)],
+                    dtype=np.int64)
 
 
 def _abelian_mults(group, classes, e):
@@ -201,42 +208,74 @@ def _abelian_mults(group, classes, e):
             for x in dual.characters()]
 
 
+def _class_matrices(group, classes, cls, reps, skip):
+    """The class multiplication matrices a_{ijk}, except class ``skip``'s.
+
+    Row k, column j of class i's matrix counts the x in C_i with x g_j in
+    C_k, g_j = ``reps[j]`` the j-th representative.
+    """
+    table = group.table
+    n = len(classes)
+    mats = []
+    for i, ci in enumerate(classes):
+        if i == skip:
+            continue
+        m = np.zeros((n, n), dtype=np.int64)
+        for x in ci:
+            row = table[group.number[x]]
+            for j, rep in enumerate(reps):
+                m[cls[row[rep]], j] += 1
+        mats.append(m)
+    return mats
+
+
 def _dixon_mults(group, classes, class_of, e):
-    """Root multiplicities from the eigenvectors of the class matrices."""
+    """Root multiplicities from the eigenvectors of the class matrices.
+
+    Every array is int64.  For |B| <= 512, l <= 13,711 < 2^14
+    (``_find_prime``), so a sum of at most 512 products of two residues, or
+    of a residue and a class count, stays below 2^42.
+    """
     table = group.table
     order = len(table)
     n = len(classes)
     cls = [class_of[x] for x in group.elements]     # class of each number
-    members = [[group.number[x] for x in ci] for ci in classes]
-    reps = [ci[0] for ci in members]
-    sizes = [len(ci) for ci in members]
-    # class multiplication coefficients a_{ijk}
-    mats = []
-    for ci in members:
-        m = [[0] * n for _ in range(n)]
-        for x in ci:
-            row = table[x]
-            for j, rep in enumerate(reps):
-                m[cls[row[rep]]][j] += 1
-        mats.append(np.array(m, dtype=np.int64))
+    reps = [group.number[ci[0]] for ci in classes]
+    id_idx = cls[0]                 # the identity is number 0
     ell = _find_prime(e, order)
-    z_root = _primitive_root_power(ell, e)
-
-    spaces = [np.eye(n, dtype=np.int64) % ell]
-    for m in mats:
+    # the identity class's matrix is I, which splits nothing
+    spaces = [(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))]
+    for m in _class_matrices(group, classes, cls, reps, id_idx):
         new_spaces = []
-        for basis in spaces:
-            if basis.shape[1] == 1:
-                new_spaces.append(basis)
-                continue
-            new_spaces.extend(_split_space(m, basis, ell))
+        for space in spaces:
+            if space[0].shape[1] == 1:
+                new_spaces.append(space)
+            else:
+                new_spaces.extend(_split_space(m, *space, ell))
         spaces = new_spaces
-        if all(b.shape[1] == 1 for b in spaces):
+        if len(spaces) == n:
             break
-    if not all(b.shape[1] == 1 for b in spaces):
-        raise ArithmeticError("class algebra failed to split")
-    # per table: the power maps (class of rep^t, t < e), 1/|C_k| mod ell and
-    # the inverse transform over the e-th roots of unity z_root^(-s t)
+    if len(spaces) != n:
+        raise FailedCheck("class algebra failed to split")
+    # eigenvalues omega_i = |C_i| chi(g_i)/chi(1) mod ell, one row per
+    # eigenvector, normalized so the identity-class coordinate is 1
+    vecs = np.array([basis[:, 0] for basis, _ in spaces])
+    if not vecs[:, id_idx].all():
+        raise FailedCheck("eigenvector vanishes at the identity class")
+    scale = [pow(int(v), ell - 2, ell) for v in vecs[:, id_idx]]
+    omegas = vecs * np.array(scale, dtype=np.int64)[:, None] % ell
+    inv_sizes = np.array([pow(len(ci), ell - 2, ell) for ci in classes],
+                         dtype=np.int64)
+    inv_class = [cls[group.inverses[rep]] for rep in reps]
+    # degrees from the second orthogonality mass formula
+    mass = (omegas * omegas[:, inv_class] % ell * inv_sizes % ell).sum(axis=1)
+    degs = np.array([_lift_square(order * pow(int(s), ell - 2, ell) % ell,
+                                  order, ell) for s in mass % ell],
+                    dtype=np.int64)
+    # chi mod ell at every class, gathered over the power maps (the class of
+    # rep^t, t < e), times the inverse transform z^(-s t) / e over the e-th
+    # roots of unity z mod ell
+    chi_bar = degs[:, None] * omegas % ell * inv_sizes % ell
     powers = []
     for rep in reps:
         x, cls_of_powers = 0, []
@@ -244,165 +283,128 @@ def _dixon_mults(group, classes, class_of, e):
             cls_of_powers.append(cls[x])
             x = table[x][rep]
         powers.append(cls_of_powers)
-    inv_sizes = [pow(size, ell - 2, ell) for size in sizes]
-    inv_class = [cls[group.inverses[rep]] for rep in reps]
+    z_root = _primitive_root_power(ell, e)
     z_pow = [pow(z_root, k, ell) for k in range(e)]
-    transform = [[z_pow[(-s * t) % e] for t in range(e)] for s in range(e)]
-    e_inv = pow(e, ell - 2, ell)
-    id_idx = cls[0]                 # the identity is number 0
-    # eigenvalues omega_i = |C_i| chi(g_i)/chi(1) mod ell, one per vector
-    rows = []
-    for basis in spaces:
-        vec = basis[:, 0]
-        # normalize so the identity-class coordinate is 1
-        if vec[id_idx] % ell == 0:
-            raise ArithmeticError("eigenvector vanishes at the identity class")
-        vec = (vec * pow(int(vec[id_idx]), ell - 2, ell)) % ell
-        omegas = [int(vec[i]) for i in range(n)]
-        # degree from the second orthogonality mass formula
-        s = 0
-        for i in range(n):
-            s += omegas[i] * omegas[inv_class[i]] * inv_sizes[i]
-        s %= ell
-        d2 = (order * pow(int(s), ell - 2, ell)) % ell
-        deg = _lift_square(d2, order, ell)
-        # chi mod ell on each class
-        chi_bar = [deg * w * inv for w, inv in zip(omegas, inv_sizes)]
-        rows.append([_lift_value([chi_bar[k] for k in powers[i]], deg,
-                                 transform, e_inv, ell) for i in range(n)])
-    return rows
+    transform = np.array([[z_pow[(-s * t) % e] for s in range(e)]
+                          for t in range(e)], dtype=np.int64)
+    mults = (chi_bar[:, powers] @ transform % ell
+             * pow(e, ell - 2, ell) % ell)
+    if (mults > degs[:, None, None]).any():
+        raise FailedCheck("root-of-unity multiplicity out of range")
+    if (mults.sum(axis=2) != degs[:, None]).any():
+        raise FailedCheck("eigenvalue multiplicities do not sum to the degree")
+    return [[tuple(m) for m in row] for row in mults.tolist()]
 
 
-def _split_space(m, basis, ell):
-    """Split the column space of ``basis`` into eigenspaces of m over GF(l)."""
+def _split_space(m, basis, left, ell):
+    """Split the column space of ``basis`` into eigenspaces of m over GF(l).
+
+    ``left`` is a left inverse of ``basis`` (left @ basis = I), so the
+    restriction r with m @ basis = basis @ r is left @ m @ basis once that
+    equation is checked.  The kernel of r - lambda is the identity at its
+    free rows, so those rows of ``left`` are a left inverse of its image.
+    """
     k = basis.shape[1]
-    # restriction r with m @ basis = basis @ r
-    r = _solve_matrix(basis, (m @ basis) % ell, ell)
-    eigs = _eigenvalues(r, ell)
+    image = m @ basis % ell
+    r = left @ image % ell
+    if ((basis @ r - image) % ell).any():
+        raise FailedCheck("a class matrix does not leave an eigenspace "
+                          "invariant")
+    if not (r - r[0, 0] * np.eye(k, dtype=np.int64)).any():
+        return [(basis, left)]
     out = []
-    for lam in eigs:
-        ker = _null_space((r - lam * np.eye(k, dtype=np.int64)) % ell, ell)
-        if ker.shape[1]:
-            out.append((basis @ ker) % ell)
-    total = sum(b.shape[1] for b in out)
-    if total != k:
-        raise ArithmeticError("eigenspace dimensions do not add up")
+    for lam in _eigenvalues(r, ell):
+        ker, free = _null_space((r - lam * np.eye(k, dtype=np.int64)) % ell,
+                                ell)
+        if free:
+            out.append((basis @ ker % ell, left[free]))
+    if sum(len(lt) for _, lt in out) != k:
+        raise FailedCheck("eigenspace dimensions do not add up")
     return out
 
 
-def _solve_matrix(a, b, ell):
-    """x with a @ x = b (a injective), over GF(l)."""
-    aug = np.concatenate([a % ell, b % ell], axis=1).astype(np.int64)
-    rows, cols_a = a.shape
-    red, piv = _rref(aug, ell)
-    k = b.shape[1]
-    x = np.zeros((cols_a, k), dtype=np.int64)
-    for r, c in enumerate(piv):
-        if c < cols_a:
-            x[c, :] = red[r, cols_a:]
-        else:
-            if np.any(red[r, cols_a:] % ell):
-                raise ArithmeticError("inconsistent solve")
-    return x % ell
-
-
 def _rref(m, ell):
-    m = m.copy() % ell
+    """Reduced row echelon form over GF(l) and its pivot columns."""
+    m = m % ell
     rows, cols = m.shape
     piv = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
+        r = len(piv)
+        if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c] % ell:
-                pivot = i
-                break
-        if pivot is None:
+        nonzero = m[r:, c].nonzero()[0]
+        if not nonzero.size:
             continue
-        m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), ell - 2, ell)
-        m[r] = (m[r] * inv) % ell
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % ell
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        m[r] = m[r] * pow(int(m[r, c]), ell - 2, ell) % ell
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - col[:, None] * m[r]) % ell     # the whole pivot column at once
         piv.append(c)
-        r += 1
     return m, piv
 
 
 def _null_space(m, ell):
-    rows, cols = m.shape
+    """A kernel basis over GF(l), the identity at its free rows, and those rows."""
+    cols = m.shape[1]
     red, piv = _rref(m, ell)
     free = [c for c in range(cols) if c not in piv]
-    if not free:
-        return np.zeros((cols, 0), dtype=np.int64)
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(piv):
-            basis[pc, j] = (-red[r, fc]) % ell
-    return basis % ell
+    basis[free, range(len(free))] = 1
+    basis[piv] = -red[:len(piv), free] % ell
+    return basis, free
 
 
 def _eigenvalues(r, ell):
-    """Roots in GF(l) of the characteristic polynomial of r."""
-    k = r.shape[0]
-    poly = _charpoly(r, ell)
-    out = []
-    for lam in range(ell):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * lam + c) % ell
-        if acc == 0:
-            out.append(lam)
-            if len(out) == k:
-                break
-    return out
+    """Roots in GF(l) of the characteristic polynomial of r, ascending."""
+    lams = np.arange(ell, dtype=np.int64)
+    acc = np.zeros(ell, dtype=np.int64)
+    for c in reversed(_charpoly(r, ell)):
+        acc = (acc * lams + c) % ell
+    return np.flatnonzero(acc == 0)[:r.shape[0]].tolist()
 
 
 def _charpoly(m, ell):
-    """Characteristic polynomial coefficients (ascending) over GF(l)."""
+    """Characteristic polynomial coefficients (ascending) over GF(l).
+
+    m is brought to upper Hessenberg form h by a similarity over GF(l), one
+    column at a time; the polynomials of the leading blocks of h then follow
+    the standard recurrence.
+    """
     n = m.shape[0]
-    # Hessenberg reduction then the standard recurrence
-    h = m.copy() % ell
+    h = m % ell
     for c in range(n - 2):
-        pivot = None
-        for r in range(c + 1, n):
-            if h[r, c] % ell:
-                pivot = r
-                break
-        if pivot is None:
+        nonzero = h[c + 1:, c].nonzero()[0]
+        if not nonzero.size:
             continue
+        pivot = c + 1 + int(nonzero[0])
         if pivot != c + 1:
             h[[c + 1, pivot]] = h[[pivot, c + 1]]
             h[:, [c + 1, pivot]] = h[:, [pivot, c + 1]]
-        inv = pow(int(h[c + 1, c]), ell - 2, ell)
-        for r in range(c + 2, n):
-            f = (h[r, c] * inv) % ell
-            if f:
-                h[r] = (h[r] - f * h[c + 1]) % ell
-                h[:, c + 1] = (h[:, c + 1] + f * h[:, r]) % ell
-    # p_k(x) = charpoly of leading k x k block
-    polys = [np.array([1], dtype=object)]
+        # h -> L h L^-1, L = I - f e_(c+1)^T clearing column c below c + 1
+        f = h[c + 2:, c] * pow(int(h[c + 1, c]), ell - 2, ell) % ell
+        h[c + 2:] = (h[c + 2:] - f[:, None] * h[c + 1]) % ell
+        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % ell
+    h = h.tolist()
+    # p_k = (x - h[k-1][k-1]) p_(k-1)
+    #       - sum_i (prod of subdiagonal) h[i-1][k-1] p_(i-1)
+    polys = [[1]]
     for k in range(1, n + 1):
-        # p_k = (x - h[k-1,k-1]) p_{k-1} - sum_i (prod of subdiagonal) h[i-1,k-1] p_{i-1}
-        prev = polys[k - 1]
-        term = np.concatenate([[0], prev])  # x * prev
-        term = (term - int(h[k - 1, k - 1]) * np.concatenate([prev, [0]]))
-        term = term % ell
+        prev = polys[-1]
+        term = [0] + prev
+        for i, c in enumerate(prev):
+            term[i] -= h[k - 1][k - 1] * c
         prod = 1
         for i in range(k - 1, 0, -1):
-            prod = (prod * int(h[i, i - 1])) % ell
-            coeff = (prod * int(h[i - 1, k - 1])) % ell
+            prod = prod * h[i][i - 1] % ell
+            coeff = prod * h[i - 1][k - 1] % ell
             if coeff:
-                sub = polys[i - 1]
-                padded = np.concatenate([sub, np.zeros(len(term) - len(sub),
-                                                       dtype=object)])
-                term = (term - coeff * padded) % ell
-        polys.append(term % ell)
-    return [int(c) % ell for c in polys[n]]
+                for j, c in enumerate(polys[i - 1]):
+                    term[j] -= coeff * c
+        polys.append([c % ell for c in term])
+    return polys[n]
 
 
 def _find_prime(e, order):
@@ -418,31 +420,14 @@ def _primitive_root_power(ell, e):
     for g in range(2, ell):
         if mult_order(g, ell) == ell - 1:
             return pow(g, (ell - 1) // e, ell)
-    raise ArithmeticError("no primitive root found")
+    raise FailedCheck("no primitive root found")
 
 
 def _lift_square(d2, order, ell):
     for d in range(1, int(math.isqrt(order)) + 1):
         if (d * d) % ell == d2 % ell:
             return d
-    raise ArithmeticError("degree lift failed")
-
-
-def _lift_value(chi_bar, deg, transform, e_inv, ell):
-    """The multiplicities m_s of the e-th roots of unity in chi(rep).
-
-    ``chi_bar[t]`` is chi(rep^t) mod ell for t < e, and ``transform[s][t]``
-    is z^(-s t) for the e-th root of unity z mod ell.
-    """
-    coeffs = []
-    for row in transform:
-        m_s = sum(map(operator.mul, chi_bar, row)) * e_inv % ell
-        if m_s > deg:
-            raise ArithmeticError("root-of-unity multiplicity out of range")
-        coeffs.append(m_s)
-    if sum(coeffs) != deg:
-        raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-    return tuple(coeffs)
+    raise FailedCheck("degree lift failed")
 
 
 def restriction_multiplicities(ext: ExtensionDescriptor,
@@ -497,9 +482,9 @@ def oracle_multiplicity_one(ext: ExtensionDescriptor) -> bool:
             for s, u in terms[i]:
                 for t, v in terms[j]:
                     hist[(s + t) % e] += w * u * v
-        norm = _rational_sum(e, hist)
-        if norm is None:
-            raise ArithmeticError("restriction norm is not rational")
+        norm, *irrational = power_basis(e, hist)
+        if any(irrational):
+            raise FailedCheck("restriction norm is not rational")
         if norm != d * a.order:
             return False
     return True

@@ -1,4 +1,5 @@
 import functools
+import operator
 import math
 import random
 from fractions import Fraction
@@ -135,6 +136,27 @@ def test_equality_with_non_numbers():
     assert Cyc.rational(Fraction(1, 2)) == Fraction(1, 2)
     assert Cyc.zeta(12, 4) == z and hash(Cyc.zeta(12, 4)) == hash(z)
     assert len({z, Cyc.zeta(6, 2), Cyc.zeta(3, 1).promote(30)}) == 1
+
+
+def test_a_rational_hashes_as_its_fraction():
+    half = (Cyc.zeta(3) + Cyc.zeta(3, 2) + 2) / 2       # (-1 + 2) / 2
+    assert half.n == 3 and half == Fraction(1, 2)
+    assert len({1, Cyc.rational(1)}) == 1
+    assert len({Fraction(1, 2), half, Cyc.rational(Fraction(1, 2))}) == 1
+    assert hash(Cyc.zeta(4, 2)) == hash(-1)
+    assert {Cyc.rational(3): "three"}[3] == "three"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_non_number_is_a_type_error(op):
+    z = Cyc.zeta(3)
+    for other in ("x", None, 0.5, [1]):
+        with pytest.raises(TypeError):
+            op(z, other)
+        with pytest.raises(TypeError):
+            op(other, z)
+    assert op(z, Fraction(1, 2)) == op(z, Cyc.rational(Fraction(1, 2)))
+    assert op(2, z) == op(Cyc.rational(2), z)
 
 
 # -- frozen reference: reduction by a table of z^k rows, descent by a linear

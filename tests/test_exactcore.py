@@ -485,9 +485,11 @@ def test_no_private_copies_of_the_helpers():
               "_bichar_value", "sc_coord_matrix", "disconnected_bicharacter",
               "ambient_of", "composite_character_qz", "is_regular",
               "_reduction_rows", "_monomial", "_zero_vec", "_basis_row",
-              "_try_descend", "_cyc_json"}
+              "_try_descend", "_cyc_json", "_solve_matrix", "_rational_sum",
+              "_lift_value"}
     # m·x ≡ c over Q/Z is solved by the kernel of m
     banned_classes = {"AffineSolutions", "DisconnectedPairing"}
+    phi_n = {"cyclotomic_polynomial", "_division_terms", "_polydiv_exact"}
     found = []
     for path in sorted(pathlib.Path(cuspidor.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -516,6 +518,13 @@ def test_no_private_copies_of_the_helpers():
                     or isinstance(node, ast.Attribute)
                     and node.attr == "gauss_jordan"):
                 found.append(f"{path.name}:{node.lineno} gauss_jordan")
+            # Phi_n's coefficients serve one division, cyclotomic.power_basis
+            if path.name != "cyclotomic.py" and (
+                    isinstance(node, ast.ImportFrom)
+                    and any(a.name in phi_n for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr in phi_n
+                    or isinstance(node, ast.Name) and node.id in phi_n):
+                found.append(f"{path.name}:{node.lineno} Phi_n division")
             # a Weyl or outer inverse goes through RootDatum.inverse
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
