@@ -188,6 +188,8 @@ class Cyc:
             if not other.is_rational():
                 raise ValueError("division only by rationals")
             other = other.rational_value()
+        elif not isinstance(other, numbers.Rational):
+            return NotImplemented
         return Cyc(self.n, [c / Fraction(other) for c in self.coeffs])
 
     def __eq__(self, other):

@@ -439,7 +439,7 @@ def restriction_multiplicities(ext: ExtensionDescriptor,
     a = ext.A
     a_elements = list(a.elements())
     out = []
-    for idx in range(len(table.chars)):
+    for idx in range(len(table.mults)):
         per_rho = {}
         for rho in a.characters():
             m = table.restriction_multiplicity(
