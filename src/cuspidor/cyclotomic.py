@@ -133,7 +133,7 @@ class Cyc:
 
     @staticmethod
     def _coerce(x):
-        """x as a Cyc if it is one or a rational number, else NotImplemented."""
+        """x as a Cyc if it is one or a rational, else NotImplemented."""
         if isinstance(x, Cyc):
             return x
         return Cyc.rational(x) if isinstance(x, numbers.Rational) \

@@ -181,15 +181,12 @@ def _validate_orthogonality(table, group):
     gram = np.empty((e, n, n), dtype=np.int64)
     for d in range(e):
         gram[d] = weighted @ np.roll(mults, d, axis=2).reshape(n, -1).T
-    coords = np.tensordot(_root_coordinates(e), gram, axes=(0, 0))
-    if coords[1:].any() or (coords[0] != order * np.eye(n, dtype=np.int64)).any():
+    # row s: zeta_e^s on the power basis of Q(zeta_e)
+    roots = np.array([power_basis(e, [0] * s + [1]) for s in range(e)],
+                     dtype=np.int64)
+    coords = np.tensordot(roots, gram, axes=(0, 0))
+    if coords[1:].any() or (coords[0] != order * np.eye(n, dtype=int)).any():
         raise FailedCheck("row orthogonality fails")
-
-
-def _root_coordinates(e):
-    """Row s: zeta_e^s on the power basis of Q(zeta_e), from ``power_basis``."""
-    return np.array([power_basis(e, [0] * s + [1]) for s in range(e)],
-                    dtype=np.int64)
 
 
 def _abelian_mults(group, classes, e):
@@ -341,13 +338,13 @@ def _rref(m, ell):
         m[r] = m[r] * pow(int(m[r, c]), ell - 2, ell) % ell
         col = m[:, c].copy()
         col[r] = 0
-        m = (m - col[:, None] * m[r]) % ell     # the whole pivot column at once
+        m = (m - col[:, None] * m[r]) % ell     # one outer product
         piv.append(c)
     return m, piv
 
 
 def _null_space(m, ell):
-    """A kernel basis over GF(l), the identity at its free rows, and those rows."""
+    """A kernel basis over GF(l), the identity at its free rows; those rows."""
     cols = m.shape[1]
     red, piv = _rref(m, ell)
     free = [c for c in range(cols) if c not in piv]
