@@ -1,7 +1,7 @@
 """Batch command-line surface: JSON in, JSON out, exact numbers only.
 
 Exit codes: 0 ok, 1 domain error, 2 usage error.  ``sweep`` runs the full
-acceptance suite.
+acceptance suite; ``sweep --json`` prints it as one JSON object.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from fractions import Fraction
 
@@ -318,8 +320,16 @@ def cmd_theta_sum(args):
 
 
 def cmd_sweep(args):
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all(verbose=not args.json)
     ok = all(r["ok"] for r in results)
+    if args.json:
+        import numpy
+        _emit({"criteria": [{key: r.get(key) for key in
+                             ("name", "ok", "seconds", "bound", "detail")}
+                            for r in results],
+               "nproc": os.cpu_count(),
+               "python": platform.python_version(),
+               "numpy": numpy.__version__})
     return 0 if ok else 1
 
 
@@ -377,7 +387,9 @@ def main(argv=None):
         p.add_argument("--theta", nargs="+", required=True, type=_fraction)
         p.add_argument("--gamma", nargs="+", required=True, type=_fraction)
 
-    sub.add_parser("sweep")
+    p = sub.add_parser("sweep")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object: each criterion, nproc, versions")
 
     args = parser.parse_args(argv)
     handlers = {

@@ -8,7 +8,9 @@ lattice-basis coordinates.
 
 A ``FrobeniusTorus`` computes each of its invariants once and keeps it in a
 per-instance dict: F^d, the norm matrix N_d and S(k_d) per degree d, the
-S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree, C_W(w) by
+S(k)-coordinates of N_d(alpha_vee(zeta)) per coroot and degree (and, as
+``root_points``, the distinct ones over the positive roots at the splitting
+degree, which decide non-singularity), C_W(w) by
 one integer commutation test on V (``Mat.commutes_with``), per m in C_W(w)
 the matrix of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``,
 the one route from a Weyl element to S(k); the stabilizer reads its columns,
@@ -35,11 +37,12 @@ from types import MappingProxyType
 
 from .cyclotomic import Cyc
 from .errors import (
+    FailedCheck,
     InvalidCharacter,
     InvalidDegree,
+    InvalidPoint,
     InvalidPrimePower,
     InvalidWeylSet,
-    NotRealizable,
     NotStabilizing,
     SingularCharacter,
 )
@@ -94,8 +97,7 @@ class FrobeniusTorus:
     def norm_matrix(self, d: int) -> Mat:
         """Sum of F^i for i < d, inducing the norm S(k_d) -> S(k)."""
         def build():
-            acc = Mat.identity(self.rd.rank)
-            out = Mat.identity(self.rd.rank)
+            acc = out = self.identity()
             for _ in range(d - 1):
                 acc = acc * self.frobenius()
                 out = out + acc
@@ -110,18 +112,23 @@ class FrobeniusTorus:
             return self.rational_points(1).project(img)
         return self._memo(("root_point", tuple(coroot), d), build)
 
-    def norm_map(self, d: int):
-        """The norm as a map on coordinate tuples of S(k_d) into S(k)."""
-        src = self.rational_points(d)
-        dst = self.rational_points(1)
-        nm = self.norm_matrix(d)
+    def root_points(self) -> tuple:
+        """The distinct S(k)-coordinates of N(alpha_vee(zeta)) over alpha > 0.
 
-        def fn(coords):
-            v = src.lift(coords)
-            img = QV(nm.apply(v.coords))
-            return dst.project(img)
+        N is the norm from the splitting degree.  The coroot of -alpha is
+        -alpha_vee and N is linear, so -alpha gives the inverse point, and a
+        character vanishes on it exactly when it vanishes on alpha's point:
+        the positive roots decide non-singularity for all of them.
+        """
+        def build():
+            rd, d = self.rd, self.splitting_degree
+            return tuple(dict.fromkeys(self.root_point(rd.coroot(a), d)
+                                       for a in rd.positive_roots()))
+        return self._memo("root_points", build)
 
-        return src, dst, fn
+    def identity(self) -> Mat:
+        """The rank x rank identity matrix, built once per torus."""
+        return self._memo("identity", lambda: Mat.identity(self.rd.rank))
 
     def coroot_point(self, coroot, x: Fraction) -> QV:
         """alpha_vee ⊗ x as a point of the torus over the closure."""
@@ -190,23 +197,6 @@ class FrobeniusTorus:
         """GF(q^d), the one shared copy."""
         return finite_field(self.p, self._e * d)
 
-    def realize_in_field(self, vec: QV, field: FiniteField = None):
-        """Coordinates of a torus point as elements of GF(q^m)^rank."""
-        m = self.splitting_degree
-        card = self.q ** m - 1
-        if field is None:
-            field = self.extension_field(m)
-        if field.q != self.q ** m:
-            raise NotRealizable("field size does not match the splitting degree")
-        out = []
-        for c in vec.coords:
-            c = Fraction(c) % 1
-            if card % c.denominator:
-                raise NotRealizable(
-                    f"denominator {c.denominator} does not divide q^m - 1 = {card}")
-            out.append(field.gen_power(c.numerator * (card // c.denominator)))
-        return tuple(out)
-
     def to_json(self):
         return {"root_datum": self.rd.to_json(),
                 "weyl": [list(r) for r in self.w.matrix.rows],
@@ -258,15 +248,13 @@ class TorusCharacter:
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def composite_with_coroot(self, coroot, degree: int = None) -> Fraction:
-        """theta∘N∘alpha_vee at the generator of k_d^x, as a Q/Z value.
+    def composite_with_coroot(self, coroot, degree: int) -> Fraction:
+        """theta∘N_d∘alpha_vee at the generator of k_d^x, as a Q/Z value.
 
         The composite character of the cyclic group k_d^x is nontrivial iff
-        this value is nonzero; d defaults to the full splitting degree.
+        this value is nonzero.
         """
-        t = self.torus
-        d = degree if degree is not None else t.splitting_degree
-        return self(t.root_point(coroot, d))
+        return self(self.torus.root_point(coroot, degree))
 
     def twist_by(self, weyl_mat: Mat) -> "TorusCharacter":
         """theta ∘ w for w commuting with the twist."""
@@ -287,12 +275,8 @@ def all_characters(torus: FrobeniusTorus):
 
 
 def is_nonsingular(theta: TorusCharacter) -> bool:
-    """theta∘N∘alpha_vee nontrivial for every root alpha."""
-    rd = theta.torus.rd
-    for a in rd.roots:
-        if theta.composite_with_coroot(rd.coroot(a)) == 0:
-            return False
-    return True
+    """theta∘N∘alpha_vee nontrivial for every root alpha (``root_points``)."""
+    return all(theta.scaled(x) for x in theta.torus.root_points())
 
 
 class StabilizerReport:
@@ -323,9 +307,11 @@ def weyl_stabilizer(theta: TorusCharacter) -> StabilizerReport:
     a dual's "D4^".
     """
     t = theta.torus
+    row, e = theta.row, theta.exponent
     stab = [m for m, cols in t.centralizer_columns()
-            if all(theta.scaled(col) == r for col, r in zip(cols, theta.row))]
-    factors, _, _ = abelian_basis(stab, Mat.__mul__, Mat.identity(t.rd.rank))
+            if all(sum(c * v for c, v in zip(col, row)) % e == r
+                   for col, r in zip(cols, row))]
+    factors, _, _ = abelian_basis(stab, Mat.__mul__, t.identity())
     abelian = math.prod(factors) == len(stab)
     inv = tuple(factors) if abelian else None
     cyclic = abelian and len(inv) <= 1
@@ -389,15 +375,15 @@ class AdjointModel:
         integral.  Integrality is what makes w s_sc w^{-1} s_sc^{-1} in S(k)
         independent of the lift s_sc of s_ad: every integral shift of the
         lift moves (w - 1)s_sc by an integral vector.  A non-integral matrix
-        raises ArithmeticError and is not cached.
+        raises FailedCheck and is not cached.
         """
         out = self._commutators.get(weyl_mat)
         if out is None:
             rd = self.rd
-            m = (rd.basis * (rd.dual_matrix(weyl_mat) - Mat.identity(rd.rank))
+            m = (rd.basis * (rd.dual_matrix(weyl_mat) - self.torus.identity())
                  * self.pv_rows.transpose())
             if not m.is_integral():
-                raise ArithmeticError("bicharacter depends on the chosen lift")
+                raise FailedCheck("bicharacter depends on the chosen lift")
             out = self._commutators[weyl_mat] = m.to_int()
         return out
 
@@ -417,7 +403,7 @@ def bicharacter(theta: TorusCharacter, weyl_mat: Mat, s_ad_coords,
     model = _model if _model is not None else AdjointModel(theta.torus)
     s_ad = QV(s_ad_coords)
     if not model.points_ad.contains(s_ad):
-        raise ValueError("s_ad is not a rational point of the adjoint torus")
+        raise InvalidPoint("s_ad is not a rational point of the adjoint torus")
     m = model.commutator_matrix(weyl_mat)
     return Cyc.from_qz(theta.on_vector(QV(m.apply(s_ad.coords))))
 

@@ -101,3 +101,48 @@ def test_run_all_times_failures_and_keeps_sweeping(monkeypatch):
     assert "slow failure" in results[0]["detail"]["error"]
     assert "ValueError" in results[1]["detail"]["error"]
     assert ran == [True]
+
+
+def _two_criteria(monkeypatch):
+    def passing():
+        return {"name": "passing", "ok": True, "seconds": 0.5, "bound": 60,
+                "detail": {"count": 3}}
+
+    def failing():
+        raise ValueError("broken")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing, failing])
+
+
+def test_sweep_json_reports_each_criterion_and_the_host(monkeypatch, capsys):
+    import json
+    import platform
+
+    import numpy
+
+    from cuspidor import cli
+    _two_criteria(monkeypatch)
+    assert cli.main(["sweep", "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "ok"
+    body = out["payload"]
+    assert body["criteria"][0] == {"name": "passing", "ok": True,
+                                   "seconds": 0.5, "bound": 60,
+                                   "detail": {"count": 3}}
+    failed = body["criteria"][1]
+    assert set(failed) == {"name", "ok", "seconds", "bound", "detail"}
+    assert (failed["name"], failed["ok"], failed["bound"]) == (
+        "failing", False, None)
+    assert "ValueError: broken" in failed["detail"]["error"]
+    assert body["nproc"] >= 1
+    assert body["python"] == platform.python_version()
+    assert body["numpy"] == numpy.__version__
+
+
+def test_sweep_without_json_prints_the_text_lines(monkeypatch, capsys):
+    from cuspidor import cli
+    _two_criteria(monkeypatch)
+    assert cli.main(["sweep"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion  1 passing (0.50s < 60s)",
+        "[FAIL] criterion  2 failing (0.00s)"]

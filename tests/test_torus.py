@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cuspidor.cyclotomic import Cyc
-from cuspidor.errors import NotRealizable, NotStabilizing, SingularCharacter
-from cuspidor.exactcore import (Mat, QV, coord_convert, coord_matrix, coords_of,
-                                lattice_solver)
-from cuspidor.ffield import FiniteField
+from cuspidor.errors import NotStabilizing, SingularCharacter
+from cuspidor.exactcore import (Mat, QV, abelian_basis, coord_convert,
+                                coord_matrix, coords_of, lattice_solver)
 from cuspidor.rootdata import WeylElement, build_classical, signed_perm_element
 from cuspidor.torus import (
     AdjointModel,
@@ -51,28 +50,6 @@ def test_split_torus_points():
     assert t.rational_points(1).factors == (2,)
 
 
-def test_norm_map_sl2():
-    t = sl2_coxeter(3)
-    src, dst, nm = t.norm_map(2)
-    gen_img = nm((1,))
-    # the image of a generator of Z/8 generates Z/4
-    assert dst.element_order(gen_img) == 4
-    # d = 1 gives the identity
-    src1, dst1, nm1 = t.norm_map(1)
-    for x in src1.elements():
-        assert nm1(x) == x
-
-
-def test_norm_map_split_surjective():
-    rd = build_classical("A", 1, "sc")
-    t = FrobeniusTorus(rd, WeylElement(rd, Mat.identity(1)), 3)
-    src, dst, nm = t.norm_map(2)
-    assert src.factors == (8,)
-    assert dst.factors == (2,)
-    images = {nm(x) for x in src.elements()}
-    assert images == set(dst.elements())
-
-
 def theta_of_order(torus, order):
     g = torus.rational_points(1)
     assert len(g.factors) == 1
@@ -91,7 +68,8 @@ def test_nonsingular_sl2():
     assert not is_nonsingular(triv)
     # spec value: the order-2 composite evaluates to 1/2
     a = t.rd.simple_roots[0]
-    assert th2.composite_with_coroot(t.rd.coroot(a)) == Fraction(1, 2)
+    assert th2.composite_with_coroot(t.rd.coroot(a),
+                                     t.splitting_degree) == Fraction(1, 2)
 
 
 def test_weyl_stabilizer_sl2():
@@ -260,30 +238,34 @@ def _bichar_by_lift(model):
     return value
 
 
-def test_bicharacter_matches_the_lift_route_over_criterion_8():
+def _criterion_8_tori():
+    """The 36 elliptic tori of criterion 8's sweep, in its order."""
     from cuspidor.acceptance import _elliptic_classes
-    tori = nonsingular = evaluations = 0
     for kind, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                     ("C", 3), ("D", 3)]:
         rd = build_classical(kind, n, "sc")
         for w in _elliptic_classes(rd):
             for q in (3, 5, 7):
-                t = FrobeniusTorus(rd, w, q)
-                tori += 1
-                model = AdjointModel(t)
-                reference = _bichar_by_lift(model)
-                for th in all_characters(t):
-                    if not is_nonsingular(th):
-                        continue
-                    nonsingular += 1
-                    rep = weyl_stabilizer(th)
-                    for m in rep.matrices:
-                        for s in model.cokernel_reps().values():
-                            got = bicharacter(th, m, s, _rep=rep, _model=model)
-                            for shift in (False, True):
-                                assert got == Cyc.from_qz(
-                                    reference(th, m, s, shift))
-                            evaluations += 1
+                yield FrobeniusTorus(rd, w, q)
+
+
+def test_bicharacter_matches_the_lift_route_over_criterion_8():
+    tori = nonsingular = evaluations = 0
+    for t in _criterion_8_tori():
+        tori += 1
+        model = AdjointModel(t)
+        reference = _bichar_by_lift(model)
+        for th in all_characters(t):
+            if not is_nonsingular(th):
+                continue
+            nonsingular += 1
+            rep = weyl_stabilizer(th)
+            for m in rep.matrices:
+                for s in model.cokernel_reps().values():
+                    got = bicharacter(th, m, s, _rep=rep, _model=model)
+                    for shift in (False, True):
+                        assert got == Cyc.from_qz(reference(th, m, s, shift))
+                    evaluations += 1
     assert (tori, nonsingular, evaluations) == (36, 3613, 8482)
 
 
@@ -300,6 +282,31 @@ def test_a_non_integral_commutator_matrix_is_refused(monkeypatch):
     assert model._commutators == {}
 
 
+def test_an_adjoint_point_off_the_torus_is_an_invalid_point():
+    from cuspidor.errors import InvalidPoint
+    t = sl2_coxeter(3)
+    th2 = theta_of_order(t, 2)
+    model = AdjointModel(t)
+    with pytest.raises(InvalidPoint, match="not a rational point"):
+        bicharacter(th2, -Mat.identity(1), [Fraction(1, 5)], _model=model)
+
+
+def test_torus_raises_only_its_named_errors():
+    import ast
+    import pathlib
+
+    import cuspidor.errors as errors
+    import cuspidor.torus as torus
+    tree = ast.parse(pathlib.Path(torus.__file__).read_text())
+    raised = {node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise)}
+    assert raised == {"FailedCheck", "InvalidCharacter", "InvalidDegree",
+                      "InvalidPoint", "InvalidPrimePower", "InvalidWeylSet",
+                      "NotStabilizing", "SingularCharacter"}
+    assert all(issubclass(getattr(errors, name), errors.CuspidorError)
+               for name in raised)
+
+
 def test_fct_regns_shadow_rank1():
     # trivial stabilizer forces non-singularity (DL Cor 5.18 contrapositive)
     for q in (3, 5, 7):
@@ -307,21 +314,6 @@ def test_fct_regns_shadow_rank1():
         for th in all_characters(t):
             if weyl_stabilizer(th).order == 1:
                 assert is_nonsingular(th)
-
-
-def test_realize_in_field_sl2():
-    t = sl2_coxeter(3)
-    g = t.rational_points(1)
-    f9 = FiniteField(3, 2)
-    vals = t.realize_in_field(g.gens[0], f9)
-    assert len(vals) == 1
-    x = vals[0]
-    # an order-4 element of GF(9)^x
-    assert f9.power(x, 4) == f9.one and f9.power(x, 2) != f9.one
-    # the zero vector realizes as the identity tuple
-    assert t.realize_in_field(QV([0]), f9) == (f9.one,)
-    with pytest.raises(NotRealizable):
-        t.realize_in_field(QV([Fraction(1, 5)]), f9)
 
 
 def test_nonsingularity_weyl_invariance():
@@ -406,6 +398,55 @@ def test_cached_nonsingularity_matches_definition():
         assert all(got == want for got, want in verdicts)
         assert any(got for got, _ in verdicts)
         assert not all(got for got, _ in verdicts)
+
+
+def _frozen_nonsingular(theta):
+    """Frozen reference: theta∘N∘alpha_vee at every root, negative ones too."""
+    t = theta.torus
+    rd = t.rd
+    for a in rd.roots:
+        if theta.composite_with_coroot(rd.coroot(a), t.splitting_degree) == 0:
+            return False
+    return True
+
+
+def _frozen_stabilizer(theta):
+    """Frozen reference: the stabilizer through ``scaled`` per column."""
+    t = theta.torus
+    stab = [m for m, cols in t.centralizer_columns()
+            if all(theta.scaled(col) == r for col, r in zip(cols, theta.row))]
+    factors, _, _ = abelian_basis(stab, Mat.__mul__, Mat.identity(t.rd.rank))
+    abelian = math.prod(factors) == len(stab)
+    inv = tuple(factors) if abelian else None
+    return stab, abelian, abelian and len(inv) <= 1, inv
+
+
+def test_root_points_and_stabilizer_match_the_frozen_route_over_criterion_8():
+    characters = nonsingular = simple_only = wrapping = 0
+    for t in _criterion_8_tori():
+        rd = t.rd
+        simple = [t.root_point(rd.coroot(a), t.splitting_degree)
+                  for a in rd.simple_roots]
+        for th in all_characters(t):
+            characters += 1
+            want = _frozen_nonsingular(th)
+            assert is_nonsingular(th) == want
+            nonsingular += want
+            # singular on a non-simple root only: the positive roots are needed
+            simple_only += not want and all(th.scaled(x) for x in simple)
+            rep = weyl_stabilizer(th)
+            stab, abelian, cyclic, factors = _frozen_stabilizer(th)
+            assert rep.matrices == stab
+            assert (rep.order, rep.abelian, rep.cyclic,
+                    rep.invariant_factors) == (len(stab), abelian, cyclic,
+                                               factors)
+            # a stabilizing column whose pairing with theta exceeds e
+            wrapping += any(sum(c * v for c, v in zip(col, th.row))
+                            >= th.exponent
+                            for m, cols in t.centralizer_columns() if m in stab
+                            for col in cols)
+    assert (characters, nonsingular) == (5285, 3613)
+    assert simple_only > 0 and wrapping > 0
 
 
 def test_cached_stabilizer_matches_brute_force():
