@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import os
-import platform
 import sys
 from fractions import Fraction
 
@@ -323,6 +322,8 @@ def cmd_sweep(args):
     results = acceptance.run_all(verbose=not args.json)
     ok = all(r["ok"] for r in results)
     if args.json:
+        import platform
+
         import numpy
         _emit({"criteria": [{key: r.get(key) for key in
                              ("name", "ok", "seconds", "bound", "detail")}

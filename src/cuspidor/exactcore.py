@@ -509,9 +509,6 @@ class FinAb:
         k = len(self.factors)
         return [tuple(int(i == j) for i in range(k)) for j in range(k)]
 
-    def element_order(self, x) -> int:
-        return math.lcm(*(d // math.gcd(a, d) for a, d in zip(x, self.factors)))
-
     def lift(self, coords) -> QV:
         v = QV.zero(self.ambient)
         for a, g in zip(coords, self.gens):

@@ -486,7 +486,7 @@ def test_no_private_copies_of_the_helpers():
               "ambient_of", "composite_character_qz", "is_regular",
               "_reduction_rows", "_monomial", "_zero_vec", "_basis_row",
               "_try_descend", "_cyc_json", "_solve_matrix", "_rational_sum",
-              "_lift_value", "norm_map", "realize_in_field"}
+              "_lift_value", "norm_map", "realize_in_field", "element_order"}
     # m·x ≡ c over Q/Z is solved by the kernel of m
     banned_classes = {"AffineSolutions", "DisconnectedPairing"}
     phi_n = {"cyclotomic_polynomial", "_division_terms", "_polydiv_exact"}
