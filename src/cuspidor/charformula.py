@@ -21,9 +21,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import Cyc
-from .errors import InvalidPoint, NotRealizable, SingularRoot
+from .errors import (
+    FailedCheck,
+    InvalidPoint,
+    NotInOrbit,
+    NotRealizable,
+    SingularRoot,
+)
 from .exactcore import QV
 from .ffield import FiniteField, MultCharacter
 from .torus import FrobeniusTorus, TorusCharacter
@@ -89,14 +96,22 @@ def classify_chi_data(torus: FrobeniusTorus) -> ChiData:
 
 
 class ModAData:
-    """Per symmetric orbit: depth 0 and the square class of a_alpha."""
+    """Per symmetric orbit: depth 0 and the square class of a_alpha.
 
-    __slots__ = ("torus", "classes", "depth")
+    ``rows`` holds one (rep, alpha row on S(k), sign of a_alpha) triple per
+    symmetric orbit, in the order of ``classes``, built once here from the
+    torus's ``root_row``; delta_II and theta_sum read them instead of
+    rebuilding them per point.
+    """
+
+    __slots__ = ("torus", "classes", "depth", "rows")
 
     def __init__(self, torus, classes):
         self.torus = torus
         self.classes = classes  # orbit rep -> +1 / -1 (square / nonsquare)
         self.depth = 0
+        self.rows = tuple((rep, torus.root_row(rep), sign)
+                          for rep, sign in classes.items())
 
     def sign(self, rep):
         return self.classes[tuple(rep)]
@@ -124,7 +139,7 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
     for orbit in chi.symmetric_orbits():
         d = orbit.degree
         if d % 2:
-            raise ArithmeticError("symmetric orbit of odd size")
+            raise FailedCheck("symmetric orbit of odd size")
         coroot = rd.coroot(orbit.rep)
         base = theta.composite_with_coroot(coroot, d)
         if base == 0:
@@ -133,7 +148,7 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
         q_half = t.q ** (d // 2)
         psi_minus_one = base * ((q_alpha - 1) // 2) % 1
         if psi_minus_one not in (0, Fraction(1, 2)):
-            raise ArithmeticError("psi(-1) is not a sign")
+            raise FailedCheck("psi(-1) is not a sign")
         s1 = 1 if psi_minus_one == 0 else -1
         s2 = -1 if (q_half - 1) // 2 % 2 else 1
         sign = s1 * s2
@@ -148,18 +163,19 @@ def _validate_gauss_identity(t, base, d, sign, s2):
     field = t.extension_field(d)
     order = base.denominator
     if (field.q - 1) % order:
-        raise ArithmeticError("composite character order does not divide q^d - 1")
+        raise FailedCheck(
+            "composite character order does not divide q^d - 1")
     psi = MultCharacter(field, order, int(base * order) % order)
     g = psi.gauss_sum()
     gsq = g * g
     want = Cyc.rational(field.q) if psi(field.neg(field.one)) == Cyc.rational(1) \
         else Cyc.rational(-field.q)
     if not (gsq == want):
-        raise ArithmeticError("Gauss square identity fails")
+        raise FailedCheck("Gauss square identity fails")
     lhs = gsq * Fraction(sign)
     rhs = Cyc.rational(s2 * field.q)
     if not (lhs == rhs):
-        raise ArithmeticError("a-data normalization identity fails")
+        raise FailedCheck("a-data normalization identity fails")
 
 
 class DeltaResult:
@@ -183,35 +199,24 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     Asymmetric orbits contribute 1; orbits with alpha(gamma) = 1 are skipped
     and reported, mirroring the product's own condition.  Only the square
     class of a enters; representatives within one orbit agree under the
-    convention a_{-alpha} = -a_alpha.
+    convention a_{-alpha} = -a_alpha.  The orbits and their rows are
+    ``a.rows``.
     """
     t = theta.torus
     x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
-    factors, skipped = _delta_factors(_orbit_rows(t, chi, a), x,
-                                      field.sign_table(theta.exponent))
-    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
-                       factors)
-
-
-def _orbit_rows(t, chi, a):
-    """(rep, alpha row on S(k), sign of a_alpha) per symmetric orbit."""
-    return [(orbit.rep, t.root_row(orbit.rep), a.sign(orbit.rep))
-            for orbit in chi.orbits if orbit.kind == SYMMETRIC_UNRAMIFIED]
-
-
-def _delta_factors(orbit_rows, x, signs):
-    """The orbit factors of delta_II at S(k) coordinates x, and the skipped reps."""
+    signs = field.sign_table(theta.exponent)
     skipped = []
     factors = {}
-    for rep, row, a_sign in orbit_rows:
+    for rep, row, a_sign in a.rows:
         f = _orbit_factor(row, x, signs)
         if f is None:
             skipped.append(rep)
-            continue
-        factors[tuple(rep)] = f * a_sign
-    return factors, skipped
+        else:
+            factors[tuple(rep)] = f * a_sign
+    return DeltaResult(Cyc.rational(math.prod(factors.values())), skipped,
+                       factors)
 
 
 def _check_point(t, gamma: QV) -> tuple:
@@ -232,7 +237,7 @@ def _orbit_factor(row, x, signs):
     ``signs`` is the field's ``sign_table`` at e = exp S(k) = len(signs),
     and alpha(gamma) = zeta^k with k the dot product of row and x mod e.
     """
-    s = signs[sum(r * c for r, c in zip(row, x)) % len(signs)]
+    s = signs[sum(map(mul, row, x)) % len(signs)]
     if s == 0:
         raise NotRealizable("alpha(gamma) does not live in the splitting field")
     return s
@@ -252,7 +257,7 @@ def delta_II_at_representative(theta, gamma, chi, a, orbit, rep,
     if field is None:
         field = t.extension_field(t.splitting_degree)
     if tuple(rep) not in orbit.roots:
-        raise ValueError("representative not in the orbit")
+        raise NotInOrbit("representative not in the orbit")
     f = _orbit_factor(t.root_row(rep), x, field.sign_table(theta.exponent))
     return None if f is None else f * a.sign(orbit.rep)
 
@@ -267,13 +272,13 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     epsilon factor) default to 1 and scale the result symbolically.
 
     Everything runs on S(k) coordinates with e = exp S(k): gamma is
-    projected once (the Weyl images of a point of S(k) stay in S(k)),
-    gamma^w is the torus's integer matrix of w^-1 on those coordinates,
-    theta(gamma^w) and each alpha(gamma^w) are integer dot products mod e,
-    and sgn(alpha(gamma^w) - 1) is read from the field's sign table.  Each
-    term is a sign times zeta_e^k, so the sum is one signed histogram at
-    n = e / gcd(e, every k met), the lcm of theta's denominators, and one
-    Cyc of conductor n.
+    projected once (the Weyl images of a point of S(k) stay in S(k)), and
+    gamma^w is read from the torus's per-m image table (``weyl_image``).
+    theta(gamma^w) and each alpha(gamma^w), from the rows kept on ``a``, are
+    integer dot products mod e, and sgn(alpha(gamma^w) - 1) is read from the
+    field's sign table.  Each term is a sign times zeta_e^k, so the sum is
+    one signed histogram at n = e / gcd(e, every k met), the lcm of theta's
+    denominators, and one Cyc of conductor n.
     """
     t = theta.torus
     x = _check_point(t, gamma)
@@ -281,16 +286,20 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
         field = t.extension_field(t.splitting_degree)
     e = theta.exponent
     signs = field.sign_table(e)
-    dims = theta.group.factors
-    orbit_rows = _orbit_rows(t, chi, a)
     counts = [0] * e            # signed count of the terms at zeta_e^k
     g = 0                       # gcd of the k met, so n = e / gcd(e, g)
     for m in weyl_set:
-        xw = tuple(sum(r * c for r, c in zip(row, x)) % d
-                   for row, d in zip(t.inverse_on_points(m), dims))
-        signed, _ = _delta_factors(orbit_rows, xw, signs)
+        xw = t.weyl_image(m, x)
+        sign = 1
+        for _, row, a_sign in a.rows:
+            s = signs[sum(map(mul, row, xw)) % e]
+            if s == 0:
+                raise NotRealizable(
+                    "alpha(gamma) does not live in the splitting field")
+            if s is not None:
+                sign *= s * a_sign
         k = theta.scaled(xw)
-        counts[k] += math.prod(signed.values())
+        counts[k] += sign
         g = math.gcd(g, k)
     step = math.gcd(e, g)       # every k met is a multiple of step
     total = Cyc.from_root_multiplicities(e // step, counts[::step])

@@ -102,3 +102,7 @@ class InvalidFixture(CuspidorError, ValueError):
 
 class FailedCheck(CuspidorError, ArithmeticError):
     """A self-check of a computed result failed; also an ArithmeticError."""
+
+
+class NotInOrbit(CuspidorError, ValueError):
+    """A root passed as an orbit representative that is not in the orbit."""

@@ -267,13 +267,12 @@ class RootDatum:
 class WeylElement:
     """An integer lattice automorphism permuting the roots."""
 
-    __slots__ = ("rd", "matrix", "_order", "_signed_perm")
+    __slots__ = ("rd", "matrix", "_order")
 
     def __init__(self, rd: RootDatum, matrix: Mat):
         self.rd = rd
         self.matrix = matrix
         self._order = None
-        self._signed_perm = False  # sentinel: not yet derived
         if (matrix.nrows, matrix.ncols) != (rd.rank, rd.rank):
             raise InvalidWeylElement(f"matrix must be {rd.rank} x {rd.rank}")
         if not rd.root_permutation_ok(matrix):
@@ -310,45 +309,6 @@ class WeylElement:
 
     def commutes_with(self, other: "WeylElement") -> bool:
         return self.matrix.commutes_with(other.matrix)
-
-    def signed_permutation(self):
-        """(perm, signs) for B/C/D standard coordinates; None otherwise.
-
-        Derived on first use, then cached.
-        """
-        if self._signed_perm is not False:
-            return self._signed_perm
-        n = self.rd.rank
-        perm, signs = [None] * n, [0] * n
-        for j in range(n):
-            col = [self.matrix.rows[i][j] for i in range(n)]
-            nz = [i for i, x in enumerate(col) if x != 0]
-            if len(nz) != 1 or abs(col[nz[0]]) != 1:
-                self._signed_perm = None
-                return None
-            perm[j] = nz[0]
-            signs[j] = 1 if col[nz[0]] > 0 else -1
-        self._signed_perm = (tuple(perm), tuple(signs))
-        return self._signed_perm
-
-    def cycle_sign_data(self):
-        """Cycles with their sign-change counts (signed-permutation form)."""
-        sp = self.signed_permutation()
-        if sp is None:
-            return None
-        perm, signs = sp
-        seen, out = set(), []
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            cyc, j = [], start
-            while j not in seen:
-                seen.add(j)
-                cyc.append(j)
-                j = perm[j]
-            flips = sum(1 for j in cyc if signs[j] < 0)
-            out.append((tuple(cyc), flips))
-        return out
 
 
 def signed_perm_element(rd: RootDatum, perm, signs) -> WeylElement:
@@ -458,11 +418,6 @@ def _check_between(basis, q_basis, p_basis):
             coord_convert(inner, outer)
         except ValueError:
             raise InvalidLattice(f"lattice condition {name} fails") from None
-
-
-def weyl_order_primes(rd: RootDatum):
-    order = rd.weyl_order()
-    return order, prime_support(order)
 
 
 def highest_root_marks(rd: RootDatum):

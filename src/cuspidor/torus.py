@@ -14,16 +14,17 @@ degree, which decide non-singularity), C_W(w) by
 one integer commutation test on V (``Mat.commutes_with``), per m in C_W(w)
 the matrix of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``,
 the one route from a Weyl element to S(k); the stabilizer reads its columns,
-kept once per torus as ``centralizer_columns``), and per root the integer
-row alpha(gens[i]) e with e = exp S(k) (``root_row``).
+kept once per torus as ``centralizer_columns``), per such m the S(k)
+coordinates of m^-1 x at each point x asked for (``weyl_image``), and per
+root the integer row alpha(gens[i]) e with e = exp S(k) (``root_row``).
 Characters, non-singularity, Weyl stabilizers and the character sums of
 ``charformula`` then read these tables instead of rebuilding matrix powers
 or projecting per character.  The caches are safe because a torus never
 changes after construction and the cached ``Mat``, ``FinAb`` and tuple
 values are immutable; the tables are bounded by the degrees asked for,
 |roots| x degrees, one row of rk S(k) integers per root, and one
-rk S(k) x rk S(k) integer matrix per element of C_W(w) (per distinct Weyl
-element a caller passes).
+rk S(k) x rk S(k) integer matrix and at most |S(k)| image tuples per
+element of C_W(w) (per distinct Weyl element a caller passes).
 
 Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee) are handled
 in the lattice-basis coordinates of ``exactcore``.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from .cyclotomic import Cyc
@@ -169,6 +171,23 @@ class FrobeniusTorus:
             return self.rational_points(1).induced(self.inverse_action(m)).rows
         return self._memo(("inverse_points", m), build)
 
+    def weyl_image(self, m: Mat, x: tuple) -> tuple:
+        """The S(k) coordinates of m^-1 x, for m commuting with the twist.
+
+        One table per m, filled point by point from ``inverse_on_points(m)``
+        and kept: it depends on the torus alone, so every character and
+        field reuses it.  An m that does not commute raises InvalidWeylSet
+        before its table is stored.
+        """
+        rows, images = self._memo(("weyl_image", m), lambda: (
+            tuple(zip(self.inverse_on_points(m),
+                      self.rational_points(1).factors)), {}))
+        out = images.get(x)
+        if out is None:
+            out = images[x] = tuple(sum(map(mul, row, x)) % d
+                                    for row, d in rows)
+        return out
+
     def centralizer_columns(self):
         """(m, cols) for each m in C_W(w); cols[i] is m^-1(gens[i]) on S(k).
 
@@ -234,7 +253,7 @@ class TorusCharacter:
 
     def scaled(self, coords) -> int:
         """e theta(x) mod e at S(k) coordinates x, e = exp S(k)."""
-        return sum(a * t for a, t in zip(coords, self.row)) % self.exponent
+        return sum(map(mul, coords, self.row)) % self.exponent
 
     def __call__(self, coords) -> Fraction:
         return Fraction(self.scaled(coords), self.exponent)

@@ -427,6 +427,20 @@ def _elliptic_tori_q35():
                 yield FrobeniusTorus(rd, w, q)
 
 
+def test_weyl_image_matches_the_lattice_action():
+    tori = 0
+    for t in _elliptic_tori_q35():
+        group = t.rational_points(1)
+        for m in t.weyl_centralizer():
+            for x in group.elements():
+                want = group.project(
+                    QV(t.inverse_action(m).apply(group.lift(x).coords)))
+                assert t.weyl_image(m, x) == want
+                assert t.weyl_image(m, x) is t.weyl_image(m, x)
+        tori += 1
+    assert tori == 10
+
+
 @pytest.mark.parametrize("torus", list(_elliptic_tori_q35()),
                          ids=lambda t: f"{t.rd.label}-w{t.w.order}-q{t.q}")
 def test_integer_coordinates_match_the_fraction_reference(torus):
@@ -479,3 +493,49 @@ def test_root_value_outside_the_field_is_not_realizable():
             delta_II_at_representative(th, gamma, chi, a, orb, rep, f5)
     # alpha(1/2) = 1 is realizable anywhere and the orbit is skipped
     assert delta_II(th, QV([Fraction(1, 2)]), chi, a, f5).skipped_orbits
+
+
+def test_a_warm_image_table_keeps_no_field():
+    # the same point as above, after theta_sum has filled the torus's image
+    # table over every point with the splitting field GF(25)
+    from cuspidor.errors import NotRealizable
+    t = sl2_coxeter(5)
+    th = theta_of_order(t, 6)
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    wset = t.weyl_centralizer()
+    f25 = t.extension_field(t.splitting_degree)
+    for x in th.group.elements():
+        theta_sum(th, th.group.lift(x), chi, a, wset, f25)
+    with pytest.raises(NotRealizable):
+        theta_sum(th, QV([Fraction(1, 6)]), chi, a, wset, FiniteField(5, 1))
+
+
+def test_a_root_outside_the_orbit_is_not_a_representative():
+    from cuspidor.errors import NotInOrbit
+    t, chi = next((t, chi) for t in _rank2_tori()
+                  for chi in [classify_chi_data(t)]
+                  if len(chi.symmetric_orbits()) > 1)
+    th = next(th for th in all_characters(t) if is_nonsingular(th))
+    a = mod_a_data(th, chi)
+    orbits = chi.symmetric_orbits()
+    outside = orbits[1].rep
+    with pytest.raises(NotInOrbit) as err:
+        delta_II_at_representative(th, th.group.gens[0], chi, a, orbits[0],
+                                   outside)
+    assert isinstance(err.value, ValueError)
+
+
+def test_charformula_raises_only_its_named_errors():
+    import ast
+    import pathlib
+
+    import cuspidor.charformula as charformula
+    import cuspidor.errors as errors
+    tree = ast.parse(pathlib.Path(charformula.__file__).read_text())
+    raised = {node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise)}
+    assert raised == {"FailedCheck", "InvalidPoint", "NotInOrbit",
+                      "NotRealizable", "SingularRoot"}
+    assert all(issubclass(getattr(errors, name), errors.CuspidorError)
+               for name in raised)

@@ -475,9 +475,13 @@ def test_theta_sum_rejects_noncommuting_after_warm_cache():
     a = mod_a_data(th, chi)
     wset = t.weyl_centralizer()
     gamma = th.group.gens[0]
-    theta_sum(th, gamma, chi, a, wset)      # caches every commuting inverse
+    # caches every commuting inverse and fills its image table at every point
+    for x in th.group.elements():
+        theta_sum(th, th.group.lift(x), chi, a, wset)
     refl = t.rd.reflection(t.rd.simple_roots[0])
     with pytest.raises(InvalidWeylSet):
         theta_sum(th, gamma, chi, a, [refl])
     with pytest.raises(InvalidWeylSet):
         theta_sum(th, gamma, chi, a, wset + [refl])
+    assert ("weyl_image", refl) not in t._cache
+
