@@ -128,8 +128,15 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
     pinned by the squared Gauss-sum form of the chi-data normalization:
     sgn(a) g(psi)^2 = (-1)^((q_pm - 1)/2) q_alpha, and since g(psi)^2 =
     psi(-1) q_alpha for symmetric composites this gives sgn(a) =
-    psi(-1) (-1)^((q_pm - 1)/2).  The Gauss identity is verified exactly for
-    fields up to ``validate_bound``.
+    psi(-1) (-1)^((q_pm - 1)/2).
+
+    The Gauss identity is verified exactly in every orbit field GF(q^d) of
+    at most ``validate_bound`` elements.  Its inputs are fixed by the orbit
+    degree d and the composite value ``base`` (the field is the torus's
+    GF(q^d), and both signs follow from base, q^d and q^(d/2)), so it runs
+    once per distinct (d, base) on a torus: a passed check is kept in the
+    torus's memo under ("gauss_identity", d, base), and a failing one
+    raises FailedCheck and keeps nothing.
     """
     t = theta.torus
     rd = t.rd
@@ -153,13 +160,17 @@ def mod_a_data(theta: TorusCharacter, chi: ChiData = None,
         s2 = -1 if (q_half - 1) // 2 % 2 else 1
         sign = s1 * s2
         if q_alpha <= validate_bound:
-            _validate_gauss_identity(t, base, d, sign, s2)
+            t._memo(("gauss_identity", d, base),
+                    lambda: _validate_gauss_identity(t, base, d, sign, s2))
         classes[tuple(orbit.rep)] = sign
     return ModAData(t, classes)
 
 
-def _validate_gauss_identity(t, base, d, sign, s2):
-    """g(psi)^2 = psi(-1) q exactly, so sgn(a) g(psi)^2 = (+-) q as claimed."""
+def _validate_gauss_identity(t, base, d, sign, s2) -> bool:
+    """g(psi)^2 = psi(-1) q exactly, so sgn(a) g(psi)^2 = (+-) q as claimed.
+
+    Returns True, the flag ``mod_a_data`` keeps; FailedCheck otherwise.
+    """
     field = t.extension_field(d)
     order = base.denominator
     if (field.q - 1) % order:
@@ -176,6 +187,7 @@ def _validate_gauss_identity(t, base, d, sign, s2):
     rhs = Cyc.rational(s2 * field.q)
     if not (lhs == rhs):
         raise FailedCheck("a-data normalization identity fails")
+    return True
 
 
 class DeltaResult:
@@ -220,12 +232,17 @@ def delta_II(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
 
 
 def _check_point(t, gamma: QV) -> tuple:
-    """The S(k) coordinates of gamma; InvalidPoint unless it is in S(k) = ker(F - 1)."""
+    """The S(k) coordinates of gamma; InvalidPoint unless it is in S(k) = ker(F - 1).
+
+    The rank is checked on every call and the coordinates are read from the
+    torus's ``point_coords`` table, which never stores a point outside
+    S(k), so such a point raises InvalidPoint on every call.
+    """
     if len(gamma.coords) != t.rd.rank:
         raise InvalidPoint(f"point has {len(gamma.coords)} coordinates, "
                            f"the torus has rank {t.rd.rank}")
     try:
-        return t.rational_points(1).project(gamma)
+        return t.point_coords(gamma)
     except ValueError:
         raise InvalidPoint(
             f"point {gamma!r} is not in S(k) = ker(F - 1)") from None
@@ -271,9 +288,11 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     with the twist.  The leading constants (Kottwitz sign, discriminant,
     epsilon factor) default to 1 and scale the result symbolically.
 
-    Everything runs on S(k) coordinates with e = exp S(k): gamma is
-    projected once (the Weyl images of a point of S(k) stay in S(k)), and
-    gamma^w is read from the torus's per-m image table (``weyl_image``).
+    Everything runs on S(k) coordinates with e = exp S(k): gamma's
+    coordinates are read from the torus's point table (``point_coords``),
+    and a gamma of the wrong rank or off S(k) raises InvalidPoint on every
+    call; the Weyl images of a point of S(k) stay in S(k), and gamma^w is
+    read from the torus's per-m image table (``weyl_image``).
     theta(gamma^w) and each alpha(gamma^w), from the rows kept on ``a``, are
     integer dot products mod e, and sgn(alpha(gamma^w) - 1) is read from the
     field's sign table.  Each term is a sign times zeta_e^k, so the sum is

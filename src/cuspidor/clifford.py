@@ -299,13 +299,6 @@ class ConcreteGroup:
         """``inverses[i]`` is the number of the inverse of element i."""
         return [row.index(0) for row in self.table]
 
-    def order_of(self, x) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = self.mul(y, x)
-            k += 1
-        return k
-
     def exponent(self) -> int:
         table = self.table
         out = 1

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import DifferentOrbits, NotNormal, UnequalStabilizers
+from .errors import NotNormal, UnequalStabilizers
 from .exactcore import FinAb, Mat, abelian_basis, generating_words, solve_mod
 
 
@@ -154,19 +154,6 @@ class EtaFamily:
     def stabilizer(self, u):
         return frozenset(g for g in self.group.elements if self.act(g, u) == u)
 
-    def orbit(self, u):
-        out, frontier = {u}, [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.group.elements:
-                    y = self.act(g, x)
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return out
-
 
 def family_from_phi(group, xset, action, phi) -> EtaFamily:
     """The family with eta = the defect of the scalar collection phi."""
@@ -259,29 +246,11 @@ def _assert_cocycle(z: BasepointCocycle):
             raise ValueError("basepoint function is not a 2-cocycle")
 
 
-def beta_correction(fam: EtaFamily, v, u):
-    """The 1-cochain beta_{V,U}(g) = eta(V,U,gU) - eta(V,gV,gU) on the group.
-
-    Requires V and U in one orbit; the closed-form identity of the
-    basepoint-change lemma is cross-checked against the x-translate formula.
-    """
-    g = fam.group
-    if v not in fam.orbit(u):
-        raise DifferentOrbits("beta correction needs basepoints in one orbit")
-    x = next(a for a in g.elements if fam.act(a, u) == v)
-    beta = general_beta(fam, v, u)
-    for a in g.elements:
-        # lemma form: eta_U(x, 1, a) - eta_U(x, ax, a), in inhomogeneous shape
-        lemma = (fam.eta(fam.act(x, u), u, fam.act(a, u))
-                 - fam.eta(fam.act(x, u), fam.act(g.mul(a, x), u),
-                           fam.act(a, u))) % 1
-        if beta[a] != lemma:
-            raise ValueError("beta closed forms disagree")
-    return beta
-
-
 def general_beta(fam: EtaFamily, v, u):
-    """beta for arbitrary basepoints (possibly in different orbits)."""
+    """beta_{V,U}(g) = eta(V, U, gU) - eta(V, gV, gU) on the group.
+
+    V and U are arbitrary basepoints, possibly in different orbits.
+    """
     g = fam.group
     return {a: (fam.eta(v, u, fam.act(a, u))
                 - fam.eta(v, fam.act(a, v), fam.act(a, u))) % 1

@@ -12,7 +12,13 @@ import math
 import numbers
 from fractions import Fraction
 
+from .errors import FailedCheck, InvalidCyclotomic
 from .exactcore import prime_factors
+
+# One Fraction per small integer coefficient: power_basis hands every Cyc
+# built from a histogram integer coordinates, mostly the same few values.
+# Fractions are immutable, so sharing them is safe; the cache is bounded.
+_int_fraction = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,14 +40,15 @@ def _polydiv_exact(num, den):
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
         if c % den[-1]:
-            raise ArithmeticError("non-exact division")
+            raise FailedCheck("non-exact division by a cyclotomic polynomial")
         q = c // den[-1]
         out[i] = q
         if q:
             for j, dj in enumerate(den):
                 num[i + j] -= q * dj
     if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-zero remainder")
+        raise FailedCheck("non-zero remainder after division by a "
+                          "cyclotomic polynomial")
     return out
 
 
@@ -83,10 +90,11 @@ class Cyc:
 
     def __init__(self, n: int, coeffs):
         if n < 1:
-            raise ValueError("conductor must be positive")
-        cs = [Fraction(c) for c in coeffs]
+            raise InvalidCyclotomic("conductor must be positive")
+        cs = [_int_fraction(c) if type(c) is int else Fraction(c)
+              for c in coeffs]
         if len(cs) != _division_terms(n)[0]:
-            raise ValueError("coefficient vector has wrong length")
+            raise InvalidCyclotomic("coefficient vector has wrong length")
         self.n = n
         self.coeffs = tuple(cs)
 
@@ -98,7 +106,7 @@ class Cyc:
     def zeta(n: int, k: int = 1) -> "Cyc":
         """zeta_n^k."""
         if n < 1:
-            raise ValueError("conductor must be positive")
+            raise InvalidCyclotomic("conductor must be positive")
         return Cyc.from_root_multiplicities(n, [0] * (k % n) + [1])
 
     @staticmethod
@@ -128,7 +136,7 @@ class Cyc:
         if m == self.n:
             return self
         if m % self.n:
-            raise ValueError("can only promote to a multiple conductor")
+            raise InvalidCyclotomic("can only promote to a multiple conductor")
         return self._substitute(m, m // self.n)
 
     @staticmethod
@@ -186,7 +194,7 @@ class Cyc:
     def __truediv__(self, other):
         if isinstance(other, Cyc):
             if not other.is_rational():
-                raise ValueError("division only by rationals")
+                raise InvalidCyclotomic("division only by rationals")
             other = other.rational_value()
         elif not isinstance(other, numbers.Rational):
             return NotImplemented
@@ -220,13 +228,14 @@ class Cyc:
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("not rational")
+            raise InvalidCyclotomic("not rational")
         return self.coeffs[0]
 
     def galois(self, a: int) -> "Cyc":
         """Apply zeta -> zeta^a; a must be prime to the conductor."""
         if math.gcd(a, self.n) != 1:
-            raise ValueError("galois exponent not coprime to conductor")
+            raise InvalidCyclotomic(
+                "galois exponent not coprime to conductor")
         return self._substitute(self.n, a)
 
     def conj(self) -> "Cyc":

@@ -49,10 +49,6 @@ class NotNormal(CuspidorError):
     pass
 
 
-class DifferentOrbits(CuspidorError):
-    pass
-
-
 class UnequalStabilizers(CuspidorError):
     pass
 
@@ -106,3 +102,10 @@ class FailedCheck(CuspidorError, ArithmeticError):
 
 class NotInOrbit(CuspidorError, ValueError):
     """A root passed as an orbit representative that is not in the orbit."""
+
+
+class InvalidCyclotomic(CuspidorError, ValueError):
+    """A cyclotomic operation outside its domain: a conductor below 1, a
+    coefficient vector of the wrong length, a promotion to a conductor that
+    is not a multiple, a division by or a rational value of an irrational
+    element, or a Galois exponent not prime to the conductor."""

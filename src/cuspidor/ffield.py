@@ -191,10 +191,6 @@ class FiniteField:
             return self.one if e == 0 else self.zero
         return self._exp[self._dlog[a] * e % (self.q - 1)]
 
-    def from_int(self, k: int):
-        """The prime-field element k, embedded."""
-        return ((k % self.p),) + (0,) * (self.m - 1)
-
     def elements(self):
         yield self.zero
         yield from self._exp
@@ -246,15 +242,6 @@ class FiniteField:
             x = self.power(x, qsub)
         return out
 
-    def norm_to_subfield(self, a, qsub: int):
-        d = self._subfield_degree(qsub)
-        out = self.one
-        x = a
-        for _ in range(d):
-            out = self.mul(out, x)
-            x = self.power(x, qsub)
-        return out
-
     def _subfield_degree(self, qsub: int) -> int:
         d = 0
         qq = 1
@@ -264,19 +251,6 @@ class FiniteField:
         if qq != self.q:
             raise ValueError("not a subfield size")
         return d
-
-    def subfield_dlog(self, a, sub: "FiniteField") -> int:
-        """dlog of a subfield element w.r.t. the subfield's own generator.
-
-        Uses the norm-compatible embedding gen_sub -> gen^( (q-1)/(qsub-1) ).
-        """
-        if a == self.zero:
-            raise ZeroDivisionError
-        e = self.dlog(a)
-        step = (self.q - 1) // (sub.q - 1)
-        if e % step:
-            raise ValueError("element is not in the subfield")
-        return e // step
 
     def absolute_trace(self, a):
         """Trace down to the prime field, as an integer mod p."""

@@ -15,7 +15,8 @@ one integer commutation test on V (``Mat.commutes_with``), per m in C_W(w)
 the matrix of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``,
 the one route from a Weyl element to S(k); the stabilizer reads its columns,
 kept once per torus as ``centralizer_columns``), per such m the S(k)
-coordinates of m^-1 x at each point x asked for (``weyl_image``), and per
+coordinates of m^-1 x at each point x asked for (``weyl_image``), the S(k)
+coordinates of each point of S(k) asked for (``point_coords``), and per
 root the integer row alpha(gens[i]) e with e = exp S(k) (``root_row``).
 Characters, non-singularity, Weyl stabilizers and the character sums of
 ``charformula`` then read these tables instead of rebuilding matrix powers
@@ -24,7 +25,9 @@ changes after construction and the cached ``Mat``, ``FinAb`` and tuple
 values are immutable; the tables are bounded by the degrees asked for,
 |roots| x degrees, one row of rk S(k) integers per root, and one
 rk S(k) x rk S(k) integer matrix and at most |S(k)| image tuples per
-element of C_W(w) (per distinct Weyl element a caller passes).
+element of C_W(w) (per distinct Weyl element a caller passes), and at most
+|S(k)| coordinate tuples for the points.  ``charformula`` also keeps here
+one flag per Gauss identity that passed, under ("gauss_identity", d, base).
 
 Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee) are handled
 in the lattice-basis coordinates of ``exactcore``.
@@ -170,6 +173,19 @@ class FrobeniusTorus:
         def build():
             return self.rational_points(1).induced(self.inverse_action(m)).rows
         return self._memo(("inverse_points", m), build)
+
+    def point_coords(self, x: QV) -> tuple:
+        """The S(k) coordinates of the point x; ValueError unless x is in S(k).
+
+        One table per torus, keyed by x's coordinates: they are reduced
+        mod 1, so it holds at most |S(k)| entries.  A point outside S(k)
+        raises on every call and is never stored.
+        """
+        table = self._memo("point_coords", dict)
+        out = table.get(x.coords)
+        if out is None:
+            out = table[x.coords] = self.rational_points(1).project(x)
+        return out
 
     def weyl_image(self, m: Mat, x: tuple) -> tuple:
         """The S(k) coordinates of m^-1 x, for m commuting with the twist.

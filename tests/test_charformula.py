@@ -75,8 +75,9 @@ def test_mod_a_rescaling_invariance():
     # unchanged: u is automatically a square in the even-degree orbit field,
     # so the class of u^{-1} a equals that of a.
     f9 = FiniteField(3, 2)
-    for u in range(1, 3):
-        emb = f9.from_int(u)
+    emb = f9.zero
+    for _ in range(1, 3):
+        emb = f9.add(emb, f9.one)   # the prime-field element u, embedded
         assert f9.sgn(emb) == 1
 
 
@@ -539,3 +540,92 @@ def test_charformula_raises_only_its_named_errors():
                       "NotRealizable", "SingularRoot"}
     assert all(issubclass(getattr(errors, name), errors.CuspidorError)
                for name in raised)
+
+
+def _gauss_keys(t):
+    return [k for k in t._cache if isinstance(k, tuple)
+            and k[0] == "gauss_identity"]
+
+
+def test_a_failing_gauss_identity_raises_every_time_and_is_never_kept(
+        monkeypatch):
+    from cuspidor.errors import FailedCheck
+    from cuspidor.ffield import MultCharacter
+    t = sl2_coxeter(3)                      # a cold torus: nothing kept yet
+    th = theta_of_order(t, 4)
+    chi = classify_chi_data(t)
+    real = MultCharacter.gauss_sum
+    monkeypatch.setattr(MultCharacter, "gauss_sum",
+                        lambda psi: real(psi) + 1)
+    for _ in range(2):
+        with pytest.raises(FailedCheck, match="Gauss square identity"):
+            mod_a_data(th, chi)
+        assert _gauss_keys(t) == []
+    monkeypatch.undo()
+    assert mod_a_data(th, chi).sign(chi.orbits[0].rep) == -1
+    assert _gauss_keys(t) == [("gauss_identity", 2, Fraction(1, 4))]
+
+
+def test_the_gauss_identity_runs_once_per_orbit_field_and_base(monkeypatch):
+    import cuspidor.charformula as charformula
+    seen = []
+    real = charformula._validate_gauss_identity
+
+    def counting(t, base, d, sign, s2):
+        seen.append((d, base))
+        return real(t, base, d, sign, s2)
+
+    monkeypatch.setattr(charformula, "_validate_gauss_identity", counting)
+    for t in _rank2_tori():
+        if t.q == 7:
+            continue
+        chi = classify_chi_data(t)
+        chars = [th for th in all_characters(t) if is_nonsingular(th)]
+        start = len(seen)
+        classes = [mod_a_data(th, chi).classes for th in chars]
+        # a warm torus checks nothing again and gives the same classes
+        assert [mod_a_data(th, chi).classes for th in chars] == classes
+        new = seen[start:]
+        assert len(new) == len(set(new))
+        assert sorted(new) == sorted(k[1:] for k in _gauss_keys(t))
+    assert seen
+
+
+def test_the_point_table_matches_the_projection():
+    # every point of the A1, A2, B2 and D2 elliptic tori at q in {3, 5},
+    # looked up cold and warm, and as a fresh QV with the same coordinates
+    for t in _rank2_tori():
+        if t.q == 7:
+            continue
+        group = t.rational_points(1)
+        for c in group.elements():
+            x = group.lift(c)
+            assert t.point_coords(x) == group.project(x) == c
+            assert t.point_coords(QV(x.coords)) == c
+        assert len(t._cache["point_coords"]) == group.order
+
+
+def test_invalid_points_still_raise_after_a_warm_sweep():
+    from cuspidor.errors import InvalidPoint
+    t = sl2_coxeter(5)                      # S(k) = Z/6
+    th = theta_of_order(t, 6)
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    wset = t.weyl_centralizer()
+    orb = chi.orbits[0]
+    for c in th.group.elements():
+        gamma = th.group.lift(c)
+        theta_sum(th, gamma, chi, a, wset)
+        delta_II(th, gamma, chi, a)
+        delta_II_at_representative(th, gamma, chi, a, orb, orb.rep)
+    table = dict(t._cache["point_coords"])
+    assert len(table) == 6
+    for gamma in (QV([Fraction(1, 7)]), QV([0, 0])):
+        for _ in range(2):
+            with pytest.raises(InvalidPoint):
+                theta_sum(th, gamma, chi, a, wset)
+            with pytest.raises(InvalidPoint):
+                delta_II(th, gamma, chi, a)
+            with pytest.raises(InvalidPoint):
+                delta_II_at_representative(th, gamma, chi, a, orb, orb.rep)
+    assert t._cache["point_coords"] == table

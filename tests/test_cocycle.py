@@ -12,7 +12,6 @@ from cuspidor.cocycle import (
     SplittingResult,
     abelian_group,
     act_on_splitting,
-    beta_correction,
     coherent_splitting,
     eta_cocycle,
     family_from_group_cocycle,
@@ -22,7 +21,7 @@ from cuspidor.cocycle import (
     splitting_difference,
 )
 from cuspidor.cocycle import _assert_cocycle
-from cuspidor.errors import DifferentOrbits, NotNormal, UnequalStabilizers
+from cuspidor.errors import NotNormal, UnequalStabilizers
 
 
 def klein():
@@ -85,10 +84,19 @@ def test_beta_properties():
     u = g.elements[0]
     v = g.elements[1]
     w = g.elements[2]
-    b_uu = beta_correction(fam, u, u)
+    b_uu = general_beta(fam, u, u)
     assert all(x == 0 for x in b_uu.values())
-    b_vu = beta_correction(fam, v, u)
-    b_uv = beta_correction(fam, u, v)
+    b_vu = general_beta(fam, v, u)
+    b_uv = general_beta(fam, u, v)
+    # for V = xU in U's orbit, the basepoint-change lemma's closed form
+    # eta_U(x, 1, a) - eta_U(x, ax, a) agrees with beta_{V,U}(a)
+    for vv, uu, beta in ((u, u, b_uu), (v, u, b_vu), (u, v, b_uv)):
+        x = next(a for a in g.elements if fam.act(a, uu) == vv)
+        for a in g.elements:
+            lemma = (fam.eta(fam.act(x, uu), uu, fam.act(a, uu))
+                     - fam.eta(fam.act(x, uu), fam.act(g.mul(a, x), uu),
+                               fam.act(a, uu))) % 1
+            assert beta[a] == lemma
     for a in g.elements:
         assert (b_vu[a] + b_uv[a]) % 1 == 0
     b_uw = general_beta(fam, u, w)
@@ -106,20 +114,6 @@ def test_beta_properties():
             rhs = (z_u(z_u.coset_of[a], z_u.coset_of[c])
                    - z_v(z_v.coset_of[a], z_v.coset_of[c])) % 1
             assert lhs == rhs
-
-
-def test_beta_requires_same_orbit():
-    g = klein()
-    # two disjoint copies of the regular torsor
-    xset = [("L", x) for x in g.elements] + [("R", x) for x in g.elements]
-
-    def act(a, u):
-        side, x = u
-        return (side, g.mul(a, x))
-
-    fam = EtaFamily(g, xset, act, lambda u, v, w: 0)
-    with pytest.raises(DifferentOrbits):
-        beta_correction(fam, ("L", g.identity), ("R", g.identity))
 
 
 def test_splitting_validates_and_covers_all_basepoints():

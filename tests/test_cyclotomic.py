@@ -308,3 +308,56 @@ def test_one_reduction_matches_the_frozen_reference():
         assert _state(x.galois(a)) == _state(_frozen_galois(x, a))
         k = rng.randrange(-n, 2 * n)
         assert _state(Cyc.zeta(n, k)) == _state(_frozen_zeta(n, k))
+
+
+def test_integer_coefficients_become_fractions_equal_to_them():
+    # the int -> Fraction cache must give the same coefficient tuple as
+    # Fraction(c) would, for every int (small, large, negative) and a bool
+    big = 10 ** 30
+    cases = [(1, [0]), (3, [1, -1]), (5, [2, 0, -3, 7]), (4, [big, -big]),
+             (3, [True, False]), (4, [True, 5])]
+    for n, ints in cases * 2:
+        x = Cyc(n, ints)
+        assert all(type(c) is Fraction for c in x.coeffs)
+        assert x.coeffs == tuple(Fraction(c) for c in ints)
+        assert list(x.coeffs) == list(ints)
+    assert Cyc(3, [True, False]) == Cyc(3, [1, 0])
+
+
+def test_invalid_input_is_a_named_value_error():
+    from cuspidor.errors import CuspidorError, InvalidCyclotomic
+    z = Cyc.zeta(3)
+    calls = [lambda: Cyc(0, [1]), lambda: Cyc(3, [1]), lambda: Cyc.zeta(-1),
+             lambda: z.promote(4), lambda: z / z, lambda: z.rational_value(),
+             lambda: z.galois(3)]
+    for call in calls:
+        with pytest.raises(InvalidCyclotomic) as err:
+            call()
+        assert isinstance(err.value, CuspidorError)
+        assert isinstance(err.value, ValueError)
+
+
+def test_a_failed_division_by_phi_n_is_a_failed_check():
+    from cuspidor.cyclotomic import _polydiv_exact
+    from cuspidor.errors import FailedCheck
+    # x^2 - 1 = (x - 1)(x + 1); x^2 + 1 leaves 2; x / (2x + 1) is not integral
+    assert _polydiv_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+    for num, den in (([1, 0, 1], [-1, 1]), ([0, 1], [1, 2])):
+        with pytest.raises(FailedCheck) as err:
+            _polydiv_exact(num, den)
+        assert isinstance(err.value, ArithmeticError)
+
+
+def test_cyclotomic_raises_only_its_named_errors():
+    import ast
+    import pathlib
+
+    import cuspidor.cyclotomic as cyclotomic
+    import cuspidor.errors as errors
+    tree = ast.parse(pathlib.Path(cyclotomic.__file__).read_text())
+    raised = {node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise)}
+    assert raised == {"FailedCheck", "InvalidCyclotomic"}
+    assert all(issubclass(getattr(errors, name), errors.CuspidorError)
+               for name in raised)
+    assert issubclass(errors.InvalidCyclotomic, ValueError)

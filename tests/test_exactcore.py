@@ -487,7 +487,9 @@ def test_no_private_copies_of_the_helpers():
               "_reduction_rows", "_monomial", "_zero_vec", "_basis_row",
               "_try_descend", "_cyc_json", "_solve_matrix", "_rational_sum",
               "_lift_value", "norm_map", "realize_in_field", "element_order",
-              "signed_permutation", "cycle_sign_data", "weyl_order_primes"}
+              "signed_permutation", "cycle_sign_data", "weyl_order_primes",
+              "norm_to_subfield", "subfield_dlog", "from_int", "order_of",
+              "beta_correction"}
     # m·x ≡ c over Q/Z is solved by the kernel of m
     banned_classes = {"AffineSolutions", "DisconnectedPairing"}
     phi_n = {"cyclotomic_polynomial", "_division_terms", "_polydiv_exact"}

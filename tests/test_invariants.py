@@ -156,6 +156,27 @@ def test_transform_coherence_on_corpus():
         assert ok
 
 
+def norm_down(big, small):
+    """The subfield dlog of the norm of big's generator down to small.
+
+    The same reference as test_ffield's: the product of the generator's
+    Frobenius conjugates over small must be a root of small's modulus.
+    """
+    nrm, x = big.one, big.generator
+    while True:
+        nrm, x = big.mul(nrm, x), big.power(x, small.q)
+        if x == big.generator:
+            break
+    acc, power = big.zero, big.one
+    for c in small.modulus:
+        acc = big.add(acc, tuple(c * t % big.p for t in power))
+        power = big.mul(power, nrm)
+    assert acc == big.zero
+    e, step = big.dlog(nrm), (big.q - 1) // (small.q - 1)
+    assert e % step == 0
+    return e // step
+
+
 def test_tower_compatibility_extended():
     # norm compatibility for (q, d) pairs with q <= 25, d <= 4, q^d <= 3 * 10^4
     from cuspidor.ffield import FiniteField
@@ -172,8 +193,7 @@ def test_tower_compatibility_extended():
     for p, m, d in pairs:
         big = FiniteField(p, m * d)
         small = FiniteField(p, m)
-        nrm = big.norm_to_subfield(big.generator, p ** m)
-        assert big.subfield_dlog(nrm, small) == 1
+        assert norm_down(big, small) == 1
 
 
 def test_d2n_cases_fixture_replay():
@@ -199,3 +219,81 @@ def test_q8_fixture_file_loads():
     ok, _ = has_multiplicity_one(ext)
     assert not ok
     assert ext.order() == 8
+
+
+def test_caches_live_on_the_object_that_owns_them():
+    # charformula, torus and cyclotomic keep no module-level or class-level
+    # dict/list/set cache, no mutable default argument and no global state;
+    # per-torus tables go through FrobeniusTorus._memo.  The module-level
+    # memos allowed are the bounded int -> Fraction cache and the two
+    # lru_cached Phi_n tables of cyclotomic.
+    import ast
+    import pathlib
+
+    import cuspidor
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+    containers = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                  "Counter", "WeakKeyDictionary", "WeakValueDictionary"}
+    memo_names = {"lru_cache", "cache"}
+
+    def called(node):
+        f = node.func if isinstance(node, ast.Call) else node
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+    found, memos = [], set()
+    root = pathlib.Path(cuspidor.__file__).parent
+    for name in ("charformula", "torus", "cyclotomic"):
+        tree = ast.parse((root / f"{name}.py").read_text())
+        scopes = [tree.body] + [n.body for n in tree.body
+                                if isinstance(n, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                value = getattr(node, "value", None)
+                if not isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                        or value is None:
+                    continue
+                if isinstance(value, mutable) or isinstance(value, ast.Call) \
+                        and called(value) in containers:
+                    found.append(f"{name}:{node.lineno} mutable container")
+                if isinstance(value, ast.Call) \
+                        and isinstance(value.func, ast.Call) \
+                        and called(value.func) in memo_names:
+                    maxsize = {k.arg: k.value for k in value.func.keywords}
+                    bound = maxsize.get("maxsize")
+                    if not isinstance(bound, ast.Constant) \
+                            or not isinstance(bound.value, int):
+                        found.append(f"{name}:{node.lineno} unbounded memo")
+                    memos.update(f"{name}.{t.id}" for t in node.targets)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{name}:{node.lineno} global state")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(d, mutable) for d in
+                       node.args.defaults + node.args.kw_defaults):
+                    found.append(f"{name}:{node.lineno} mutable default")
+                if any(called(d) in memo_names for d in node.decorator_list):
+                    memos.add(f"{name}.{node.name}")
+            # outside torus.py no module reaches into a torus's table dict
+            if name != "torus" and isinstance(node, ast.Attribute) \
+                    and node.attr == "_cache":
+                found.append(f"{name}:{node.lineno} ._cache")
+        if name == "torus":
+            # a FrobeniusTorus is changed only by its constructor: every
+            # other method keeps what it builds through _memo
+            cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                       and n.name == "FrobeniusTorus")
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) \
+                        or fn.name == "__init__":
+                    continue
+                for node in ast.walk(fn):
+                    if any(isinstance(t, ast.Attribute)
+                           and getattr(t.value, "id", None) == "self"
+                           for t in getattr(node, "targets", [])):
+                        found.append(f"torus:{node.lineno} {fn.name} "
+                                     "sets an attribute")
+    assert found == []
+    assert memos == {"cyclotomic._int_fraction",
+                     "cyclotomic.cyclotomic_polynomial",
+                     "cyclotomic._division_terms"}
