@@ -29,13 +29,14 @@ def odd_prime_powers(bound):
             out.append(q)
     return out
 
+
 def norm_down(big, small):
-    """N(gen) = gen gen^Q ... gen^(Q^(d-1)) in big, Q = |small|, d = [big : small].
+    """The subfield dlog of N(gen) = gen gen^Q ... gen^(Q^(d-1)), Q = |small|.
 
     The norm of big's generator must be a root of small's modulus (so it is
     small's generator under the embedding), and its dlog in big must be
     (|big| - 1)/(|small| - 1), so its subfield dlog is 1: the Conway
-    chain's norm compatibility.  Returns that subfield dlog.
+    chain's norm compatibility.
     """
     nrm, x = big.one, big.generator
     while True:                 # x runs over the d conjugates of gen
