@@ -323,14 +323,15 @@ def cmd_sweep(args):
     ok = all(r["ok"] for r in results)
     if args.json:
         import platform
+        from importlib.metadata import version
 
-        import numpy
+        # numpy's version from its installed metadata: only dixon imports it
         _emit({"criteria": [{key: r.get(key) for key in
                              ("name", "ok", "seconds", "bound", "detail")}
                             for r in results],
                "nproc": os.cpu_count(),
                "python": platform.python_version(),
-               "numpy": numpy.__version__})
+               "numpy": version("numpy")})
     return 0 if ok else 1
 
 

@@ -35,7 +35,7 @@ import random
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NotEquivariant, TooLarge
+from .errors import FailedCheck, InvalidExtension, NotEquivariant, TooLarge
 from .exactcore import FinAb, Mat, coinvariants, solve_mod
 
 
@@ -56,7 +56,7 @@ class ExtensionDescriptor:
         self._quotients = {}
         self._orbits = None
         if len(self.action) != len(self.C.factors):
-            raise ValueError("one action matrix per C generator")
+            raise InvalidExtension("one action matrix per C generator")
         raw = dict(cocycle) if not callable(cocycle) else {
             (c1, c2): cocycle(c1, c2)
             for c1 in self.C.elements() for c2 in self.C.elements()}
@@ -131,7 +131,7 @@ class ExtensionDescriptor:
             weights = [r * s for r, s in zip(rho, scale)]
             if any(value(weights, self.act(c, e)) != value(weights, e)
                    for c in stab for e in gens):
-                raise ArithmeticError("commutator class depends on the section")
+                raise FailedCheck("commutator class depends on the section")
             pushed = {key: value(weights, self.cocycle[key])
                       for key in itertools.product(stab, repeat=2)}
             radical, first = 0, None
@@ -152,20 +152,21 @@ class ExtensionDescriptor:
 
     def _normalize(self, raw):
         """Reduce the values into A's normal form and shift by the constant
-        coboundary so z(1,.) = z(.,1) = 0; ValueError for a key that is not
-        a pair of C-elements in normal form or a value of the wrong length.
+        coboundary so z(1,.) = z(.,1) = 0; InvalidExtension for a key that
+        is not a pair of C-elements in normal form or a value of the wrong
+        length.
         """
         a, zero, factors = self.A, self.A.zero, self.A.factors
         pairs = list(itertools.product(self.C.elements(), repeat=2))
         stray = raw.keys() - set(pairs)
         if stray:
-            raise ValueError(f"cocycle key {min(stray)} is not a pair in "
-                             f"{self.C!r}")
+            raise InvalidExtension(f"cocycle key {min(stray)} is not a pair "
+                                   f"in {self.C!r}")
         out = {}
         for key in pairs:
             v = raw.get(key, zero)
             if len(v) != len(factors):
-                raise ValueError(f"cocycle value {v} is not in {a!r}")
+                raise InvalidExtension(f"cocycle value {v} is not in {a!r}")
             out[key] = tuple([operator.index(x) % d
                               for x, d in zip(v, factors)])
         z11 = out[(self.C.zero, self.C.zero)]
@@ -190,25 +191,25 @@ class ExtensionDescriptor:
         zero = self.A.zero
         for c in cs:
             if self.z(self.C.zero, c) != zero or self.z(c, self.C.zero) != zero:
-                raise ValueError("cocycle is not normalized")
+                raise InvalidExtension("cocycle is not normalized")
         # action must be by automorphisms and define a C-action
         if not all(self.A.is_automorphism(g) for g in self.action):
-            raise ValueError("action matrix is not an automorphism")
+            raise InvalidExtension("action matrix is not an automorphism")
         if not all(_commute_on(self.A, g, h)
                    for g, h in itertools.product(self.action, repeat=2)):
-            raise ValueError("action matrices must commute on A")
+            raise InvalidExtension("action matrices must commute on A")
         for j, g in enumerate(self.action):
             m = g ** self.C.factors[j]
             for a in self.A.standard_basis():
                 if self.A.apply_matrix(m, a) != a:
-                    raise ValueError("action order incompatible with C")
+                    raise InvalidExtension("action order incompatible with C")
         # twisted cocycle identity, c2 running over generators
         for c1, c2, c3 in itertools.product(cs, self.C.standard_basis(), cs):
             lhs = self.A.add(self.act(c1, self.z(c2, c3)),
                              self.z(c1, self.C.add(c2, c3)))
             rhs = self.A.add(self.z(c1, c2), self.z(self.C.add(c1, c2), c3))
             if lhs != rhs:
-                raise ValueError("2-cocycle identity fails")
+                raise InvalidExtension("2-cocycle identity fails")
 
     def order(self) -> int:
         return self.A.order * self.C.order
@@ -363,7 +364,7 @@ def commutator_function(ext: ExtensionDescriptor, c1, c2):
     word, shifted = _commutator_words(ext, c1, c2)
     cls = quot.project(word)
     if any(quot.project(w) != cls for w in shifted):
-        raise ArithmeticError("commutator class depends on the section")
+        raise FailedCheck("commutator class depends on the section")
     return quot, cls
 
 
@@ -421,7 +422,7 @@ def _separating_character(ext, quot, cls):
                 return q.char_value(_x, quot.project(a))
 
             return rho
-    raise ArithmeticError("no separating character found")
+    raise FailedCheck("no separating character found")
 
 
 class Pullback(NamedTuple):
@@ -472,14 +473,14 @@ def transform(ext: ExtensionDescriptor, op):
         cocycle = {(c1a + c1b, c2a + c2b): za + zb
                    for ((c1a, c2a), za), ((c1b, c2b), zb) in pairs}
         return ExtensionDescriptor(a_factors, c_factors, action, cocycle)
-    raise ValueError("unknown transform")
+    raise InvalidExtension("unknown transform")
 
 
 def _check_homomorphism(src: FinAb, dst: FinAb, m: Mat, name: str):
     """Raise unless d_j·m(e_j) = 0 in dst for every generator e_j of src."""
     for d, e in zip(src.factors, src.standard_basis()):
         if dst.smul(d, dst.apply_matrix(m, e)) != dst.zero:
-            raise ValueError(f"{name} map is not a homomorphism")
+            raise InvalidExtension(f"{name} map is not a homomorphism")
 
 
 def _induced_matrix(a_group: FinAb, ap_group: FinAb, proj: Mat, g: Mat):
@@ -564,12 +565,12 @@ def irrep_census(ext: ExtensionDescriptor):
         m2 = o.stabilizer // o.radical
         m = math.isqrt(m2)
         if m * m != m2:
-            raise ArithmeticError("commutator pairing radical of odd index")
+            raise FailedCheck("commutator pairing radical of odd index")
         entries.append(CensusEntry(o.orbit_size * m, o.orbit_size, m,
                                    o.stabilizer // m2, o.rho))
     total = sum(e.dimension ** 2 * e.count for e in entries)
     if total != ext.order():
-        raise ArithmeticError("census mass formula fails")
+        raise FailedCheck("census mass formula fails")
     return entries
 
 

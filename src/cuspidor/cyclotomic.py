@@ -201,6 +201,9 @@ class Cyc:
         return Cyc(self.n, [c / Fraction(other) for c in self.coeffs])
 
     def __eq__(self, other):
+        # one conductor: the power basis is the same, compare directly
+        if isinstance(other, Cyc) and other.n == self.n:
+            return self.coeffs == other.coeffs
         pair = self._pair(other)
         if pair is NotImplemented:
             return pair

@@ -1,18 +1,26 @@
 """Independent character-table oracle (Dixon/Burnside class-algebra method).
 
-The class matrices are split into common eigenspaces over GF(l) for a prime
-l = 1 mod e = exp(B).  Each eigenspace carries its basis and a left inverse
-of it, so a class matrix restricts to it by one product, checked by one
-more, and a split needs only the kernel of the restriction minus an
-eigenvalue.  Every character value is then lifted exactly as the integer
+The rows of the table are the common eigenvectors of the class matrices
+M_i over GF(l') for a prime l' = 1 mod e = exp(B).  One seeded combination
+M = sum c_i M_i mod l', l' >= 4 n^2 for n classes, has n distinct roots for
+most draws; then one characteristic polynomial and one Krylov product give
+every eigenvector at once, column id of adj(lambda - M), and every class
+matrix is checked on every row.  Otherwise the space is split by one class
+matrix after another over GF(l): each eigenspace carries its basis and a
+left inverse of it, so a class matrix restricts to it by one product,
+checked by one more, and a split needs only the kernel of the restriction
+minus an eigenvalue.  Every prime stays below 2^14, so int64 holds every
+sum.  Every character value is then lifted exactly as the integer
 multiplicities of the e-th roots of unity among its eigenvalues: one gather
 of all rows over the power maps and one product with the e x e transform
-over the roots of unity mod l.  Orthogonality of every pair of rows is one
-integer Gram matrix over Z[C_e], and restriction sums are integer
-histograms of root exponents mod e; both are reduced mod Phi_e by
-``cyclotomic.power_basis``.  numpy holds every matrix of the split, the lift
-and the Gram check.  ``Cyc`` values of the table are built only on demand.
-Abelian groups take a direct path: the dual of their SNF presentation
+over the roots of unity mod the prime, and the rows are sorted into the
+order of the one-by-one split whichever route found them.  Orthogonality
+of every pair of rows is one integer Gram matrix over Z[C_e], and
+restriction sums are integer histograms of root exponents mod e; both are
+reduced mod Phi_e by ``cyclotomic.power_basis``.  numpy holds every matrix
+of the split, the lift and the Gram check; no other module imports it.
+``Cyc`` values of the table are built only on demand.  Abelian groups take
+a direct path: the dual of their SNF presentation
 (``exactcore.abelian_basis``).  This module never consults the Clifford
 machinery it checks.  A failed self-check raises ``FailedCheck``.
 """
@@ -20,14 +28,18 @@ machinery it checks.  A failed self-check raises ``FailedCheck``.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import Cyc, power_basis
 from .errors import FailedCheck, TooLarge
-from .exactcore import FinAb, abelian_basis, is_prime, mult_order
+from .exactcore import FinAb, abelian_basis, is_prime, is_primitive_root
 from .clifford import ConcreteGroup, ExtensionDescriptor
+
+# Every prime of the split stays below this: see ``_dixon_mults``.
+_PRIME_CAP = 1 << 14
 
 
 class CharacterTable:
@@ -227,11 +239,20 @@ def _class_matrices(group, classes, cls, reps, skip):
 
 
 def _dixon_mults(group, classes, class_of, e):
-    """Root multiplicities from the eigenvectors of the class matrices.
+    """Root multiplicities from the common eigenvectors of the class matrices.
 
-    Every array is int64.  For |B| <= 512, l <= 13,711 < 2^14
-    (``_find_prime``), so a sum of at most 512 products of two residues, or
-    of a residue and a class count, stays below 2^42.
+    The eigenvectors come in one step from one combination of the class
+    matrices when that works (``_combined_rows``), else from splitting the
+    space by one class matrix after another over GF(l) (``_split_rows``).
+    Either way every class matrix is checked on every row it acts on.  The
+    rows are then put in the order the one-by-one split gives, by their
+    eigenvalues mod l under M_1, M_2, ... in turn, read off the exact
+    multiplicities, so the table does not depend on the route.
+
+    Every array is int64 and every prime is below 2^14: for |B| <= 512,
+    l <= 13,711 (``_find_prime``), and the one-step prime l' is capped
+    (``_combination_prime``).  So a sum of at most 512 products of two
+    residues, or of a residue and a class count, stays below 2^42.
     """
     table = group.table
     order = len(table)
@@ -239,10 +260,136 @@ def _dixon_mults(group, classes, class_of, e):
     cls = [class_of[x] for x in group.elements]     # class of each number
     reps = [group.number[ci[0]] for ci in classes]
     id_idx = cls[0]                 # the identity is number 0
+    inv_class = [cls[group.inverses[rep]] for rep in reps]
+    # M_i's eigenvalue on a row is omega at the class inverse to i
+    inv_others = [inv_class[i] for i in range(n) if i != id_idx]
     ell = _find_prime(e, order)
     # the identity class's matrix is I, which splits nothing
+    mats = _class_matrices(group, classes, cls, reps, id_idx)
+    found = _combined_rows(mats, id_idx, inv_others, e, ell)
+    prime, omegas = found if found else (ell, _split_rows(mats, id_idx, ell))
+    sizes = [len(ci) for ci in classes]
+    inv_sizes = np.array([pow(s, prime - 2, prime) for s in sizes],
+                         dtype=np.int64)
+    # degrees from the second orthogonality mass formula
+    mass = (omegas * omegas[:, inv_class] % prime * inv_sizes
+            % prime).sum(axis=1)
+    degs = np.array([_lift_square(order * pow(int(s), prime - 2, prime)
+                                  % prime, order, prime)
+                     for s in mass % prime], dtype=np.int64)
+    # chi mod the prime at every class, gathered over the power maps (the
+    # class of rep^t, t < e), times the inverse transform z^(-s t) / e over
+    # the e-th roots of unity z mod the prime
+    chi_bar = degs[:, None] * omegas % prime * inv_sizes % prime
+    powers = []
+    for rep in reps:
+        x, cls_of_powers = 0, []
+        for _ in range(e):
+            cls_of_powers.append(cls[x])
+            x = table[x][rep]
+        powers.append(cls_of_powers)
+    z_pow = _root_powers(prime, e)
+    transform = np.array([[z_pow[(-s * t) % e] for s in range(e)]
+                          for t in range(e)], dtype=np.int64)
+    mults = (chi_bar[:, powers] @ transform % prime
+             * pow(e, prime - 2, prime) % prime)
+    if (mults > degs[:, None, None]).any():
+        raise FailedCheck("root-of-unity multiplicity out of range")
+    if (mults.sum(axis=2) != degs[:, None]).any():
+        raise FailedCheck("eigenvalue multiplicities do not sum to the degree")
+    # the rows in the order of the one-by-one split: by the eigenvalue of
+    # M_i, omega(C_i^-1) = |C_i^-1| chi(g_i^-1)/chi(1) mod l, for each
+    # i != id in turn, with chi(g) = sum_s m_s z^s for z mod l
+    chi_ell = mults @ np.array(_root_powers(ell, e), dtype=np.int64) % ell
+    inv_degs = np.array([pow(int(d), ell - 2, ell) for d in degs],
+                        dtype=np.int64)
+    keys = (chi_ell * np.array(sizes, dtype=np.int64) % ell
+            * inv_degs[:, None] % ell)[:, inv_others]
+    rows = np.lexsort(keys.T[::-1])
+    return [[tuple(m) for m in row] for row in mults[rows].tolist()]
+
+
+def _combined_rows(mats, id_idx, inv_others, e, ell):
+    """Every row of eigenvalues (omegas) from one combination M, or None.
+
+    M = sum c_i M_i mod l', the c_i drawn from a fixed-seed generator; a
+    repeated root draws them once more.  When M's characteristic
+    polynomial has n distinct roots, each root lambda belongs to one row,
+    and column id of adj(lambda - M) = sum_j lambda^j B_j (B_(n-1) = I,
+    B_(j-1) = M B_j + a_j I, a_j the polynomial's coefficients) is that
+    row's eigenvector up to scale: n matrix-vector products give the B_j
+    e_id and one Vandermonde product gives every row.  Two rows share a root
+    for 1/l' of the draws, so with l' >= 4 n^2 at most one draw in eight
+    has a repeated root.  Then every class matrix is checked on every row,
+    M_i V^T = V^T diag(omega(C_i^-1)), and a failure raises.  None when l'
+    would reach 2^14, when both draws repeat a root, or when a row vanishes
+    at the identity class.
+    """
+    n = mats[0].shape[0]
+    prime = _combination_prime(e, ell, n)
+    if prime is None:
+        return None
+    rng = random.Random(0)
+    for _ in range(2):
+        m = np.zeros((n, n), dtype=np.int64)
+        for c, mat in zip(_coefficients(rng, len(mats), prime), mats):
+            m += c * mat
+        m %= prime
+        poly = _charpoly(m, prime)
+        lams = _roots(poly, prime)
+        if len(lams) == n:
+            break
+    else:
+        return None
+    krylov = np.zeros((n, n), dtype=np.int64)     # row j: B_j e_id
+    krylov[n - 1, id_idx] = 1
+    for j in range(n - 1, 0, -1):
+        krylov[j - 1] = m @ krylov[j] % prime
+        krylov[j - 1, id_idx] = (krylov[j - 1, id_idx] + poly[j]) % prime
+    vander = np.ones((n, n), dtype=np.int64)
+    lams = np.array(lams, dtype=np.int64)
+    for j in range(1, n):
+        vander[:, j] = vander[:, j - 1] * lams % prime
+    vecs = vander @ krylov % prime
+    if not vecs[:, id_idx].all():
+        return None
+    omegas = _scaled_to_identity(vecs, id_idx, prime)
+    cols = omegas.T
+    for i, mat in zip(inv_others, mats):
+        if ((mat @ cols - cols * omegas[:, i]) % prime).any():
+            raise FailedCheck("a class matrix does not leave an eigenspace "
+                              "invariant")
+    return prime, omegas
+
+
+def _coefficients(rng, count, prime):
+    """The c_i of one combination: ``count`` residues mod prime from rng."""
+    return [rng.randrange(prime) for _ in range(count)]
+
+
+def _combination_prime(e, ell, n):
+    """The least prime l' = 1 mod e with l' >= max(l, 4 n^2), or None.
+
+    None when l' would reach 2^14, which keeps the int64 bound of
+    ``_dixon_mults``.
+    """
+    prime = max(ell, 4 * n * n)
+    prime += (1 - prime) % e
+    while prime < _PRIME_CAP:
+        if is_prime(prime):
+            return prime
+        prime += e
+    return None
+
+
+def _split_rows(mats, id_idx, ell):
+    """Every row of eigenvalues mod l, split by each class matrix in turn.
+
+    Each split checks that the class matrix leaves the space invariant.
+    """
+    n = mats[0].shape[0]
     spaces = [(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))]
-    for m in _class_matrices(group, classes, cls, reps, id_idx):
+    for m in mats:
         new_spaces = []
         for space in spaces:
             if space[0].shape[1] == 1:
@@ -254,43 +401,16 @@ def _dixon_mults(group, classes, class_of, e):
             break
     if len(spaces) != n:
         raise FailedCheck("class algebra failed to split")
-    # eigenvalues omega_i = |C_i| chi(g_i)/chi(1) mod ell, one row per
-    # eigenvector, normalized so the identity-class coordinate is 1
     vecs = np.array([basis[:, 0] for basis, _ in spaces])
     if not vecs[:, id_idx].all():
         raise FailedCheck("eigenvector vanishes at the identity class")
+    return _scaled_to_identity(vecs, id_idx, ell)
+
+
+def _scaled_to_identity(vecs, id_idx, ell):
+    """Each row times the inverse of its identity-class coordinate, mod l."""
     scale = [pow(int(v), ell - 2, ell) for v in vecs[:, id_idx]]
-    omegas = vecs * np.array(scale, dtype=np.int64)[:, None] % ell
-    inv_sizes = np.array([pow(len(ci), ell - 2, ell) for ci in classes],
-                         dtype=np.int64)
-    inv_class = [cls[group.inverses[rep]] for rep in reps]
-    # degrees from the second orthogonality mass formula
-    mass = (omegas * omegas[:, inv_class] % ell * inv_sizes % ell).sum(axis=1)
-    degs = np.array([_lift_square(order * pow(int(s), ell - 2, ell) % ell,
-                                  order, ell) for s in mass % ell],
-                    dtype=np.int64)
-    # chi mod ell at every class, gathered over the power maps (the class of
-    # rep^t, t < e), times the inverse transform z^(-s t) / e over the e-th
-    # roots of unity z mod ell
-    chi_bar = degs[:, None] * omegas % ell * inv_sizes % ell
-    powers = []
-    for rep in reps:
-        x, cls_of_powers = 0, []
-        for _ in range(e):
-            cls_of_powers.append(cls[x])
-            x = table[x][rep]
-        powers.append(cls_of_powers)
-    z_root = _primitive_root_power(ell, e)
-    z_pow = [pow(z_root, k, ell) for k in range(e)]
-    transform = np.array([[z_pow[(-s * t) % e] for s in range(e)]
-                          for t in range(e)], dtype=np.int64)
-    mults = (chi_bar[:, powers] @ transform % ell
-             * pow(e, ell - 2, ell) % ell)
-    if (mults > degs[:, None, None]).any():
-        raise FailedCheck("root-of-unity multiplicity out of range")
-    if (mults.sum(axis=2) != degs[:, None]).any():
-        raise FailedCheck("eigenvalue multiplicities do not sum to the degree")
-    return [[tuple(m) for m in row] for row in mults.tolist()]
+    return vecs * np.array(scale, dtype=np.int64)[:, None] % ell
 
 
 def _split_space(m, basis, left, ell):
@@ -310,7 +430,7 @@ def _split_space(m, basis, left, ell):
     if not (r - r[0, 0] * np.eye(k, dtype=np.int64)).any():
         return [(basis, left)]
     out = []
-    for lam in _eigenvalues(r, ell):
+    for lam in _roots(_charpoly(r, ell), ell):
         ker, free = _null_space((r - lam * np.eye(k, dtype=np.int64)) % ell,
                                 ell)
         if free:
@@ -354,13 +474,13 @@ def _null_space(m, ell):
     return basis, free
 
 
-def _eigenvalues(r, ell):
-    """Roots in GF(l) of the characteristic polynomial of r, ascending."""
+def _roots(poly, ell):
+    """Roots in GF(l) of a polynomial (ascending coefficients), ascending."""
     lams = np.arange(ell, dtype=np.int64)
     acc = np.zeros(ell, dtype=np.int64)
-    for c in reversed(_charpoly(r, ell)):
+    for c in reversed(poly):
         acc = (acc * lams + c) % ell
-    return np.flatnonzero(acc == 0)[:r.shape[0]].tolist()
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def _charpoly(m, ell):
@@ -415,9 +535,15 @@ def _find_prime(e, order):
 
 def _primitive_root_power(ell, e):
     for g in range(2, ell):
-        if mult_order(g, ell) == ell - 1:
+        if is_primitive_root(g, ell):
             return pow(g, (ell - 1) // e, ell)
     raise FailedCheck("no primitive root found")
+
+
+def _root_powers(ell, e):
+    """z^k mod l for k < e, z = ``_primitive_root_power(l, e)``."""
+    z = _primitive_root_power(ell, e)
+    return [pow(z, k, ell) for k in range(e)]
 
 
 def _lift_square(d2, order, ell):

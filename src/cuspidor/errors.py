@@ -104,6 +104,13 @@ class NotInOrbit(CuspidorError, ValueError):
     """A root passed as an orbit representative that is not in the orbit."""
 
 
+class InvalidExtension(CuspidorError, ValueError):
+    """An extension descriptor that is not one: action matrices that are not
+    commuting automorphisms of A of orders dividing C's, a cocycle that is
+    not a normalized 2-cocycle on C x C with values in A, a map that is not
+    a homomorphism, or an unknown transform."""
+
+
 class InvalidCyclotomic(CuspidorError, ValueError):
     """A cyclotomic operation outside its domain: a conductor below 1, a
     coefficient vector of the wrong length, a promotion to a conductor that

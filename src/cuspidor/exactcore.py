@@ -1,13 +1,13 @@
 """Exact integer/rational lattice arithmetic.
 
 Everything here is immutable and pure: integer number theory (prime
-factors, primality, prime powers, multiplicative orders), integer matrices,
-Gauss–Jordan elimination over Q, Smith normal form, coordinates on a lattice
-basis, subgroups ker m of (Q/Z)^n cut out by integer matrices m, with the
-maps a matrix induces on them and m's Smith form to solve m·x ≡ c over Q/Z,
-coinvariants, and linear congruences mod n.  This is the substrate for
-every lattice quotient in the package; gcd, lcm and isqrt come from
-``math``.
+factors, primality, prime powers, multiplicative orders, primitive roots),
+integer matrices, Gauss–Jordan elimination over Q, Smith normal form,
+coordinates on a lattice basis, subgroups ker m of (Q/Z)^n cut out by
+integer matrices m, with the maps a matrix induces on them and m's Smith
+form to solve m·x ≡ c over Q/Z, coinvariants, and linear congruences mod
+n.  This is the substrate for every lattice quotient in the package; gcd,
+lcm and isqrt come from ``math``.
 
 Lattice-basis coordinates: a lattice is a matrix S whose rows are basis
 vectors of a subspace of an ambient space; the coordinates of an ambient
@@ -66,6 +66,16 @@ def mult_order(a: int, n: int) -> int:
         x = x * a % n
         k += 1
     return k
+
+
+def is_primitive_root(g: int, p: int) -> bool:
+    """Does g generate (Z/p)^x, p prime?  One power per prime r | p - 1.
+
+    g has order p - 1 exactly when g^((p-1)/r) != 1 for each such r, so
+    this costs O(log p) per prime factor where ``mult_order`` is O(p).
+    """
+    return g % p != 0 and all(pow(g, (p - 1) // r, p) != 1
+                              for r in prime_factors(p - 1))
 
 
 def _frac(x) -> Fraction:

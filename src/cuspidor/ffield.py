@@ -16,7 +16,7 @@ import itertools
 
 from .cyclotomic import Cyc
 from .errors import InvalidOrder, InvalidPrimePower, TrivialCharacter
-from .exactcore import is_prime, mult_order, prime_factors
+from .exactcore import is_prime, is_primitive_root, prime_factors
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -59,7 +59,7 @@ def _conway_modulus(p: int, m: int):
     if m == 1:
         for c in range(p):
             root = (-c) % p
-            if root and mult_order(root, p) == p - 1:
+            if root and is_primitive_root(root, p):
                 return (c, 1)
         raise ArithmeticError("no primitive root found")
     subgens = {}

@@ -706,3 +706,19 @@ def test_cocycle_check_matches_the_full_sweep_on_a_large_c(a, c, action, z):
                                    _inflated_cocycles(ext, rng)):
         assert (_validator_accepts(ext, cocycle)
                 == _full_sweep_accepts(ext, cocycle))
+
+
+def test_clifford_raises_only_its_named_errors():
+    import ast
+    import pathlib
+
+    import cuspidor.clifford as clifford
+    import cuspidor.errors as errors
+    tree = ast.parse(pathlib.Path(clifford.__file__).read_text())
+    raised = {node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise)}
+    assert raised == {"FailedCheck", "InvalidExtension", "NotEquivariant",
+                      "TooLarge"}
+    assert all(issubclass(getattr(errors, name), errors.CuspidorError)
+               for name in raised)
+    assert issubclass(errors.InvalidExtension, ValueError)

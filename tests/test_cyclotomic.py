@@ -119,6 +119,21 @@ def test_from_root_multiplicities_is_the_root_sum(n, hist, scale):
     assert got.n == n and got == want
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(_DIVISORS_120),
+       st.lists(st.integers(-2, 2), max_size=12),
+       st.lists(st.integers(-2, 2), max_size=12),
+       st.booleans())
+def test_equality_at_one_conductor_matches_the_promote_path(n, h1, h2, same):
+    a = Cyc.from_root_multiplicities(n, h1)
+    # (a + a) - a is a itself, reached by another reduction
+    b = (a + a) - a if same else Cyc.from_root_multiplicities(n, h2)
+    assert a.n == b.n == n
+    want = a.promote(120).coeffs == b.promote(120).coeffs
+    assert (a == b) == (b == a) == want
+    assert want or not same
+
+
 @pytest.mark.parametrize("n", [0, -4])
 def test_conductor_must_be_positive(n):
     with pytest.raises(ValueError, match="conductor must be positive"):

@@ -29,7 +29,7 @@ from cuspidor.dixon import (
     restriction_multiplicities,
 )
 from cuspidor.errors import FailedCheck
-from cuspidor.exactcore import Mat
+from cuspidor.exactcore import Mat, is_prime
 
 
 def small_groups():
@@ -285,6 +285,87 @@ def test_dixon_raises_only_failed_check_or_too_large():
     raised = {node.exc.func.id for node in ast.walk(tree)
               if isinstance(node, ast.Raise)}
     assert raised == {"FailedCheck", "TooLarge"}
+
+
+def test_no_src_module_but_dixon_imports_numpy():
+    found = set()
+    for path in pathlib.Path(dixon.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.add(path.name)
+    assert found == {"dixon.py"}
+
+
+def _counted(monkeypatch, name):
+    """The argument tuples of every call to dixon's ``name``, which still
+    runs."""
+    calls = []
+    real = getattr(dixon, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dixon, name, counting)
+    return calls
+
+
+def test_the_split_fallback_gives_the_same_table(monkeypatch):
+    groups = [group for _, group in _non_abelian_groups(40)]
+    splits = _counted(monkeypatch, "_split_rows")
+    default = [brute_force_census(group).mults for group in groups]
+    # the one-step route on at least 90% of the groups
+    assert len(splits) <= len(groups) // 10
+    # all c_i = 0: M = 0 has the one root 0, so every group takes the split
+    monkeypatch.setattr(dixon, "_coefficients",
+                        lambda rng, count, prime: [0] * count)
+    del splits[:]
+    assert [brute_force_census(group).mults for group in groups] == default
+    assert len(splits) == len(groups)
+
+
+def test_a_corrupted_eigenvector_fails_the_invariance_check(monkeypatch):
+    # one coordinate off in one row of the one-step route (the order-64
+    # group at k = 0): that row is no eigenvector of some class matrix
+    group = ConcreteGroup(random_descriptor(random.Random(0), 128))
+    scale = dixon._scaled_to_identity
+
+    def one_coordinate_off(vecs, id_idx, ell):
+        rows = scale(vecs, id_idx, ell)
+        rows[3, (id_idx + 1) % rows.shape[1]] += 1
+        return rows
+
+    splits = _counted(monkeypatch, "_split_rows")
+    monkeypatch.setattr(dixon, "_scaled_to_identity", one_coordinate_off)
+    with pytest.raises(FailedCheck, match="does not leave an eigenspace"):
+        brute_force_census(group)
+    assert not splits
+
+
+def test_every_prime_of_the_split_stays_below_2_to_the_14():
+    # for |B| <= 512, each exponent e | |B| and each class count n: l and l'
+    # are primes = 1 mod e below 2^14, l' the least one >= max(l, 4 n^2),
+    # or None when there is none below 2^14
+    cap = 1 << 14
+    pairs = {(e, _find_prime(e, order)) for order in range(1, 513)
+             for e in range(1, order + 1) if order % e == 0}
+    for e, ell in pairs:
+        assert ell < cap and is_prime(ell) and ell % e == 1 % e
+        for n in range(1, 65):
+            prime = dixon._combination_prime(e, ell, n)
+            low = max(ell, 4 * n * n)
+            below = [p for p in range(low, prime or cap)
+                     if p % e == 1 % e and is_prime(p)]
+            assert not below
+            if prime is not None:
+                assert low <= prime < cap and prime % e == 1 % e
+                assert is_prime(prime)
 
 
 # -- the table as built before whole-array kernels, kept as the reference ------

@@ -19,6 +19,7 @@ from cuspidor.exactcore import (
     abelian_basis,
     coinvariants,
     is_prime,
+    is_primitive_root,
     mult_order,
     prime_factors,
     prime_power,
@@ -395,6 +396,17 @@ def test_mult_order_matches_definition(n, a):
     k = mult_order(a, n)
     assert pow(a, k, n) == 1 % n
     assert all(pow(a, j, n) != 1 % n for j in range(1, k))
+
+
+@PROPERTY
+@given(st.sampled_from([p for p in range(2, 10 ** 4) if is_prime(p)]),
+       st.integers(-10 ** 4, 10 ** 4))
+def test_is_primitive_root_matches_mult_order(p, g):
+    want = g % p != 0 and mult_order(g, p) == p - 1
+    assert is_primitive_root(g, p) == want
+    # the least primitive root, found both ways
+    least = next(r for r in range(1, p) if mult_order(r, p) == p - 1)
+    assert next(r for r in range(1, p) if is_primitive_root(r, p)) == least
 
 
 # -- maps induced on a finite abelian group, and congruences mod n ----------------
