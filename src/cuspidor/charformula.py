@@ -102,9 +102,15 @@ class ModAData:
     symmetric orbit, in the order of ``classes``, built once here from the
     torus's ``root_row``; delta_II and theta_sum read them instead of
     rebuilding them per point.
+
+    ``terms(theta, field)`` is theta_sum's table for one (theta's row, e,
+    field): it maps a point y of S(k) to (delta_II sign at y, e theta(y)
+    mod e).  Those depend on the rows, theta's row, e and the field's sign
+    table alone, so every call with that theta and field reuses them.  The
+    tables hold at most |S(k)| entries each and are filled by theta_sum.
     """
 
-    __slots__ = ("torus", "classes", "depth", "rows")
+    __slots__ = ("torus", "classes", "depth", "rows", "_terms")
 
     def __init__(self, torus, classes):
         self.torus = torus
@@ -112,9 +118,18 @@ class ModAData:
         self.depth = 0
         self.rows = tuple((rep, torus.root_row(rep), sign)
                           for rep, sign in classes.items())
+        self._terms = {}
 
     def sign(self, rep):
         return self.classes[tuple(rep)]
+
+    def terms(self, theta, field) -> dict:
+        """The table {y: (delta_II sign, e theta(y) mod e)} for theta and field."""
+        key = (theta.row, theta.exponent, field)
+        table = self._terms.get(key)
+        if table is None:
+            table = self._terms[key] = {}
+        return table
 
     def to_json(self):
         return {str(list(k)): v for k, v in self.classes.items()}
@@ -291,35 +306,43 @@ def theta_sum(theta: TorusCharacter, gamma: QV, chi: ChiData, a: ModAData,
     Everything runs on S(k) coordinates with e = exp S(k): gamma's
     coordinates are read from the torus's point table (``point_coords``),
     and a gamma of the wrong rank or off S(k) raises InvalidPoint on every
-    call; the Weyl images of a point of S(k) stay in S(k), and gamma^w is
-    read from the torus's per-m image table (``weyl_image``).
-    theta(gamma^w) and each alpha(gamma^w), from the rows kept on ``a``, are
-    integer dot products mod e, and sgn(alpha(gamma^w) - 1) is read from the
-    field's sign table.  Each term is a sign times zeta_e^k, so the sum is
-    one signed histogram at n = e / gcd(e, every k met), the lcm of theta's
-    denominators, and one Cyc of conductor n.
+    call; the Weyl images of a point of S(k) stay in S(k), and all of them
+    are read in one lookup from the torus's table for the set
+    (``weyl_images``), which raises InvalidWeylSet for a non-commuting m
+    before any term is taken.  At each image y, the delta_II sign (the
+    product of sgn(alpha(y) - 1) a_alpha over the rows kept on ``a``, read
+    from the field's sign table) and theta(y) are integer dot products mod
+    e, taken once per (theta, field, y) and kept in ``a.terms``; a y where
+    some alpha(y) is not in the field raises NotRealizable and is not kept,
+    so it raises on every call.  Each term is a sign times zeta_e^k, so the
+    sum is one signed histogram at n = e / gcd(e, every k met), the lcm of
+    theta's denominators, and one Cyc of conductor n.
     """
     t = theta.torus
     x = _check_point(t, gamma)
     if field is None:
         field = t.extension_field(t.splitting_degree)
     e = theta.exponent
-    signs = field.sign_table(e)
+    terms = a.terms(theta, field)
     counts = [0] * e            # signed count of the terms at zeta_e^k
     g = 0                       # gcd of the k met, so n = e / gcd(e, g)
-    for m in weyl_set:
-        xw = t.weyl_image(m, x)
-        sign = 1
-        for _, row, a_sign in a.rows:
-            s = signs[sum(map(mul, row, xw)) % e]
-            if s == 0:
-                raise NotRealizable(
-                    "alpha(gamma) does not live in the splitting field")
-            if s is not None:
-                sign *= s * a_sign
-        k = theta.scaled(xw)
+    for y in t.weyl_images(weyl_set, x):
+        term = terms.get(y)
+        if term is None:
+            term = terms[y] = _term(theta, a, y, field.sign_table(e))
+        sign, k = term
         counts[k] += sign
         g = math.gcd(g, k)
     step = math.gcd(e, g)       # every k met is a multiple of step
     total = Cyc.from_root_multiplicities(e // step, counts[::step])
     return total if leading == 1 else total * leading
+
+
+def _term(theta, a, y, signs) -> tuple:
+    """(delta_II sign at y, e theta(y) mod e) at S(k) coordinates y."""
+    sign = 1
+    for _, row, a_sign in a.rows:
+        f = _orbit_factor(row, y, signs)
+        if f is not None:
+            sign *= f * a_sign
+    return sign, theta.scaled(y)

@@ -116,3 +116,11 @@ class InvalidCyclotomic(CuspidorError, ValueError):
     coefficient vector of the wrong length, a promotion to a conductor that
     is not a multiple, a division by or a rational value of an irrational
     element, or a Galois exponent not prime to the conductor."""
+
+
+class InvalidSubfield(CuspidorError, ValueError):
+    """A size that is not the size of a subfield of the field at hand."""
+
+
+class InvalidRootDatum(CuspidorError, ValueError):
+    """Roots and coroots whose pairing <a, a_vee> is not 2."""

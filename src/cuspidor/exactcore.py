@@ -383,12 +383,17 @@ def coord_convert(from_rows: Mat, to_rows: Mat) -> Mat:
 
 
 class QV:
-    """Vector over Q/Z: exact rationals, each reduced to [0, 1)."""
+    """Vector over Q/Z: exact rationals, each reduced to [0, 1).
 
-    __slots__ = ("coords",)
+    The hash is that of ``coords``, computed on first use and kept, so a
+    vector used again as a dict key hashes its Fractions once.
+    """
+
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords):
         self.coords = tuple(_frac(c) % 1 for c in coords)
+        self._hash = None
 
     @staticmethod
     def zero(n: int) -> "QV":
@@ -402,7 +407,10 @@ class QV:
         return isinstance(other, QV) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.coords)
+        return h
 
     def __repr__(self):
         return "QV(%s)" % (", ".join(str(c) for c in self.coords))

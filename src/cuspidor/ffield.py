@@ -15,7 +15,13 @@ import functools
 import itertools
 
 from .cyclotomic import Cyc
-from .errors import InvalidOrder, InvalidPrimePower, TrivialCharacter
+from .errors import (
+    FailedCheck,
+    InvalidOrder,
+    InvalidPrimePower,
+    InvalidSubfield,
+    TrivialCharacter,
+)
 from .exactcore import is_prime, is_primitive_root, prime_factors
 
 
@@ -61,7 +67,7 @@ def _conway_modulus(p: int, m: int):
             root = (-c) % p
             if root and is_primitive_root(root, p):
                 return (c, 1)
-        raise ArithmeticError("no primitive root found")
+        raise FailedCheck("no primitive root found")
     subgens = {}
     for d in range(1, m):
         if m % d == 0:
@@ -84,7 +90,7 @@ def _conway_modulus(p: int, m: int):
                 break
         if ok:
             return modulus
-    raise ArithmeticError("no Conway-style modulus found")
+    raise FailedCheck("no Conway-style modulus found")
 
 
 def _poly_eval_in_field(poly, y, modulus, p):
@@ -151,7 +157,7 @@ class FiniteField:
                                            self.modulus, p))
         self._dlog = {x: e for e, x in enumerate(self._exp)}
         if len(self._dlog) != self.q - 1:
-            raise ArithmeticError("generator is not primitive")
+            raise FailedCheck("generator is not primitive")
         # the trace is F_p-linear: keep tr(x^i) for the basis x^i, i < m,
         # which are the first m generator powers (for m = 1 just 1)
         self._basis_traces = tuple(self.trace_to_subfield(x, p)[0]
@@ -249,7 +255,7 @@ class FiniteField:
             qq *= qsub
             d += 1
         if qq != self.q:
-            raise ValueError("not a subfield size")
+            raise InvalidSubfield("not a subfield size")
         return d
 
     def absolute_trace(self, a):
@@ -343,7 +349,7 @@ def gauss_sum(ell: FiniteField) -> GaussSumResult:
     g2 = Cyc.from_root_multiplicities(p, squares)
     gg = g.norm_square()
     if not (gg.is_rational() and gg.rational_value() == ell.q):
-        raise ArithmeticError("Gauss sum modulus check failed")
+        raise FailedCheck("Gauss sum modulus check failed")
     return GaussSumResult(g, ell.q, (g == g2))
 
 
@@ -357,7 +363,7 @@ def normalized_gauss_value(ell: FiniteField) -> Cyc:
     g = gauss_sum(ell).sum
     gsq = (g * g)
     if not gsq.is_rational():
-        raise ArithmeticError("unexpected Gauss sum square")
+        raise FailedCheck("unexpected Gauss sum square")
     val = gsq.rational_value()
     # sqrt(q) as an exact cyclotomic: q = p^m, sqrt(q) = p^(m//2) * sqrt(p)^(m%2)
     p, m = ell.p, ell.m
@@ -372,4 +378,4 @@ def normalized_gauss_value(ell: FiniteField) -> Cyc:
             s = (cand * cand).rational_value() * ell.q
             if s == val and g == cand * root:
                 return cand
-    raise ArithmeticError("normalized Gauss value not identified")
+    raise FailedCheck("normalized Gauss value not identified")

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (FailedCheck, InvalidLattice, InvalidWeylElement, NotCommuting,
-                     Reducible, TooLarge)
+from .errors import (FailedCheck, InvalidLattice, InvalidRootDatum,
+                     InvalidWeylElement, NotCommuting, Reducible, TooLarge)
 from .exactcore import (Mat, QV, clear_denominators, coord_convert, coords_of,
                         is_prime, lattice_solver, prime_factors)
 
@@ -92,7 +92,7 @@ class RootDatum:
         """Check the pairing; keep each root's X and its coroot's X^vee row."""
         for a, av in zip(self.roots, self.coroots):
             if sum(x * y for x, y in zip(a, av)) != 2:
-                raise ValueError("pairing <a, a_vee> != 2")
+                raise InvalidRootDatum("pairing <a, a_vee> != 2")
         self._root_rows = self._integer_rows(
             self.xv_rows, self.roots, "root outside the character lattice")
         self._coroot_rows = self._integer_rows(

@@ -14,20 +14,22 @@ degree, which decide non-singularity), C_W(w) by
 one integer commutation test on V (``Mat.commutes_with``), per m in C_W(w)
 the matrix of m^-1 on X^vee and on S(k) coordinates (``inverse_on_points``,
 the one route from a Weyl element to S(k); the stabilizer reads its columns,
-kept once per torus as ``centralizer_columns``), per such m the S(k)
-coordinates of m^-1 x at each point x asked for (``weyl_image``), the S(k)
-coordinates of each point of S(k) asked for (``point_coords``), and per
-root the integer row alpha(gens[i]) e with e = exp S(k) (``root_row``).
+kept once per torus as ``centralizer_columns``), per set of such m the S(k)
+coordinates of m^-1 x for every m of the set at each point x asked for
+(``weyl_images``), the S(k) coordinates of each point of S(k) asked for
+(``point_coords``), and per root the integer row alpha(gens[i]) e with
+e = exp S(k) (``root_row``).
 Characters, non-singularity, Weyl stabilizers and the character sums of
 ``charformula`` then read these tables instead of rebuilding matrix powers
 or projecting per character.  The caches are safe because a torus never
 changes after construction and the cached ``Mat``, ``FinAb`` and tuple
 values are immutable; the tables are bounded by the degrees asked for,
-|roots| x degrees, one row of rk S(k) integers per root, and one
-rk S(k) x rk S(k) integer matrix and at most |S(k)| image tuples per
-element of C_W(w) (per distinct Weyl element a caller passes), and at most
-|S(k)| coordinate tuples for the points.  ``charformula`` also keeps here
-one flag per Gauss identity that passed, under ("gauss_identity", d, base).
+|roots| x degrees, one row of rk S(k) integers per root, one
+rk S(k) x rk S(k) integer matrix per element of C_W(w) (per distinct Weyl
+element a caller passes), at most |S(k)| tuples of images per Weyl set a
+caller passes, and at most |S(k)| coordinate tuples for the points.
+``charformula`` also keeps here one flag per Gauss identity that passed,
+under ("gauss_identity", d, base).
 
 Sublattices of the cocharacter space V* (P^vee, Q^vee, X^vee) are handled
 in the lattice-basis coordinates of ``exactcore``.
@@ -177,31 +179,36 @@ class FrobeniusTorus:
     def point_coords(self, x: QV) -> tuple:
         """The S(k) coordinates of the point x; ValueError unless x is in S(k).
 
-        One table per torus, keyed by x's coordinates: they are reduced
-        mod 1, so it holds at most |S(k)| entries.  A point outside S(k)
-        raises on every call and is never stored.
+        One table per torus, keyed by the ``QV`` (which keeps its hash):
+        its coordinates are reduced mod 1, so it holds at most |S(k)|
+        entries.  A point outside S(k) raises on every call and is never
+        stored.
         """
         table = self._memo("point_coords", dict)
-        out = table.get(x.coords)
+        out = table.get(x)
         if out is None:
-            out = table[x.coords] = self.rational_points(1).project(x)
+            out = table[x] = self.rational_points(1).project(x)
         return out
 
-    def weyl_image(self, m: Mat, x: tuple) -> tuple:
-        """The S(k) coordinates of m^-1 x, for m commuting with the twist.
+    def weyl_images(self, weyl_set, x: tuple) -> tuple:
+        """The S(k) coordinates of m^-1 x for each m of weyl_set, in order.
 
-        One table per m, filled point by point from ``inverse_on_points(m)``
-        and kept: it depends on the torus alone, so every character and
-        field reuses it.  An m that does not commute raises InvalidWeylSet
-        before its table is stored.
+        One table per set, keyed by its tuple of matrices and filled point
+        by point from ``inverse_on_points(m)``: it depends on the torus
+        alone, so every character and field reuses it.  An m that does not
+        commute with the twist raises InvalidWeylSet before the set's table
+        is stored.
         """
-        rows, images = self._memo(("weyl_image", m), lambda: (
-            tuple(zip(self.inverse_on_points(m),
-                      self.rational_points(1).factors)), {}))
+        ms = tuple(weyl_set)
+        rows, images = self._memo(("weyl_images", ms), lambda: (
+            tuple(tuple(zip(self.inverse_on_points(m),
+                            self.rational_points(1).factors)) for m in ms),
+            {}))
         out = images.get(x)
         if out is None:
-            out = images[x] = tuple(sum(map(mul, row, x)) % d
-                                    for row, d in rows)
+            out = images[x] = tuple(
+                tuple(sum(map(mul, row, x)) % d for row, d in m_rows)
+                for m_rows in rows)
         return out
 
     def centralizer_columns(self):

@@ -432,14 +432,138 @@ def test_weyl_image_matches_the_lattice_action():
     tori = 0
     for t in _elliptic_tori_q35():
         group = t.rational_points(1)
-        for m in t.weyl_centralizer():
-            for x in group.elements():
+        wset = t.weyl_centralizer()
+        for x in group.elements():
+            wants = []
+            for m in wset:
                 want = group.project(
                     QV(t.inverse_action(m).apply(group.lift(x).coords)))
-                assert t.weyl_image(m, x) == want
-                assert t.weyl_image(m, x) is t.weyl_image(m, x)
+                assert t.weyl_images([m], x) == (want,)
+                assert t.weyl_images([m], x) is t.weyl_images([m], x)
+                wants.append(want)
+            assert t.weyl_images(wset, x) == tuple(wants)
+            assert t.weyl_images(wset, x) is t.weyl_images(wset, x)
         tori += 1
     assert tori == 10
+
+
+def _sampled_characters(t, k=4):
+    """A seeded sample of at most k non-singular characters of t."""
+    import random
+    chars = [th for th in all_characters(t) if is_nonsingular(th)]
+    return random.Random(f"{t.rd.label}:{t.w.order}:{t.q}").sample(
+        chars, min(k, len(chars)))
+
+
+def test_theta_sum_is_the_sum_of_delta_times_theta_over_the_images():
+    # the images m^-1 gamma through the lattice action, each term through
+    # delta_II and theta at the projected image
+    tori = 0
+    for t in _elliptic_tori_q35():
+        chi = classify_chi_data(t)
+        field = t.extension_field(t.splitting_degree)
+        group = t.rational_points(1)
+        wset = t.weyl_centralizer()
+        for th in _sampled_characters(t):
+            a = mod_a_data(th, chi)
+            for c in group.elements():
+                gamma = group.lift(c)
+                want = Cyc.rational(0)
+                for m in wset:
+                    image = QV(t.inverse_action(m).apply(gamma.coords))
+                    delta = delta_II(th, image, chi, a, field).value
+                    want = want + delta * Cyc.from_qz(th(group.project(image)))
+                assert theta_sum(th, gamma, chi, a, wset, field) == want
+        tori += 1
+    assert tori == 10
+
+
+def _outcome(call):
+    from cuspidor.errors import NotRealizable
+    try:
+        value = call()
+    except NotRealizable:
+        return "NotRealizable"
+    return (value.n, value.coeffs)
+
+
+def test_a_reused_mod_a_data_agrees_with_a_fresh_one():
+    # one ModAData serves two characters and two fields (the splitting field
+    # and GF(q), where some roots are not realizable), interleaved point by
+    # point; a fresh ModAData with the same classes is built for each call
+    from cuspidor.charformula import ModAData
+    realizable = set()
+    for t in _elliptic_tori_q35():
+        chi = classify_chi_data(t)
+        group = t.rational_points(1)
+        wset = t.weyl_centralizer()
+        chars = _sampled_characters(t, 2)
+        fields = (t.extension_field(t.splitting_degree), FiniteField(t.q, 1))
+        a = mod_a_data(chars[0], chi)
+        for _ in range(2):
+            for c in group.elements():
+                gamma = group.lift(c)
+                for th in chars:
+                    for field in fields:
+                        got = _outcome(
+                            lambda: theta_sum(th, gamma, chi, a, wset, field))
+                        fresh = ModAData(t, dict(a.classes))
+                        assert got == _outcome(lambda: theta_sum(
+                            th, gamma, chi, fresh, wset, field))
+                        realizable.add(got != "NotRealizable")
+    assert realizable == {True, False}
+
+
+def _term_entries(a):
+    return sorted((repr(key), y) for key, table in a._terms.items()
+                  for y in table)
+
+
+def test_invalid_calls_raise_every_time_and_store_nothing():
+    from cuspidor.errors import InvalidPoint, InvalidWeylSet, NotRealizable
+    t = sl2_coxeter(5)                      # S(k) = Z/6
+    th = theta_of_order(t, 6)
+    chi = classify_chi_data(t)
+    a = mod_a_data(th, chi)
+    wset = t.weyl_centralizer()
+    f5 = FiniteField(5, 1)
+    for x in th.group.elements():            # warm every table
+        theta_sum(th, th.group.lift(x), chi, a, wset)
+    entries = _term_entries(a)
+    images = {k: dict(v[1]) for k, v in t._cache.items()
+              if isinstance(k, tuple) and k[0] == "weyl_images"}
+    points = dict(t._cache["point_coords"])
+    cases = [
+        (InvalidPoint, lambda: theta_sum(th, QV([Fraction(1, 7)]), chi, a,
+                                         wset)),
+        (NotRealizable, lambda: theta_sum(th, QV([Fraction(1, 6)]), chi, a,
+                                          wset, f5)),
+    ]
+    rd = build_classical("A", 2, "sc")
+    t2 = FrobeniusTorus(rd, next(WeylElement(rd, m) for m in rd.weyl_group()
+                                 if WeylElement(rd, m).order == 3), 5)
+    th2 = next(th for th in all_characters(t2) if is_nonsingular(th))
+    chi2 = classify_chi_data(t2)
+    a2 = mod_a_data(th2, chi2)
+    wset2 = t2.weyl_centralizer()
+    gamma2 = th2.group.gens[0]
+    theta_sum(th2, gamma2, chi2, a2, wset2)
+    entries2 = _term_entries(a2)
+    bad = rd.reflection(rd.simple_roots[0])
+    for ws in ([bad], wset2 + [bad]):
+        cases.append((InvalidWeylSet,
+                      lambda ws=ws: theta_sum(th2, gamma2, chi2, a2, ws)))
+    for error, call in cases:
+        for _ in range(2):
+            with pytest.raises(error):
+                call()
+    assert _term_entries(a) == entries
+    assert _term_entries(a2) == entries2
+    assert {k: dict(v[1]) for k, v in t._cache.items()
+            if isinstance(k, tuple) and k[0] == "weyl_images"} == images
+    assert t._cache["point_coords"] == points
+    assert not [k for k in t2._cache if isinstance(k, tuple)
+                and k[0] == "weyl_images" and bad in k[1]]
 
 
 @pytest.mark.parametrize("torus", list(_elliptic_tori_q35()),

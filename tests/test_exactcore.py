@@ -573,3 +573,31 @@ def test_inverse_exactly_when_det_nonzero(m):
 def test_det_is_multiplicative(pair):
     a, b = pair
     assert (a * b).det() == a.det() * b.det()
+
+
+_qz_coords = st.lists(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=60), max_size=4)
+
+
+@PROPERTY
+@given(_qz_coords, st.data())
+def test_qv_keeps_the_hash_of_its_coordinates(coords, data):
+    v = QV(coords)
+    h = hash(v)
+    assert h == hash(v.coords)
+    # an equal vector, built from shifted coordinates, hashes equal
+    shifts = data.draw(st.lists(st.integers(-2, 2), min_size=len(coords),
+                                max_size=len(coords)))
+    twin = QV([c + s for c, s in zip(coords, shifts)])
+    assert twin == v and hash(twin) == h
+    # used as a dict key and in arithmetic, the vector keeps its hash
+    table = {v: 1}
+    assert table[twin] == 1 and hash(v) == h
+    other = QV(data.draw(st.lists(st.fractions(max_denominator=60),
+                                  min_size=len(coords),
+                                  max_size=len(coords))))
+    total = v + other
+    assert hash(total) == hash(total.coords)
+    assert total - other == v and hash(total - other) == h
+    assert hash(-(-v)) == h and hash(3 * v) == hash((3 * v).coords)
+    assert hash(v) == h == hash(v.coords)

@@ -289,3 +289,32 @@ def test_products_match_polynomials_on_all_pairs_up_to_125():
         for a in els:
             for b in els:
                 assert f.mul(a, b) == _poly_mul_mod(a, b, f.modulus, f.p)
+
+
+def test_ffield_raises_only_its_named_errors():
+    import ast
+    import pathlib
+
+    import cuspidor.errors as errors
+    import cuspidor.ffield as ffield
+    tree = ast.parse(pathlib.Path(ffield.__file__).read_text())
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.id)
+    # a zero divisor keeps Python's own ZeroDivisionError, as Fraction does
+    assert raised == {"FailedCheck", "InvalidOrder", "InvalidPrimePower",
+                      "InvalidSubfield", "TrivialCharacter",
+                      "ZeroDivisionError"}
+    assert all(issubclass(getattr(errors, name), errors.CuspidorError)
+               for name in raised - {"ZeroDivisionError"})
+
+
+def test_a_size_that_is_no_subfield_is_refused():
+    from cuspidor.errors import InvalidSubfield
+    f = finite_field(3, 4)
+    with pytest.raises(InvalidSubfield) as err:
+        f.trace_to_subfield(f.one, 27)
+    assert isinstance(err.value, ValueError)
+    assert f.trace_to_subfield(f.one, 9) == f.add(f.one, f.one)

@@ -221,12 +221,34 @@ def test_q8_fixture_file_loads():
     assert ext.order() == 8
 
 
+def _attributes_set_outside(path, class_name, allowed):
+    """Attributes of self that a method of the class, other than ``allowed``,
+    assigns: "module:line method attribute" for each."""
+    import ast
+    tree = ast.parse(path.read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == class_name)
+    found = []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in allowed:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and getattr(node.value, "id", None) == "self":
+                found.append(f"{path.stem}:{node.lineno} {fn.name} "
+                             f"sets {node.attr}")
+    return found
+
+
 def test_caches_live_on_the_object_that_owns_them():
     # charformula, torus and cyclotomic keep no module-level or class-level
     # dict/list/set cache, no mutable default argument and no global state;
     # per-torus tables go through FrobeniusTorus._memo.  The module-level
     # memos allowed are the bounded int -> Fraction cache and the two
-    # lru_cached Phi_n tables of cyclotomic.
+    # lru_cached Phi_n tables of cyclotomic.  A ModAData sets its attributes,
+    # theta_sum's term tables included, only in its constructor, and a QV
+    # sets its kept hash only in its constructor and in __hash__.
     import ast
     import pathlib
 
@@ -293,6 +315,18 @@ def test_caches_live_on_the_object_that_owns_them():
                            for t in getattr(node, "targets", [])):
                         found.append(f"torus:{node.lineno} {fn.name} "
                                      "sets an attribute")
+    found += _attributes_set_outside(root / "charformula.py", "ModAData",
+                                     {"__init__"})
+    # a QV keeps its hash in _hash, set when built and on first use
+    tree = ast.parse((root / "exactcore.py").read_text())
+    qv = next(n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == "QV")
+    allowed = {id(node) for fn in qv.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("__init__", "__hash__") for node in ast.walk(fn)}
+    found += [f"exactcore:{node.lineno} sets _hash"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "_hash"
+              and isinstance(node.ctx, ast.Store) and id(node) not in allowed]
     assert found == []
     assert memos == {"cyclotomic._int_fraction",
                      "cyclotomic.cyclotomic_polynomial",

@@ -471,3 +471,13 @@ def test_a_weyl_group_over_the_bound_is_refused(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "error"
     assert doc["error"].startswith("TooLarge:")
+
+
+def test_a_pairing_other_than_two_is_an_invalid_root_datum():
+    from cuspidor.errors import CuspidorError, InvalidRootDatum
+    data = build_classical("A", 1, "sc").to_json()
+    data["coroots"] = [[2 * c for c in v] for v in data["coroots"]]
+    with pytest.raises(InvalidRootDatum, match="pairing") as err:
+        RootDatum.from_json(data)
+    assert isinstance(err.value, ValueError)
+    assert isinstance(err.value, CuspidorError)
