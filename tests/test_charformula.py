@@ -519,6 +519,11 @@ def _term_entries(a):
                   for y in table)
 
 
+def _image_tables(t):
+    return {k: dict(v[1]) for k, v in t._cache.items()
+            if isinstance(k, tuple) and k[0] == "weyl_images"}
+
+
 def test_invalid_calls_raise_every_time_and_store_nothing():
     from cuspidor.errors import InvalidPoint, InvalidWeylSet, NotRealizable
     t = sl2_coxeter(5)                      # S(k) = Z/6
@@ -530,8 +535,7 @@ def test_invalid_calls_raise_every_time_and_store_nothing():
     for x in th.group.elements():            # warm every table
         theta_sum(th, th.group.lift(x), chi, a, wset)
     entries = _term_entries(a)
-    images = {k: dict(v[1]) for k, v in t._cache.items()
-              if isinstance(k, tuple) and k[0] == "weyl_images"}
+    images = _image_tables(t)
     points = dict(t._cache["point_coords"])
     cases = [
         (InvalidPoint, lambda: theta_sum(th, QV([Fraction(1, 7)]), chi, a,
@@ -539,9 +543,8 @@ def test_invalid_calls_raise_every_time_and_store_nothing():
         (NotRealizable, lambda: theta_sum(th, QV([Fraction(1, 6)]), chi, a,
                                           wset, f5)),
     ]
-    rd = build_classical("A", 2, "sc")
-    t2 = FrobeniusTorus(rd, next(WeylElement(rd, m) for m in rd.weyl_group()
-                                 if WeylElement(rd, m).order == 3), 5)
+    t2 = next(t for t in _elliptic_tori_q35()
+              if (t.rd.label, t.q) == ("A2", 5))
     th2 = next(th for th in all_characters(t2) if is_nonsingular(th))
     chi2 = classify_chi_data(t2)
     a2 = mod_a_data(th2, chi2)
@@ -549,7 +552,7 @@ def test_invalid_calls_raise_every_time_and_store_nothing():
     gamma2 = th2.group.gens[0]
     theta_sum(th2, gamma2, chi2, a2, wset2)
     entries2 = _term_entries(a2)
-    bad = rd.reflection(rd.simple_roots[0])
+    bad = t2.rd.reflection(t2.rd.simple_roots[0])
     for ws in ([bad], wset2 + [bad]):
         cases.append((InvalidWeylSet,
                       lambda ws=ws: theta_sum(th2, gamma2, chi2, a2, ws)))
@@ -559,11 +562,9 @@ def test_invalid_calls_raise_every_time_and_store_nothing():
                 call()
     assert _term_entries(a) == entries
     assert _term_entries(a2) == entries2
-    assert {k: dict(v[1]) for k, v in t._cache.items()
-            if isinstance(k, tuple) and k[0] == "weyl_images"} == images
+    assert _image_tables(t) == images
     assert t._cache["point_coords"] == points
-    assert not [k for k in t2._cache if isinstance(k, tuple)
-                and k[0] == "weyl_images" and bad in k[1]]
+    assert not [k for k in _image_tables(t2) if bad in k[1]]
 
 
 @pytest.mark.parametrize("torus", list(_elliptic_tori_q35()),
